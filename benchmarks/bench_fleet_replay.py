@@ -6,8 +6,8 @@ fleet contract before reporting throughput:
 
 * the merged fleet event stream is **bitwise identical** to the single
   engine's, at every shard count and on both backends;
-* the multi-process leg (``--jobs`` > 1) preserves that parity while
-  fanning shards out over forked workers.
+* the multi-process leg (the supervised backend, one forked host per
+  shard) preserves that parity.
 
 Speedups are only measurable on a multi-core host; on a single-core
 box the process leg is skipped and the summary says
@@ -44,7 +44,7 @@ from repro import (
     filter_sectors,
 )
 from repro.core.experiment import SweepRunner
-from repro.fleet import FleetConfig, build_fleet
+from repro.fleet import FleetConfig, SupervisorConfig, build_fleet
 from repro.imputation import ForwardFillImputer
 from repro.resilience import ResilientHotSpotService, ResilientPredictionEngine
 from repro.serve import (
@@ -120,12 +120,14 @@ def _run_single(dataset, registry_root: Path, start_day: int, end_hour: int):
     return _drive(ResilientHotSpotService(service), dataset, end_hour)
 
 
-def _run_fleet(dataset, registry_root, start_day, end_hour, shards, jobs, fleet_dir):
+def _run_fleet(
+    dataset, registry_root, start_day, end_hour, shards, fleet_dir, supervise=None
+):
     config = FleetConfig.for_dataset(
         dataset, registry_root, model=MODEL, window=WINDOW,
         horizons=HORIZONS, start_day=start_day, top_k=TOP_K, w_max=WINDOW,
     )
-    fleet = build_fleet(fleet_dir, config, shards, jobs=jobs)
+    fleet = build_fleet(fleet_dir, config, shards, supervise=supervise)
     try:
         lines, seconds = _drive(fleet, dataset, end_hour)
         return lines, seconds, fleet.backend.name
@@ -158,7 +160,7 @@ def run_bench(smoke: bool = False, shard_counts: tuple[int, ...] | None = None) 
         for shards in shard_counts:
             lines, seconds, backend = _run_fleet(
                 dataset, root / "registry", start_day, end_hour,
-                shards, 1, root / f"fleet-s{shards}",
+                shards, root / f"fleet-s{shards}",
             )
             legs.append({
                 "shards": shards,
@@ -169,15 +171,15 @@ def run_bench(smoke: bool = False, shard_counts: tuple[int, ...] | None = None) 
                 "parity": lines == base,
             })
         if cores >= 2:
+            # One forked host per shard: the supervised backend.
             shards = max(s for s in shard_counts if s >= 2)
-            jobs = min(cores, shards)
             lines, seconds, backend = _run_fleet(
                 dataset, root / "registry", start_day, end_hour,
-                shards, jobs, root / "fleet-proc",
+                shards, root / "fleet-proc", supervise=SupervisorConfig(),
             )
             legs.append({
                 "shards": shards,
-                "jobs": jobs,
+                "jobs": shards,
                 "backend": backend,
                 "seconds": round(seconds, 4),
                 "ticks_per_second": round(end_hour / seconds, 1) if seconds else None,
@@ -274,7 +276,7 @@ def run_tier_bench(
             world, root / "registry", model=MODEL, window=WINDOW,
             horizons=HORIZONS, start_day=WINDOW, top_k=TOP_K, w_max=WINDOW,
         )
-        fleet = build_fleet(root / "fleet", config, shards, jobs=1)
+        fleet = build_fleet(root / "fleet", config, shards)
         try:
             lines, seconds = _drive(fleet, world, end_hour)
         finally:

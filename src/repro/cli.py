@@ -23,15 +23,18 @@ model-lifecycle control plane attached: online drift detection,
 drift/cadence-triggered retraining, and champion/challenger promotion,
 all reported in the same JSONL event stream.  ``fleet`` is ``serve``
 sharded over sector partitions — ``--shards N`` engines with their own
-WALs behind one coordinator (``--jobs M`` fans them out over processes),
-emitting a merged stream bitwise identical to the single engine's.
+WALs behind one coordinator, in-process or, with ``--supervise``, each
+in its own forked and restartable host process — emitting a merged
+stream bitwise identical to the single engine's.  ``--jobs`` fans
+training and forest work out over worker processes, never shards.
 ``gateway`` puts any of those stacks behind an HTTP/SSE surface —
 ``POST /ticks`` ingest with backpressure, ``GET /alerts`` SSE with
 ``Last-Event-ID`` resume, Prometheus ``/metrics``, and an operator
 ``/status`` plane — with the same bitwise replay-parity contract
 (DESIGN.md §3j).
 
-``serve``/``lifecycle``/``fleet``/``gateway`` all drain gracefully on
+The four serving subcommands assemble their stack in one place
+(``_build_stack``) from shared flags, and all drain gracefully on
 SIGINT/SIGTERM: state closes through the normal teardown paths and a
 final ``{"type": "shutdown", ...}`` JSONL line replaces the traceback
 (exit 0).
@@ -243,51 +246,260 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _restore_ingestor(args: argparse.Namespace) -> tuple["object", int]:
-    """Recover serving state from a previous run's checkpoint directory.
+class _UsageError(ValueError):
+    """Flags no serving stack can be built from; the message is printed."""
 
-    Returns ``(ingestor, start_hour)`` — ``(None, 0)`` when not resuming
-    or when the directory holds no recoverable state.  Raises
-    :class:`ValueError` on flag misuse (``--resume`` without a
-    checkpoint directory).
+
+def _check_flags(args: argparse.Namespace) -> tuple:
+    """Validate a serving command's flags before any I/O.
+
+    Returns ``(horizons, lifecycle, supervise)``: the served horizons,
+    the ``(drift, retrain, promotion)`` configs when a lifecycle control
+    plane is asked for (else ``None``), and the
+    :class:`SupervisorConfig` of ``--supervise`` (else ``None``).
+    Raises :class:`_UsageError` on a bad value or combination.
     """
-    if not args.resume:
-        return None, 0
-    if not args.checkpoint_dir:
-        raise ValueError("--resume requires --checkpoint-dir")
-    recovered = CheckpointManager.recover(args.checkpoint_dir)
-    if recovered.ingestor is None:
-        return None, 0
-    ingestor = recovered.ingestor
+    horizons = (
+        tuple(args.horizons) if hasattr(args, "horizons") else (args.horizon,)
+    )
+    lifecycle = _lifecycle_configs(args, horizons)
+    if min(horizons) < 1 or args.window < 1 or args.top_k < 1:
+        raise _UsageError("--horizons, --window, and --top-k must all be >= 1")
+    if getattr(args, "batch_hours", 1) < 1:
+        raise _UsageError("--batch-hours must be >= 1")
+    shards = getattr(args, "shards", None)
+    if shards is not None:
+        if shards < 1:
+            raise _UsageError("--shards must be >= 1")
+        if lifecycle is not None:
+            raise _UsageError(
+                "--lifecycle is single-engine only; drop it or drop --shards"
+            )
+        if not args.checkpoint_dir:
+            raise _UsageError("--shards requires --checkpoint-dir")
+    if args.resume and not args.checkpoint_dir:
+        raise _UsageError("--resume requires --checkpoint-dir")
+    supervise = None
+    if getattr(args, "supervise", False):
+        try:
+            supervise = SupervisorConfig(
+                heartbeat_secs=args.heartbeat_secs, max_restarts=args.max_restarts
+            )
+        except ValueError as error:
+            raise _UsageError(f"error: invalid supervision policy: {error}") from error
+    return horizons, lifecycle, supervise
+
+
+def _lifecycle_configs(args: argparse.Namespace, horizons: tuple) -> tuple | None:
+    """``(drift, retrain, promotion)`` for a lifecycle stack, else ``None``.
+
+    ``lifecycle`` tunes every knob from its flags; ``gateway
+    --lifecycle`` runs the config defaults, which those flags share.
+    """
+    if args.command == "lifecycle":
+        drift = dict(
+            reference_days=args.reference_days,
+            current_days=args.current_days,
+            alpha=args.drift_alpha,
+        )
+        cadence = dict(
+            cadence_days=args.retrain_every, min_days_between=args.min_retrain_gap
+        )
+        promotion = dict(
+            min_delta=args.promote_min_delta,
+            min_shadow_days=args.shadow_days,
+            max_shadow_days=args.max_shadow_days,
+            confirm_days=args.confirm_days,
+        )
+    elif getattr(args, "lifecycle", False):
+        drift, cadence, promotion = {}, {}, {}
+    else:
+        return None
+    try:
+        return (
+            DriftConfig(**drift),
+            RetrainConfig(
+                model=args.model,
+                target="hot",
+                horizon=horizons[0],
+                window=args.window,
+                n_estimators=args.estimators,
+                n_training_days=args.training_days,
+                base_seed=args.seed,
+                **cadence,
+            ),
+            PromotionConfig(**promotion),
+        )
+    except ValueError as error:
+        raise _UsageError(f"error: invalid lifecycle configuration: {error}") from error
+
+
+def _build_stack(args, dataset, horizons, lifecycle, supervise):
+    """Train and register the served model, then assemble the stack.
+
+    Returns the stack behind its gateway adapter: a
+    :class:`FleetBackend` for ``fleet`` and ``gateway --shards``, else a
+    :class:`ResilientBackend` over one guarded engine.
+    """
+    # Train once at --train-day and persist; every engine then serves
+    # later days from that frozen model, loading it lazily from disk.
+    runner = SweepRunner(
+        dataset,
+        target="hot",
+        n_estimators=args.estimators,
+        n_training_days=args.training_days,
+        seed=args.seed,
+    )
+    registry = ModelRegistry(args.registry)
+    keys = train_and_register(
+        runner,
+        registry,
+        [args.model],
+        args.train_day,
+        horizons,
+        (args.window,),
+        overwrite=True,
+        n_jobs=args.jobs,
+    )
     _info(
-        f"recovered {ingestor.hours_seen} hours from {args.checkpoint_dir} "
-        f"(snapshot at {recovered.snapshot_hour} h + "
-        f"{recovered.replayed} journal ticks)",
+        f"registered {len(keys)} model(s) under {registry.root}",
         args.quiet,
         sys.stderr,
     )
-    return ingestor, ingestor.hours_seen
+    if args.command == "fleet" or getattr(args, "shards", None) is not None:
+        return FleetBackend(_build_fleet(args, dataset, horizons, supervise))
+    return _build_guarded(args, dataset, registry, horizons, lifecycle)
+
+
+def _build_fleet(args, dataset, horizons, supervise):
+    config = FleetConfig.for_dataset(
+        dataset,
+        args.registry,
+        model=args.model,
+        window=args.window,
+        horizons=horizons,
+        start_day=args.train_day,
+        top_k=args.top_k,
+        alert_threshold=args.alert_threshold,
+        w_max=max(args.window, 7),
+        snapshot_every=args.snapshot_every,
+    )
+    on_event = None
+    if supervise is not None:
+
+        def on_event(record: dict) -> None:
+            # Structured supervision JSONL (restart/degrade/rejoin) goes
+            # to stderr: stdout stays the merged event stream, bitwise.
+            print(json.dumps(record), file=sys.stderr, flush=True)
+
+    if args.resume:
+        # Keep the persisted shard count unless --shards asks for a
+        # different one, in which case recovery reshards first.
+        fleet = recover_fleet(
+            args.checkpoint_dir, config, n_shards=args.shards,
+            supervise=supervise, on_event=on_event,
+        )
+    else:
+        fleet = build_fleet(
+            args.checkpoint_dir, config, args.shards or 2,
+            supervise=supervise, on_event=on_event,
+        )
+    resumed = f", resuming at hour {fleet.clock}" if args.resume else ""
+    _info(
+        f"fleet: {fleet.plan.n_shards} shards "
+        f"(generation {fleet.plan.generation}), "
+        f"backend={fleet.backend.name}{resumed}",
+        args.quiet,
+        sys.stderr,
+    )
+    return fleet
+
+
+def _build_guarded(args, dataset, registry, horizons, lifecycle):
+    # Recover serving state from a previous run's checkpoint directory,
+    # or start fresh.  The resilient engine/service wrappers are always
+    # in place: malformed ticks quarantine instead of crashing the loop,
+    # and a broken registry degrades instead of raising.
+    ingestor = None
+    if args.resume:
+        recovered = CheckpointManager.recover(args.checkpoint_dir)
+        ingestor = recovered.ingestor
+        if ingestor is not None:
+            _info(
+                f"recovered {ingestor.hours_seen} hours from {args.checkpoint_dir} "
+                f"(snapshot at {recovered.snapshot_hour} h + "
+                f"{recovered.replayed} journal ticks)",
+                args.quiet,
+                sys.stderr,
+            )
+    if ingestor is None:
+        history = (7,)
+        if lifecycle is not None:
+            # The ring must hold enough history for the drift windows
+            # and the retrain lookback, not just the serving window.
+            drift, retrain, _ = lifecycle
+            history = (drift.total_days, retrain.lookback_days)
+        ingestor = StreamIngestor.for_dataset(
+            dataset, w_max=max(args.window, *history)
+        )
+    engine = ResilientPredictionEngine(
+        ingestor, registry, target="hot", model=args.model, window=args.window
+    )
+    service = HotSpotService(
+        engine,
+        ServeConfig(
+            horizons=horizons,
+            start_day=args.train_day,
+            top_k=args.top_k,
+            alert_threshold=args.alert_threshold,
+        ),
+    )
+    controller = None
+    if lifecycle is not None:
+        # The lifecycle controller takes over from the bootstrap
+        # champion, minting versioned challengers out of the live ring.
+        drift, retrain, promotion = lifecycle
+        state_path = (
+            Path(args.checkpoint_dir) / "lifecycle.json" if args.checkpoint_dir else None
+        )
+        controller = LifecycleController(
+            engine,
+            drift=drift,
+            retrain=retrain,
+            promotion=promotion,
+            state_path=state_path,
+            start_day=args.train_day,
+            n_jobs=args.jobs,
+        )
+        service.add_day_hook(controller.on_day)
+    checkpoint = None
+    if args.checkpoint_dir:
+        checkpoint = CheckpointManager.for_ingestor(
+            args.checkpoint_dir, ingestor, snapshot_every=args.snapshot_every
+        )
+    guarded = ResilientHotSpotService(service, checkpoint=checkpoint)
+    return ResilientBackend(guarded, controller=controller)
 
 
 def _replay_events(
-    guarded, dataset, start_hour: int, end_day: int, batch_hours: int = 1
+    front, dataset, start_hour: int, end_day: int, batch_hours: int = 1
 ) -> int:
-    """Drive the guarded service over the dataset's hours, streaming
-    events as JSON lines on stdout.  Returns the alert count.
+    """Drive a guarded service or fleet over the dataset's hours,
+    streaming events as JSON lines on stdout.  Returns the alert count.
 
     ``batch_hours`` > 1 submits columnar micro-batches through the
-    guard's ``submit_block`` fast path (bitwise-identical events and
-    state, one WAL flush per day chunk); 1 is the classic per-hour
-    loop.  The effective setting is recorded in the telemetry counters
-    as ``replay_batch_hours``.
+    ``submit_block`` fast path (bitwise-identical events and state, one
+    WAL flush per day chunk); 1 is the classic per-hour loop.  The
+    effective setting is recorded in the telemetry counters as
+    ``replay_batch_hours``.
     """
     kpis = dataset.kpis
     end_hour = end_day * HOURS_PER_DAY
-    guarded.telemetry.inc("replay_batch_hours", batch_hours)
+    front.telemetry.inc("replay_batch_hours", batch_hours)
     alerts = 0
     for hour in range(start_hour, end_hour, batch_hours):
         if batch_hours == 1:
-            events = guarded.submit_tick(
+            events = front.submit_tick(
                 kpis.values[:, hour, :],
                 kpis.missing[:, hour, :],
                 dataset.calendar[hour],
@@ -295,7 +507,7 @@ def _replay_events(
             )
         else:
             stop = min(hour + batch_hours, end_hour)
-            events = guarded.submit_block(
+            events = front.submit_block(
                 kpis.values[:, hour:stop, :],
                 kpis.missing[:, hour:stop, :],
                 dataset.calendar[hour:stop],
@@ -313,439 +525,62 @@ def _replay_events(
     return alerts
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # Progress lines go to stderr: stdout is the JSON event stream.
-    horizons = tuple(args.horizons)
-    if min(horizons) < 1 or args.window < 1 or args.top_k < 1:
-        print(
-            "--horizons, --window, and --top-k must all be >= 1",
-            file=sys.stderr,
+def _drive(args: argparse.Namespace, backend, dataset) -> int:
+    """Feed the stack JSONL operations from stdin, or replay the dataset."""
+    fleet = isinstance(backend, FleetBackend)
+    front = backend.coordinator if fleet else backend.guarded
+    if args.from_stdin:
+        # Stdin ticks take the same guarded path as replay ticks:
+        # validation/quarantine always, journal + snapshots when a
+        # checkpoint directory is configured.
+        processed = front.run_jsonl(sys.stdin, sys.stdout)
+        _info(f"processed {processed} operations", args.quiet, sys.stderr)
+        errors = front.telemetry.counter("stream_errors")
+        if errors:
+            _info(f"{errors} stream errors (see error events)", args.quiet, sys.stderr)
+    else:
+        n_days = dataset.time_axis.n_days
+        end_day = n_days if args.max_days is None else min(args.max_days, n_days)
+        alerts = _replay_events(
+            front, dataset, backend.clock, end_day,
+            batch_hours=getattr(args, "batch_hours", 1),
         )
-        return 1
-    if args.batch_hours < 1:
-        print("--batch-hours must be >= 1", file=sys.stderr)
-        return 1
-    dataset = _prepare(args.data, args.impute_epochs, quiet=args.quiet, file=sys.stderr)
-    n_days = dataset.time_axis.n_days
-    if not 0 < args.train_day < n_days:
-        print(
-            f"--train-day {args.train_day} outside dataset range (0, {n_days})",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Train once at --train-day and persist; the engine then serves every
-    # later day from that frozen model, loading it lazily from disk.
-    runner = SweepRunner(
-        dataset,
-        target="hot",
-        n_estimators=args.estimators,
-        n_training_days=args.training_days,
-        seed=args.seed,
-    )
-    registry = ModelRegistry(args.registry)
-    keys = train_and_register(
-        runner,
-        registry,
-        [args.model],
-        args.train_day,
-        horizons,
-        (args.window,),
-        overwrite=True,
-        n_jobs=args.jobs,
-    )
-    _info(
-        f"registered {len(keys)} model(s) under {registry.root}",
-        args.quiet,
-        sys.stderr,
-    )
-
-    # Recover serving state from a previous run's checkpoint directory,
-    # or start fresh.  The resilient engine/service wrappers are always
-    # in place: malformed ticks quarantine instead of crashing the loop,
-    # and a broken registry degrades instead of raising.
-    try:
-        ingestor, start_hour = _restore_ingestor(args)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    if ingestor is None:
-        ingestor = StreamIngestor.for_dataset(dataset, w_max=max(args.window, 7))
-    engine = ResilientPredictionEngine(
-        ingestor, registry, target="hot", model=args.model, window=args.window
-    )
-    service = HotSpotService(
-        engine,
-        ServeConfig(
-            horizons=horizons,
-            start_day=args.train_day,
-            top_k=args.top_k,
-            alert_threshold=args.alert_threshold,
-        ),
-    )
-    checkpoint = None
-    if args.checkpoint_dir:
-        checkpoint = CheckpointManager.for_ingestor(
-            args.checkpoint_dir, ingestor, snapshot_every=args.snapshot_every
-        )
-    guarded = ResilientHotSpotService(service, checkpoint=checkpoint)
-
-    try:
-        with _graceful_shutdown():
-            if args.from_stdin:
-                # Stdin ticks take the same guarded path as replay ticks:
-                # validation/quarantine always, journal + snapshots when a
-                # checkpoint directory is configured.
-                processed = guarded.run_jsonl(sys.stdin, sys.stdout)
-                _info(f"processed {processed} operations", args.quiet, sys.stderr)
-                errors = service.telemetry.counter("stream_errors")
-                if errors:
-                    _info(
-                        f"{errors} stream errors (see error events)",
-                        args.quiet,
-                        sys.stderr,
-                    )
-                return 0
-
-            # Replay mode: drive the resilient service with the dataset's
-            # hours.
-            end_day = n_days if args.max_days is None else min(args.max_days, n_days)
-            alerts = _replay_events(
-                guarded, dataset, start_hour, end_day, batch_hours=args.batch_hours
+        stats = front.stats()
+        counters = stats["counters"]
+        where = f" over {stats['fleet']['n_shards']} shards" if fleet else ""
+        supervisor = stats.get("fleet", {}).get("supervisor")
+        supervised = (
+            ""
+            if supervisor is None
+            else (
+                f", {supervisor['worker_restarts']} restarts, "
+                f"{supervisor['poison_blocks']} poison blocks"
             )
-            stats = guarded.stats()
-            _info(
-                f"replayed {end_day} days: {alerts} alerts, "
-                f"{stats['counters'].get('cache_hits', 0)} cache hits / "
-                f"{stats['counters'].get('cache_misses', 0)} misses, "
-                f"{stats['counters'].get('ticks_quarantined', 0)} quarantined, "
-                f"{stats['counters'].get('degraded_predictions', 0)} degraded",
-                args.quiet,
-                sys.stderr,
-            )
-            return 0
-    except KeyboardInterrupt:
-        _shutdown_line(
-            "serve",
-            clock=guarded.ingestor.hours_seen,
-            quarantined=guarded.telemetry.counter("ticks_quarantined"),
         )
-        return 0
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-
-
-def _cmd_lifecycle(args: argparse.Namespace) -> int:
-    # Progress lines go to stderr: stdout is the JSON event stream.
-    try:
-        drift = DriftConfig(
-            reference_days=args.reference_days,
-            current_days=args.current_days,
-            alpha=args.drift_alpha,
-        )
-        retrain = RetrainConfig(
-            model=args.model,
-            target="hot",
-            horizon=args.horizon,
-            window=args.window,
-            n_estimators=args.estimators,
-            n_training_days=args.training_days,
-            base_seed=args.seed,
-            cadence_days=args.retrain_every,
-            min_days_between=args.min_retrain_gap,
-        )
-        promotion = PromotionConfig(
-            min_delta=args.promote_min_delta,
-            min_shadow_days=args.shadow_days,
-            max_shadow_days=args.max_shadow_days,
-            confirm_days=args.confirm_days,
-        )
-    except ValueError as error:
-        print(f"error: invalid lifecycle configuration: {error}", file=sys.stderr)
-        return 1
-    if args.top_k < 1:
-        print("--top-k must be >= 1", file=sys.stderr)
-        return 1
-
-    dataset = _prepare(args.data, args.impute_epochs, quiet=args.quiet, file=sys.stderr)
-    n_days = dataset.time_axis.n_days
-    if not 0 < args.train_day < n_days:
-        print(
-            f"--train-day {args.train_day} outside dataset range (0, {n_days})",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Bootstrap champion: trained once at --train-day like `serve`; the
-    # lifecycle controller takes over from there, minting versioned
-    # challengers out of the live ring.
-    runner = SweepRunner(
-        dataset,
-        target="hot",
-        n_estimators=args.estimators,
-        n_training_days=args.training_days,
-        seed=args.seed,
-    )
-    registry = ModelRegistry(args.registry)
-    train_and_register(
-        runner,
-        registry,
-        [args.model],
-        args.train_day,
-        (args.horizon,),
-        (args.window,),
-        overwrite=True,
-        n_jobs=args.jobs,
-    )
-    _info(f"registered champion under {registry.root}", args.quiet, sys.stderr)
-
-    try:
-        ingestor, start_hour = _restore_ingestor(args)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    if ingestor is None:
-        # The ring must hold enough history for the drift windows and
-        # the retrain lookback, not just the serving window.
-        w_max = max(args.window, drift.total_days, retrain.lookback_days)
-        ingestor = StreamIngestor.for_dataset(dataset, w_max=w_max)
-    engine = ResilientPredictionEngine(
-        ingestor, registry, target="hot", model=args.model, window=args.window
-    )
-    service = HotSpotService(
-        engine,
-        ServeConfig(
-            horizons=(args.horizon,),
-            start_day=args.train_day,
-            top_k=args.top_k,
-            alert_threshold=args.alert_threshold,
-        ),
-    )
-    state_path = (
-        Path(args.checkpoint_dir) / "lifecycle.json" if args.checkpoint_dir else None
-    )
-    try:
-        controller = LifecycleController(
-            engine,
-            drift=drift,
-            retrain=retrain,
-            promotion=promotion,
-            state_path=state_path,
-            start_day=args.train_day,
-            n_jobs=args.jobs,
-        )
-    except ValueError as error:
-        print(f"error: invalid lifecycle configuration: {error}", file=sys.stderr)
-        return 1
-    service.add_day_hook(controller.on_day)
-
-    checkpoint = None
-    if args.checkpoint_dir:
-        checkpoint = CheckpointManager.for_ingestor(
-            args.checkpoint_dir, ingestor, snapshot_every=args.snapshot_every
-        )
-    guarded = ResilientHotSpotService(service, checkpoint=checkpoint)
-
-    try:
-        with _graceful_shutdown():
-            if args.from_stdin:
-                processed = guarded.run_jsonl(sys.stdin, sys.stdout)
-                _info(f"processed {processed} operations", args.quiet, sys.stderr)
-            else:
-                end_day = (
-                    n_days if args.max_days is None else min(args.max_days, n_days)
-                )
-                alerts = _replay_events(guarded, dataset, start_hour, end_day)
-                _info(
-                    f"replayed {end_day} days: {alerts} alerts", args.quiet, sys.stderr
-                )
-            counters = service.telemetry.stats()["counters"]
-            lifecycle = controller.stats()
-            _info(
-                f"lifecycle: phase={lifecycle['phase']} "
-                f"champion=v{lifecycle['champion_version'] or 0} "
-                f"{counters.get('events_drift', 0)} drift, "
-                f"{counters.get('events_retrain', 0)} retrains, "
-                f"{counters.get('events_promotion', 0)} promotions, "
-                f"{counters.get('events_rollback', 0)} rollbacks",
-                args.quiet,
-                sys.stderr,
-            )
-            return 0
-    except KeyboardInterrupt:
-        lifecycle = controller.stats()
-        _shutdown_line(
-            "lifecycle",
-            clock=guarded.ingestor.hours_seen,
-            phase=lifecycle["phase"],
-            champion_version=lifecycle["champion_version"],
-        )
-        return 0
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    # Progress lines go to stderr: stdout is the merged JSON event stream.
-    horizons = tuple(args.horizons)
-    if min(horizons) < 1 or args.window < 1 or args.top_k < 1:
-        print(
-            "--horizons, --window, and --top-k must all be >= 1",
-            file=sys.stderr,
-        )
-        return 1
-    if args.shards is not None and args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 1
-    if args.batch_hours < 1:
-        print("--batch-hours must be >= 1", file=sys.stderr)
-        return 1
-    dataset = _prepare(args.data, args.impute_epochs, quiet=args.quiet, file=sys.stderr)
-    n_days = dataset.time_axis.n_days
-    if not 0 < args.train_day < n_days:
-        print(
-            f"--train-day {args.train_day} outside dataset range (0, {n_days})",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Same frozen-model bootstrap as `serve`: train once at --train-day,
-    # persist, and let every shard's engine load it lazily from disk.
-    runner = SweepRunner(
-        dataset,
-        target="hot",
-        n_estimators=args.estimators,
-        n_training_days=args.training_days,
-        seed=args.seed,
-    )
-    registry = ModelRegistry(args.registry)
-    keys = train_and_register(
-        runner,
-        registry,
-        [args.model],
-        args.train_day,
-        horizons,
-        (args.window,),
-        overwrite=True,
-        n_jobs=args.jobs,
-    )
-    _info(
-        f"registered {len(keys)} model(s) under {registry.root}",
-        args.quiet,
-        sys.stderr,
-    )
-
-    config = FleetConfig.for_dataset(
-        dataset,
-        args.registry,
-        model=args.model,
-        window=args.window,
-        horizons=horizons,
-        start_day=args.train_day,
-        top_k=args.top_k,
-        alert_threshold=args.alert_threshold,
-        w_max=max(args.window, 7),
-        snapshot_every=args.snapshot_every,
-    )
-    supervise = None
-    on_event = None
-    if args.supervise:
-        try:
-            supervise = SupervisorConfig(
-                heartbeat_secs=args.heartbeat_secs,
-                max_restarts=args.max_restarts,
-            )
-        except ValueError as error:
-            print(f"error: invalid supervision policy: {error}", file=sys.stderr)
-            return 1
-
-        def on_event(record: dict) -> None:
-            # Structured supervision JSONL (restart/degrade/rejoin) goes
-            # to stderr: stdout stays the merged event stream, bitwise.
-            print(json.dumps(record), file=sys.stderr, flush=True)
-
-    # Construction already forks shard hosts, so the teardown guard
-    # must cover it: every exit path terminates and joins the workers.
-    fleet = None
-    try:
-        if args.resume:
-            # Keep the persisted shard count unless --shards asks for a
-            # different one, in which case recovery reshards first.
-            fleet = recover_fleet(
-                args.checkpoint_dir, config, n_shards=args.shards,
-                jobs=args.jobs, supervise=supervise, on_event=on_event,
-            )
-        else:
-            fleet = build_fleet(
-                args.checkpoint_dir, config, args.shards or 2,
-                jobs=args.jobs, supervise=supervise, on_event=on_event,
-            )
-        resumed = f", resuming at hour {fleet.clock}" if args.resume else ""
         _info(
-            f"fleet: {fleet.plan.n_shards} shards "
-            f"(generation {fleet.plan.generation}), "
-            f"backend={fleet.backend.name}{resumed}",
+            f"replayed {end_day} days{where}: {alerts} alerts, "
+            f"{counters.get('cache_hits', 0)} cache hits / "
+            f"{counters.get('cache_misses', 0)} misses, "
+            f"{counters.get('ticks_quarantined', 0)} quarantined, "
+            f"{counters.get('degraded_predictions', 0)} degraded{supervised}",
             args.quiet,
             sys.stderr,
         )
-
-        with _graceful_shutdown():
-            if args.from_stdin:
-                processed = fleet.run_jsonl(sys.stdin, sys.stdout)
-                _info(f"processed {processed} operations", args.quiet, sys.stderr)
-                errors = fleet.telemetry.counter("stream_errors")
-                if errors:
-                    _info(
-                        f"{errors} stream errors (see error events)",
-                        args.quiet,
-                        sys.stderr,
-                    )
-                return _fleet_exit_code(fleet, args)
-
-            end_day = n_days if args.max_days is None else min(args.max_days, n_days)
-            alerts = _replay_events(
-                fleet, dataset, fleet.clock, end_day, batch_hours=args.batch_hours
-            )
-            stats = fleet.stats()
-            supervisor = stats["fleet"].get("supervisor")
-            supervised = (
-                ""
-                if supervisor is None
-                else (
-                    f", {supervisor['worker_restarts']} restarts, "
-                    f"{supervisor['poison_blocks']} poison blocks"
-                )
-            )
-            _info(
-                f"replayed {end_day} days over {stats['fleet']['n_shards']} shards: "
-                f"{alerts} alerts, "
-                f"{stats['counters'].get('ticks_quarantined', 0)} quarantined, "
-                f"{stats['counters'].get('degraded_predictions', 0)} degraded"
-                f"{supervised}",
-                args.quiet,
-                sys.stderr,
-            )
-            return _fleet_exit_code(fleet, args)
-    except KeyboardInterrupt:
-        # The merged watermark is already durable for every acknowledged
-        # hour, so a signal drain loses nothing: a --resume picks up at
-        # the recovered clock.
-        _shutdown_line(
-            "fleet",
-            clock=fleet.clock if fleet is not None else 0,
-            shards=fleet.plan.n_shards if fleet is not None else 0,
+    controller = getattr(backend, "controller", None)
+    if controller is not None:
+        lifecycle = controller.stats()
+        counter = front.telemetry.counter
+        _info(
+            f"lifecycle: phase={lifecycle['phase']} "
+            f"champion=v{lifecycle['champion_version'] or 0} "
+            f"{counter('events_drift')} drift, "
+            f"{counter('events_retrain')} retrains, "
+            f"{counter('events_promotion')} promotions, "
+            f"{counter('events_rollback')} rollbacks",
+            args.quiet,
+            sys.stderr,
         )
-        return 0
-    finally:
-        if fleet is not None:
-            fleet.close()
-
-
-def _fleet_exit_code(fleet, args: argparse.Namespace) -> int:
-    """0 unless the run ends with shards still in degraded mode."""
-    degraded = getattr(fleet.backend, "degraded_shards", [])
+    degraded = getattr(front.backend, "degraded_shards", []) if fleet else []
     if degraded:
         _info(
             f"fleet ended degraded: shard(s) {degraded} never rejoined",
@@ -756,129 +591,24 @@ def _fleet_exit_code(fleet, args: argparse.Namespace) -> int:
     return 0
 
 
-def _gateway_backend(args: argparse.Namespace, dataset, horizons: tuple):
-    """Build the serving backend the gateway wraps (resilient or fleet).
-
-    Mirrors the `serve`/`fleet` bootstraps exactly: train-once at
-    ``--train-day``, register, then either one guarded engine
-    (optionally with the lifecycle control plane) or a sharded fleet
-    (optionally supervised).
-    """
-    runner = SweepRunner(
-        dataset,
-        target="hot",
-        n_estimators=args.estimators,
-        n_training_days=args.training_days,
-        seed=args.seed,
-    )
-    registry = ModelRegistry(args.registry)
-    train_and_register(
-        runner,
-        registry,
-        [args.model],
-        args.train_day,
-        horizons,
-        (args.window,),
-        overwrite=True,
-        n_jobs=args.jobs,
-    )
-    _info(f"registered model(s) under {registry.root}", args.quiet, sys.stderr)
-
-    if args.shards is not None:
-        config = FleetConfig.for_dataset(
-            dataset,
-            args.registry,
-            model=args.model,
-            window=args.window,
-            horizons=horizons,
-            start_day=args.train_day,
-            top_k=args.top_k,
-            alert_threshold=args.alert_threshold,
-            w_max=max(args.window, 7),
-            snapshot_every=args.snapshot_every,
-        )
-        supervise = None
-        on_event = None
-        if args.supervise:
-            supervise = SupervisorConfig(
-                heartbeat_secs=args.heartbeat_secs,
-                max_restarts=args.max_restarts,
-            )
-
-            def on_event(record: dict) -> None:
-                print(json.dumps(record), file=sys.stderr, flush=True)
-
-        if args.resume:
-            fleet = recover_fleet(
-                args.checkpoint_dir, config, n_shards=args.shards,
-                jobs=args.jobs, supervise=supervise, on_event=on_event,
-            )
-        else:
-            fleet = build_fleet(
-                args.checkpoint_dir, config, args.shards,
-                jobs=args.jobs, supervise=supervise, on_event=on_event,
-            )
-        _info(
-            f"fleet: {fleet.plan.n_shards} shards, backend={fleet.backend.name}, "
-            f"clock={fleet.clock}",
-            args.quiet,
-            sys.stderr,
-        )
-        return FleetBackend(fleet)
-
-    ingestor, _ = _restore_ingestor(args)
-    controller = None
-    if args.lifecycle:
-        drift = DriftConfig()
-        retrain = RetrainConfig(
-            model=args.model,
-            target="hot",
-            horizon=horizons[0],
-            window=args.window,
-            n_estimators=args.estimators,
-            n_training_days=args.training_days,
-            base_seed=args.seed,
-        )
-        w_max = max(args.window, drift.total_days, retrain.lookback_days)
-    else:
-        w_max = max(args.window, 7)
-    if ingestor is None:
-        ingestor = StreamIngestor.for_dataset(dataset, w_max=w_max)
-    engine = ResilientPredictionEngine(
-        ingestor, registry, target="hot", model=args.model, window=args.window
-    )
-    service = HotSpotService(
-        engine,
-        ServeConfig(
-            horizons=horizons,
-            start_day=args.train_day,
-            top_k=args.top_k,
-            alert_threshold=args.alert_threshold,
-        ),
-    )
-    if args.lifecycle:
-        state_path = (
-            Path(args.checkpoint_dir) / "lifecycle.json"
-            if args.checkpoint_dir
-            else None
-        )
-        controller = LifecycleController(
-            engine,
-            drift=drift,
-            retrain=retrain,
-            promotion=PromotionConfig(),
-            state_path=state_path,
-            start_day=args.train_day,
-            n_jobs=args.jobs,
-        )
-        service.add_day_hook(controller.on_day)
-    checkpoint = None
-    if args.checkpoint_dir:
-        checkpoint = CheckpointManager.for_ingestor(
-            args.checkpoint_dir, ingestor, snapshot_every=args.snapshot_every
-        )
-    guarded = ResilientHotSpotService(service, checkpoint=checkpoint)
-    return ResilientBackend(guarded, controller=controller)
+def _shutdown_fields(backend) -> dict:
+    """Where a signal-drained stack stopped, for the shutdown line."""
+    if backend is None:
+        return {"clock": 0}
+    if isinstance(backend, FleetBackend):
+        # The merged watermark is already durable for every acknowledged
+        # hour, so a signal drain loses nothing: a --resume picks up at
+        # the recovered clock.
+        return {"clock": backend.clock, "shards": backend.coordinator.plan.n_shards}
+    fields = {
+        "clock": backend.clock,
+        "quarantined": backend.guarded.telemetry.counter("ticks_quarantined"),
+    }
+    if backend.controller is not None:
+        lifecycle = backend.controller.stats()
+        fields["phase"] = lifecycle["phase"]
+        fields["champion_version"] = lifecycle["champion_version"]
+    return fields
 
 
 async def _serve_gateway(gateway: HotSpotGateway) -> int:
@@ -916,58 +646,57 @@ async def _serve_gateway(gateway: HotSpotGateway) -> int:
     return 0
 
 
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    horizons = tuple(args.horizons)
-    if min(horizons) < 1 or args.window < 1 or args.top_k < 1:
-        print(
-            "--horizons, --window, and --top-k must all be >= 1",
-            file=sys.stderr,
-        )
-        return 1
-    if args.shards is not None and args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 1
-    if args.shards is not None and args.lifecycle:
-        print(
-            "--lifecycle is single-engine only; drop it or drop --shards",
-            file=sys.stderr,
-        )
-        return 1
-    if args.shards is not None and not args.checkpoint_dir:
-        print("--shards requires --checkpoint-dir", file=sys.stderr)
-        return 1
-    dataset = _prepare(args.data, args.impute_epochs, quiet=args.quiet, file=sys.stderr)
-    n_days = dataset.time_axis.n_days
-    if not 0 < args.train_day < n_days:
-        print(
-            f"--train-day {args.train_day} outside dataset range (0, {n_days})",
-            file=sys.stderr,
-        )
-        return 1
+def _gateway(args: argparse.Namespace, backend) -> HotSpotGateway:
+    journal_path = (
+        Path(args.checkpoint_dir) / "gateway_events.jsonl"
+        if args.checkpoint_dir
+        else None
+    )
+    return HotSpotGateway(
+        backend,
+        EventJournal(journal_path),
+        GatewayConfig(
+            host=args.host,
+            port=args.port,
+            queue_capacity=args.queue_capacity,
+            sse_buffer=args.sse_buffer,
+        ),
+    )
 
+
+def _cmd_stack(args: argparse.Namespace) -> int:
+    """``serve`` / ``lifecycle`` / ``fleet`` / ``gateway``.
+
+    One bootstrap for all four: check the flags, prepare the dataset,
+    train and register the model, stand the stack up; then either drive
+    it from stdin or a replay (progress on stderr, events on stdout) or
+    put it behind the gateway.
+    """
     backend = None
     try:
         try:
-            backend = _gateway_backend(args, dataset, horizons)
+            horizons, lifecycle, supervise = _check_flags(args)
+            dataset = _prepare(
+                args.data, args.impute_epochs, quiet=args.quiet, file=sys.stderr
+            )
+            n_days = dataset.time_axis.n_days
+            if not 0 < args.train_day < n_days:
+                raise _UsageError(
+                    f"--train-day {args.train_day} outside dataset range (0, {n_days})"
+                )
+            # Shard hosts fork during construction, so the teardown
+            # below covers it: every exit path terminates the workers.
+            backend = _build_stack(args, dataset, horizons, lifecycle, supervise)
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 1
-        journal_path = (
-            Path(args.checkpoint_dir) / "gateway_events.jsonl"
-            if args.checkpoint_dir
-            else None
-        )
-        gateway = HotSpotGateway(
-            backend,
-            EventJournal(journal_path),
-            GatewayConfig(
-                host=args.host,
-                port=args.port,
-                queue_capacity=args.queue_capacity,
-                sse_buffer=args.sse_buffer,
-            ),
-        )
-        return asyncio.run(_serve_gateway(gateway))
+        if args.command == "gateway":
+            return asyncio.run(_serve_gateway(_gateway(args, backend)))
+        with _graceful_shutdown():
+            return _drive(args, backend, dataset)
+    except KeyboardInterrupt:
+        _shutdown_line(args.command, **_shutdown_fields(backend))
+        return 0
     finally:
         if backend is not None:
             backend.close()
@@ -1052,60 +781,80 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=_cmd_sweep)
 
+    # Parents of the four serving subcommands: the bootstrap model and
+    # its alert policy, the stdin/replay loop, durable state, and the
+    # shard topology.
+    stack = argparse.ArgumentParser(add_help=False, parents=[common])
+    stack.add_argument("--registry", required=True, help="model registry directory")
+    stack.add_argument("--train-day", type=int, default=60,
+                       help="day the served model is trained at")
+    stack.add_argument("--window", type=int, default=7)
+    stack.add_argument("--estimators", type=int, default=10)
+    stack.add_argument("--training-days", type=int, default=6)
+    stack.add_argument("--top-k", type=int, default=5,
+                       help="sectors alerted per refresh")
+    stack.add_argument("--alert-threshold", type=float, default=None,
+                       help="minimum forecast score to alert (default: top-k only)")
+    stack.add_argument("--snapshot-every", type=int, default=168,
+                       help="hours between state snapshots (default: one week)")
+    stack.add_argument("--resume", action="store_true",
+                       help="restore state from --checkpoint-dir and continue "
+                       "from the recovered hour")
+
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--model", choices=ALL_MODEL_NAMES, default="RF-F1")
+    cell.add_argument("--horizons", type=int, nargs="+", default=[1])
+
+    replay = argparse.ArgumentParser(add_help=False)
+    replay.add_argument("--max-days", type=int, default=None,
+                        help="replay at most this many days")
+    replay.add_argument("--from-stdin", action="store_true",
+                        help="read JSONL operations from stdin instead of replaying")
+
+    blocks = argparse.ArgumentParser(add_help=False)
+    blocks.add_argument("--batch-hours", type=int, default=1,
+                        help="hours per replay micro-batch (1 = per-hour ticks; "
+                        "larger batches take the columnar fast path with "
+                        "identical events)")
+
+    shards = argparse.ArgumentParser(add_help=False)
+    shards.add_argument("--shards", type=int, default=None,
+                        help="shard count (fleet default 2; with --resume the "
+                        "persisted plan is kept, and a different value "
+                        "reshards first)")
+    shards.add_argument("--supervise", action="store_true",
+                        help="fork one supervised process per shard: "
+                        "heartbeats, live restart-with-recovery, poison-block "
+                        "quarantine, and degraded-shard fallback (supervision "
+                        "events stream to stderr as JSONL; exit code 1 if the "
+                        "run ends still degraded)")
+    shards.add_argument("--max-restarts", type=int, default=3,
+                        help="consecutive worker restarts allowed per shard "
+                        "before it is served degraded (0 = degrade on first "
+                        "death)")
+    shards.add_argument("--heartbeat-secs", type=float, default=5.0,
+                        help="base reply deadline per shard request; a slow but "
+                        "live worker gets exponentially longer patience "
+                        "windows before being declared hung")
+
     srv = sub.add_parser(
-        "serve", parents=[common], help="run the online forecasting service"
+        "serve", parents=[stack, cell, replay, blocks],
+        help="run the online forecasting service",
     )
-    srv.add_argument("--registry", required=True, help="model registry directory")
-    srv.add_argument("--model", choices=ALL_MODEL_NAMES, default="RF-F1")
-    srv.add_argument("--train-day", type=int, default=60,
-                     help="day the served model is trained at")
-    srv.add_argument("--window", type=int, default=7)
-    srv.add_argument("--horizons", type=int, nargs="+", default=[1])
-    srv.add_argument("--estimators", type=int, default=10)
-    srv.add_argument("--training-days", type=int, default=6)
-    srv.add_argument("--top-k", type=int, default=5,
-                     help="sectors alerted per refresh")
-    srv.add_argument("--alert-threshold", type=float, default=None,
-                     help="minimum forecast score to alert (default: top-k only)")
-    srv.add_argument("--max-days", type=int, default=None,
-                     help="replay at most this many days")
-    srv.add_argument("--from-stdin", action="store_true",
-                     help="read JSONL operations from stdin instead of replaying")
     srv.add_argument("--checkpoint-dir", default=None,
                      help="write-ahead journal + snapshot directory "
                      "(enables crash recovery)")
-    srv.add_argument("--snapshot-every", type=int, default=168,
-                     help="hours between state snapshots (default: one week)")
-    srv.add_argument("--batch-hours", type=int, default=1,
-                     help="hours per replay micro-batch (1 = per-hour ticks; "
-                          "larger batches take the columnar fast path with "
-                          "identical events)")
-    srv.add_argument("--resume", action="store_true",
-                     help="restore state from --checkpoint-dir and continue "
-                     "the replay from the recovered hour")
-    srv.set_defaults(func=_cmd_serve)
+    srv.set_defaults(func=_cmd_stack)
 
     lc = sub.add_parser(
         "lifecycle",
-        parents=[common],
+        parents=[stack, replay],
         help="serve with drift monitoring and champion/challenger promotion",
     )
-    lc.add_argument("--registry", required=True, help="model registry directory")
     lc.add_argument("--model", choices=sorted(MODEL_REGISTRY), default="RF-F1",
                     help="served (and retrained) model; must be trainable")
-    lc.add_argument("--train-day", type=int, default=60,
-                    help="day the bootstrap champion is trained at")
-    lc.add_argument("--window", type=int, default=7)
     lc.add_argument("--horizon", type=int, default=1,
                     help="forecast horizon of the managed cell")
-    lc.add_argument("--estimators", type=int, default=10)
-    lc.add_argument("--training-days", type=int, default=6)
-    lc.add_argument("--top-k", type=int, default=5,
-                    help="sectors alerted per refresh")
-    lc.add_argument("--alert-threshold", type=float, default=None,
-                    help="minimum forecast score to alert (default: top-k only)")
-    lc.add_argument("--max-days", type=int, default=None,
-                    help="replay at most this many days")
     lc.add_argument("--retrain-every", type=int, default=0,
                     help="fixed retraining cadence in days "
                     "(0 = retrain on drift only)")
@@ -1128,88 +877,27 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--confirm-days", type=int, default=0,
                     help="post-promotion watch days before a promotion "
                     "is final (0 = no watch)")
-    lc.add_argument("--from-stdin", action="store_true",
-                    help="read JSONL operations from stdin instead of replaying")
     lc.add_argument("--checkpoint-dir", default=None,
                     help="write-ahead journal + snapshot directory (enables "
                     "crash recovery; lifecycle state commits to "
                     "lifecycle.json inside it)")
-    lc.add_argument("--snapshot-every", type=int, default=168,
-                    help="hours between state snapshots (default: one week)")
-    lc.add_argument("--resume", action="store_true",
-                    help="restore state from --checkpoint-dir and continue "
-                    "the replay from the recovered hour")
-    lc.set_defaults(func=_cmd_lifecycle)
+    lc.set_defaults(func=_cmd_stack)
 
     fl = sub.add_parser(
         "fleet",
-        parents=[common],
+        parents=[stack, cell, replay, blocks, shards],
         help="run the sharded serving fleet behind one coordinator",
     )
-    fl.add_argument("--registry", required=True, help="model registry directory")
-    fl.add_argument("--model", choices=ALL_MODEL_NAMES, default="RF-F1")
-    fl.add_argument("--train-day", type=int, default=60,
-                    help="day the served model is trained at")
-    fl.add_argument("--window", type=int, default=7)
-    fl.add_argument("--horizons", type=int, nargs="+", default=[1])
-    fl.add_argument("--estimators", type=int, default=10)
-    fl.add_argument("--training-days", type=int, default=6)
-    fl.add_argument("--top-k", type=int, default=5,
-                    help="sectors alerted per refresh (global, post-merge)")
-    fl.add_argument("--alert-threshold", type=float, default=None,
-                    help="minimum forecast score to alert (default: top-k only)")
-    fl.add_argument("--max-days", type=int, default=None,
-                    help="replay at most this many days")
-    fl.add_argument("--from-stdin", action="store_true",
-                    help="read JSONL operations from stdin instead of replaying")
-    fl.add_argument("--shards", type=int, default=None,
-                    help="shard count (default 2; with --resume the persisted "
-                    "plan is kept, and a different value reshards first)")
     fl.add_argument("--checkpoint-dir", required=True,
                     help="fleet directory: partition plan, watermark, and "
                     "one WAL + snapshot directory per shard")
-    fl.add_argument("--snapshot-every", type=int, default=168,
-                    help="hours between per-shard snapshots (default: one week)")
-    fl.add_argument("--resume", action="store_true",
-                    help="recover every shard from --checkpoint-dir and "
-                    "continue the replay from the merged watermark")
-    fl.add_argument("--batch-hours", type=int, default=1,
-                    help="hours per replay micro-batch (1 = per-hour ticks; "
-                         "larger batches broadcast columnar blocks with "
-                         "identical merged events)")
-    fl.add_argument("--supervise", action="store_true",
-                    help="run each shard in its own supervised process: "
-                         "heartbeats, live restart-with-recovery, poison-"
-                         "block quarantine, and degraded-shard fallback "
-                         "(supervision events stream to stderr as JSONL; "
-                         "exit code 1 if the run ends still degraded)")
-    fl.add_argument("--max-restarts", type=int, default=3,
-                    help="consecutive worker restarts allowed per shard "
-                         "before it is served degraded (0 = degrade on "
-                         "first death)")
-    fl.add_argument("--heartbeat-secs", type=float, default=5.0,
-                    help="base reply deadline per shard request; a slow but "
-                         "live worker gets exponentially longer patience "
-                         "windows before being declared hung")
-    fl.set_defaults(func=_cmd_fleet)
+    fl.set_defaults(func=_cmd_stack)
 
     gw = sub.add_parser(
         "gateway",
-        parents=[common],
+        parents=[stack, cell, shards],
         help="serve the engine over HTTP/SSE with metrics and a status plane",
     )
-    gw.add_argument("--registry", required=True, help="model registry directory")
-    gw.add_argument("--model", choices=ALL_MODEL_NAMES, default="RF-F1")
-    gw.add_argument("--train-day", type=int, default=60,
-                    help="day the served model is trained at")
-    gw.add_argument("--window", type=int, default=7)
-    gw.add_argument("--horizons", type=int, nargs="+", default=[1])
-    gw.add_argument("--estimators", type=int, default=10)
-    gw.add_argument("--training-days", type=int, default=6)
-    gw.add_argument("--top-k", type=int, default=5,
-                    help="sectors alerted per refresh")
-    gw.add_argument("--alert-threshold", type=float, default=None,
-                    help="minimum forecast score to alert (default: top-k only)")
     gw.add_argument("--host", default="127.0.0.1")
     gw.add_argument("--port", type=int, default=8765,
                     help="TCP port (0 = ephemeral; the bound port is in the "
@@ -1222,29 +910,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "oldest-first drop (recoverable via Last-Event-ID)")
     gw.add_argument("--checkpoint-dir", default=None,
                     help="durable state directory: engine WAL + snapshots, "
-                    "gateway event journal (enables crash recovery)")
-    gw.add_argument("--snapshot-every", type=int, default=168,
-                    help="hours between state snapshots (default: one week)")
-    gw.add_argument("--resume", action="store_true",
-                    help="recover engine + event journal from --checkpoint-dir; "
-                    "clients re-POST from /status's resume_hour")
-    gw.add_argument("--shards", type=int, default=None,
-                    help="run a sharded fleet backend with this many shards "
-                    "(requires --checkpoint-dir)")
-    gw.add_argument("--supervise", action="store_true",
-                    help="supervised fleet workers (heartbeats, live restart, "
-                    "degraded-shard fallback); needs --shards")
-    gw.add_argument("--max-restarts", type=int, default=3,
-                    help="consecutive worker restarts per shard before "
-                    "degraded serving (with --supervise)")
-    gw.add_argument("--heartbeat-secs", type=float, default=5.0,
-                    help="base reply deadline per shard request "
-                    "(with --supervise)")
+                    "gateway event journal (enables crash recovery; "
+                    "required by --shards)")
     gw.add_argument("--lifecycle", action="store_true",
                     help="attach the model-lifecycle control plane (drift "
                     "detection, retrain, promotion) to the single-engine "
                     "backend; its state shows up in /status and /metrics")
-    gw.set_defaults(func=_cmd_gateway)
+    gw.set_defaults(func=_cmd_stack)
     return parser
 
 

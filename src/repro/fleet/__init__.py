@@ -11,20 +11,20 @@ guarantees:
   (+ optional lifecycle controller), crash-consistent per tick;
 * :mod:`repro.fleet.coordinator` — global validation, tick routing,
   and the deterministic merge that makes the fleet's event stream
-  bitwise identical to a single engine's, on either the in-process or
-  the forked-process backend;
+  bitwise identical to a single engine's, with the shards in-process
+  (the serial backend) or forked by the supervisor;
 * :mod:`repro.fleet.recovery` — fleet-wide crash recovery and
   reshard (shard-count changes between runs), resuming to a
   bitwise-identical continuation of the merged stream;
-* :mod:`repro.fleet.supervisor` — the self-healing backend: per-shard
-  heartbeats, live restart-with-recovery, poison-block quarantine, and
-  degraded-shard serving through the fallback ladder.
+* :mod:`repro.fleet.supervisor` — the forked backend, one host process
+  per shard: per-shard heartbeats, live restart-with-recovery,
+  poison-block quarantine, and degraded-shard serving through the
+  fallback ladder.
 """
 
 from repro.fleet.coordinator import (
     WATERMARK_NAME,
     FleetCoordinator,
-    ProcessBackend,
     SerialBackend,
     build_fleet,
     recovered_clock,
@@ -54,7 +54,6 @@ __all__ = [
     "FleetSupervisor",
     "PARTITION_NAME",
     "PartitionPlan",
-    "ProcessBackend",
     "SerialBackend",
     "ShardWorker",
     "SimulatedKill",

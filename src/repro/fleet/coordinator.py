@@ -34,11 +34,9 @@ bitwise-identical continuation.
 
 Two backends drive the shards: :class:`SerialBackend` runs the workers
 in-process (the fallback and the kill-point test harness);
-:class:`ProcessBackend` forks worker hosts over pipes, broadcasting each
-tick through writable shared memory
-(:class:`~repro.parallel.shm.SharedArrayBundle`), reusing the
-:mod:`repro.parallel` machinery and degrading to serial exactly like
-the sweep does.
+:class:`~repro.fleet.supervisor.FleetSupervisor` forks one restartable
+host process per shard.  A host that cannot fork degrades to serial
+with the same merged stream.
 """
 
 from __future__ import annotations
@@ -58,12 +56,7 @@ from repro.fleet.worker import (
     SimulatedKill,
     build_worker,
 )
-from repro.parallel.pool import PoolUnavailable, effective_jobs, partition
-from repro.parallel.shm import (
-    SharedArrayBundle,
-    SharedMemoryUnavailable,
-    shared_memory_available,
-)
+from repro.parallel.pool import PoolUnavailable
 from repro.resilience.validate import (
     ACCEPT,
     QUARANTINE,
@@ -72,12 +65,12 @@ from repro.resilience.validate import (
     TickValidator,
 )
 from repro.serve.ingest import default_calendar_row
+from repro.serve.service import run_jsonl
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = [
     "WATERMARK_NAME",
     "FleetCoordinator",
-    "ProcessBackend",
     "SerialBackend",
     "build_fleet",
     "recovered_clock",
@@ -168,277 +161,6 @@ class SerialBackend:
     def close(self) -> None:
         for worker in self.workers:
             worker.close()
-
-
-def _host_main(conn, specs, directory, plan, config, shard_ids, resume) -> None:
-    """Process-backend child: host a contiguous group of shard workers.
-
-    Ticks arrive by reference — the parent broadcasts each hour's global
-    payload through shared memory and sends only the hour number down
-    the pipe; the child slices its shards' rows out of the mapping.
-    """
-    bundle = None
-    workers: list[ShardWorker] = []
-    try:
-        bundle = SharedArrayBundle.attach(specs)
-        workers = [
-            build_worker(directory, plan, shard, config, resume=resume)
-            for shard in shard_ids
-        ]
-        conn.send(("hello", [w.ingestor.hours_seen for w in workers]))
-    except Exception as error:  # noqa: BLE001 - report, then die
-        try:
-            conn.send(("fatal", f"{type(error).__name__}: {error}"))
-        except OSError:
-            pass
-        return
-    values = bundle["values"]
-    missing = bundle["missing"]
-    calendar = bundle["calendar"]
-    flags = bundle["flags"]
-    try:
-        while True:
-            try:
-                request = conn.recv()
-            except EOFError:
-                break
-            op = request[0]
-            try:
-                if op == "tick":
-                    hour = request[1]
-                    row = calendar[0].copy() if flags[0] else None
-                    payload = [
-                        w.submit(
-                            hour,
-                            values[w.sector_ids, 0, :],
-                            missing[w.sector_ids, 0, :],
-                            row,
-                        )
-                        for w in workers
-                    ]
-                elif op == "tick_block":
-                    _, first_hour, n_hours, released_before = request
-                    rows = calendar[:n_hours].copy() if flags[0] else None
-                    payload = [
-                        w.submit_block(
-                            first_hour,
-                            values[w.sector_ids, :n_hours, :],
-                            missing[w.sector_ids, :n_hours, :],
-                            rows,
-                            released_before=released_before,
-                        )
-                        for w in workers
-                    ]
-                elif op == "ring":
-                    payload = [w.ring_payload(request[1]) for w in workers]
-                elif op == "predict":
-                    _, horizon, model, window = request
-                    payload = [
-                        w.predict_fragment(horizon, model=model, window=window)
-                        for w in workers
-                    ]
-                elif op == "stats":
-                    payload = [w.stats() for w in workers]
-                elif op == "telemetry":
-                    payload = [w.engine.telemetry for w in workers]
-                elif op == "close":
-                    for w in workers:
-                        w.close()
-                    conn.send(("ok", None))
-                    break
-                else:
-                    raise ValueError(f"unknown fleet op {op!r}")
-                conn.send(("ok", payload))
-            except Exception as error:  # noqa: BLE001 - relay to the parent
-                conn.send(("err", f"{type(error).__name__}: {error}"))
-    finally:
-        if bundle is not None:
-            bundle.destroy()  # non-owner: closes the mapping, no unlink
-
-
-class ProcessBackend:
-    """Shard workers fanned out over forked host processes.
-
-    ``jobs`` hosts each own a contiguous group of shards (the same
-    :func:`~repro.parallel.pool.partition` used by the sweep).  Raises
-    :class:`PoolUnavailable` / :class:`SharedMemoryUnavailable` when the
-    platform cannot support it, and :func:`build_fleet` degrades to
-    :class:`SerialBackend` — same merged stream either way.
-    """
-
-    name = "process"
-
-    #: Hours per shared-memory broadcast; larger blocks are split by the
-    #: coordinator.  One day keeps the mapping small while amortising
-    #: the pipe round-trip 24× over per-hour driving.
-    block_capacity: int = HOURS_PER_DAY
-
-    def __init__(
-        self,
-        directory: Path,
-        plan: PartitionPlan,
-        config: FleetConfig,
-        resume: bool,
-        jobs: int,
-    ) -> None:
-        import multiprocessing
-
-        if not shared_memory_available():
-            raise SharedMemoryUnavailable("no shared memory on this host")
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError as error:
-            raise PoolUnavailable(f"fork start method unavailable: {error}") from error
-        groups = partition(list(range(plan.n_shards)), jobs)
-        if len(groups) < 2:
-            raise PoolUnavailable("process backend needs >= 2 worker groups")
-        # Broadcast buffers hold up to ``block_capacity`` hours; a
-        # single tick uses column 0, micro-batches fill a prefix and
-        # ship only (first_hour, n_hours) down the pipe.
-        self._bundle = SharedArrayBundle.create(
-            {
-                "values": np.zeros(
-                    (config.n_sectors, self.block_capacity, config.n_kpis)
-                ),
-                "missing": np.zeros(
-                    (config.n_sectors, self.block_capacity, config.n_kpis),
-                    dtype=bool,
-                ),
-                "calendar": np.zeros((self.block_capacity, 5)),
-                "flags": np.zeros(1),
-            },
-            writable=True,
-        )
-        self._children: list = []
-        self._hours: list[int] = []
-        try:
-            for group in groups:
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_host_main,
-                    args=(
-                        child_conn,
-                        self._bundle.specs(),
-                        str(directory),
-                        plan,
-                        config,
-                        group,
-                        resume,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._children.append((process, parent_conn, group))
-            for process, conn, group in self._children:
-                kind, payload = self._recv(process, conn)
-                if kind != "hello":
-                    raise RuntimeError(
-                        f"shard host for {group} failed to start: {payload}"
-                    )
-                self._hours.extend(payload)
-        except PoolUnavailable:
-            self.close()
-            raise
-        except (OSError, RuntimeError) as error:
-            self.close()
-            raise PoolUnavailable(f"cannot start shard hosts: {error}") from error
-
-    @staticmethod
-    def _recv(process, conn):
-        while not conn.poll(0.2):
-            if not process.is_alive():
-                raise RuntimeError(
-                    f"shard host pid {process.pid} died (exit {process.exitcode})"
-                )
-        return conn.recv()
-
-    def _roundtrip(self, request) -> list:
-        for _, conn, _ in self._children:
-            conn.send(request)
-        payload: list = []
-        for process, conn, _ in self._children:
-            kind, part = self._recv(process, conn)
-            if kind == "err":
-                raise RuntimeError(f"shard host failed: {part}")
-            payload.extend(part if isinstance(part, list) else [part])
-        return payload
-
-    def submit_hour(self, hour, values, missing, calendar_row) -> list[dict]:
-        self._bundle["values"][:, 0, :] = values
-        self._bundle["missing"][:, 0, :] = missing
-        if calendar_row is None:
-            self._bundle["flags"][0] = 0.0
-        else:
-            self._bundle["flags"][0] = 1.0
-            self._bundle["calendar"][0, :] = calendar_row
-        return self._roundtrip(("tick", int(hour)))
-
-    def submit_block(
-        self, first_hour, values, missing, calendar_rows, released_before=None
-    ) -> list[list[dict]]:
-        n_hours = int(values.shape[1])
-        if n_hours > self.block_capacity:
-            raise ValueError(
-                f"block of {n_hours} hours exceeds the broadcast capacity "
-                f"{self.block_capacity}"
-            )
-        self._bundle["values"][:, :n_hours, :] = values
-        self._bundle["missing"][:, :n_hours, :] = missing
-        if calendar_rows is None:
-            self._bundle["flags"][0] = 0.0
-        else:
-            self._bundle["flags"][0] = 1.0
-            self._bundle["calendar"][:n_hours, :] = calendar_rows
-        return self._roundtrip(
-            (
-                "tick_block",
-                int(first_hour),
-                n_hours,
-                None if released_before is None else int(released_before),
-            )
-        )
-
-    def ring(self, hour: int) -> list:
-        return self._roundtrip(("ring", int(hour)))
-
-    def predict(self, horizon, model=None, window=None) -> list[np.ndarray]:
-        return self._roundtrip(("predict", int(horizon), model, window))
-
-    def shard_hours(self) -> list[int]:
-        return list(self._hours)
-
-    def stats(self) -> list[dict]:
-        return self._roundtrip(("stats",))
-
-    def telemetries(self) -> list[ServeTelemetry]:
-        return self._roundtrip(("telemetry",))
-
-    def close(self) -> None:
-        children, self._children = self._children, []
-        try:
-            for process, conn, _ in children:
-                try:
-                    if process.is_alive():
-                        conn.send(("close",))
-                        self._recv(process, conn)
-                except (OSError, RuntimeError, EOFError):
-                    pass
-                finally:
-                    conn.close()
-                    process.join(timeout=5)
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(timeout=5)
-                    if process.is_alive():
-                        # terminate() can be swallowed by a SIGTERM-masked
-                        # child; SIGKILL cannot.
-                        process.kill()
-                        process.join()
-        finally:
-            bundle, self._bundle = self._bundle, None
-            if bundle is not None:
-                bundle.destroy()
 
 
 # --------------------------------------------------------------------------
@@ -802,99 +524,10 @@ class FleetCoordinator:
         """JSONL driver, same protocol as the single-engine service.
 
         ``tick`` goes through :meth:`submit_tick`; ``predict`` and
-        ``stats`` answer from the merged fleet; error handling matches
-        :meth:`HotSpotService.run_jsonl` (bad lines emit structured
-        error events, only sink :class:`OSError` propagates).
+        ``stats`` answer from the merged fleet (see
+        :func:`repro.serve.service.run_jsonl`).
         """
-        processed = 0
-        for line_no, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            processed += 1
-            try:
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as error:
-                    self._emit_error(out, line_no, None, "malformed_json", error)
-                    continue
-                if not isinstance(request, dict):
-                    self._emit_error(
-                        out, line_no, None, "not_an_object",
-                        TypeError(
-                            f"expected a JSON object, got {type(request).__name__}"
-                        ),
-                    )
-                    continue
-                op = request.get("op")
-                if op == "stop":
-                    self._emit(out, {"type": "stopped", "processed": processed})
-                    break
-                if op == "tick" or op == "predict" or op == "stats":
-                    self._handle(out, request, op)
-                else:
-                    self._emit_error(
-                        out, line_no, op, "unknown_op",
-                        ValueError(f"unknown op {op!r}"),
-                    )
-            except OSError:
-                raise
-            except Exception as error:  # noqa: BLE001 - fleet must survive bad input
-                op = request.get("op") if isinstance(request, dict) else None
-                self._emit_error(out, line_no, op, "operation_failed", error)
-        return processed
-
-    def _handle(self, out: IO[str], request: dict, op: str) -> None:
-        if op == "tick":
-            values = np.asarray(request["values"], dtype=np.float64)
-            missing = request.get("missing")
-            if missing is not None:
-                missing = np.asarray(missing, dtype=bool)
-            calendar = request.get("calendar")
-            if calendar is not None:
-                calendar = np.asarray(calendar, dtype=np.float64)
-            hour = request.get("hour")
-            if hour is not None:
-                hour = int(hour)
-            for event in self.submit_tick(values, missing, calendar, hour=hour):
-                self._emit(out, event)
-        elif op == "predict":
-            scores = self.predict(
-                int(request["horizon"]),
-                model=request.get("model"),
-                window=request.get("window"),
-            )
-            self._emit(
-                out,
-                {
-                    "type": "prediction",
-                    "t_day": self.t_day,
-                    "horizon": int(request["horizon"]),
-                    "scores": [float(s) for s in scores],
-                },
-            )
-        elif op == "stats":
-            self._emit(out, {"type": "stats", **self.stats()})
-
-    def _emit_error(self, out, line_no, op, reason, error) -> None:
-        self.telemetry.inc("stream_errors")
-        self._emit(
-            out,
-            {
-                "event": "error",
-                "type": "error",
-                "line": line_no,
-                "op": op,
-                "reason": reason,
-                "error": type(error).__name__,
-                "message": str(error),
-            },
-        )
-
-    @staticmethod
-    def _emit(out: IO[str], event: dict) -> None:
-        out.write(json.dumps(event) + "\n")
-        out.flush()
+        return run_jsonl(lines, out, self, self.submit_tick)
 
     # -------------------------------------------------------------- stats
     def stats(self) -> dict:
@@ -934,7 +567,6 @@ def build_fleet(
     directory: str | Path,
     config: FleetConfig,
     n_shards: int,
-    jobs: int = 1,
     resume: bool = False,
     plan: PartitionPlan | None = None,
     clock: int | None = None,
@@ -949,9 +581,9 @@ def build_fleet(
     selects the self-healing one-process-per-shard backend; ``chaos``
     (a :class:`~repro.resilience.chaos.ProcessChaos`) arms its
     deterministic process-fault schedule and ``on_event`` observes
-    out-of-stream supervision events.  Otherwise ``jobs`` > 1 asks for
-    the process backend.  Either way unavailability degrades to the
-    serial backend with the identical merged stream.
+    out-of-stream supervision events.  Without it, or on a host that
+    cannot fork, the shards run in-process on the serial backend with
+    the identical merged stream.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -971,13 +603,6 @@ def build_fleet(
                 supervise=supervise, chaos=chaos, on_event=on_event,
             )
         except PoolUnavailable:
-            backend = None
-    elif effective_jobs(jobs, plan.n_shards) > 1:
-        try:
-            backend = ProcessBackend(
-                directory, plan, config, resume, effective_jobs(jobs, plan.n_shards)
-            )
-        except (PoolUnavailable, SharedMemoryUnavailable):
             backend = None
     if backend is None:
         backend = SerialBackend.build(directory, plan, config, resume)

@@ -92,7 +92,6 @@ def recover_fleet(
     directory: str | Path,
     config: FleetConfig,
     n_shards: int | None = None,
-    jobs: int = 1,
     supervise=None,
     chaos=None,
     on_event=None,
@@ -110,7 +109,7 @@ def recover_fleet(
     if target != plan.n_shards:
         plan = reshard(directory, config, plan, target)
     return build_fleet(
-        directory, config, plan.n_shards, jobs=jobs, resume=True, plan=plan,
+        directory, config, plan.n_shards, resume=True, plan=plan,
         supervise=supervise, chaos=chaos, on_event=on_event,
     )
 

@@ -1,11 +1,13 @@
 """Self-healing fleet backend: heartbeats, live restart, degraded shards.
 
-:class:`FleetSupervisor` is a third fleet backend (DESIGN.md 3h) that
-runs **one forked host process per shard** and survives that process
-dying or hanging mid-stream.  Payloads travel over the pipe itself (no
-shared-memory broadcast): each shard's request is self-contained, so the
-supervisor can re-send it verbatim to a respawned worker — the price is
-a pickle per request, the prize is restartability.
+:class:`FleetSupervisor` is the fleet's only forked backend (DESIGN.md
+3h): it runs **one host process per shard** and survives that process
+dying or hanging mid-stream; the in-process
+:class:`~repro.fleet.coordinator.SerialBackend` is the other backend.
+Payloads travel over the pipe itself (no shared-memory broadcast): each
+shard's request is self-contained, so the supervisor can re-send it
+verbatim to a respawned worker — the price is a pickle per request, the
+prize is restartability.
 
 The liveness protocol per request:
 
@@ -135,8 +137,7 @@ class SupervisorConfig:
 def _shard_host_main(conn, directory, plan, config, shard_id, resume, chaos):
     """Supervised child: host exactly one shard worker over a pipe.
 
-    The single-shard twin of the process backend's ``_host_main`` —
-    payload arrays arrive *in* the request (no shared memory), so the
+    Payload arrays arrive *in* the request (no shared memory), so the
     parent can replay a request verbatim after respawning this process.
     """
     try:
@@ -229,7 +230,7 @@ class FleetSupervisor:
     """Backend running one supervised, restartable process per shard.
 
     Same driving surface as :class:`~repro.fleet.coordinator
-    .SerialBackend` / ``ProcessBackend`` plus the supervision protocol
+    .SerialBackend` plus the supervision protocol
     described in the module docstring.  Raises
     :class:`~repro.parallel.pool.PoolUnavailable` when the platform
     cannot fork, letting :func:`~repro.fleet.coordinator.build_fleet`

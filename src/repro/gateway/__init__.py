@@ -9,7 +9,7 @@ alert stream is bitwise identical to the offline replay of the same
 ticks, at every kill point.
 """
 
-from repro.gateway.backends import FleetBackend, PlainBackend, ResilientBackend
+from repro.gateway.backends import FleetBackend, ResilientBackend
 from repro.gateway.journal import EventJournal
 from repro.gateway.metrics import render_prometheus, validate_exposition
 from repro.gateway.server import GatewayConfig, GatewayThread, HotSpotGateway
@@ -21,7 +21,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayThread",
     "HotSpotGateway",
-    "PlainBackend",
     "ResilientBackend",
     "SseHub",
     "SseSubscriber",

@@ -1,8 +1,7 @@
-"""Engine adapters: one uniform surface over the three serving stacks.
+"""Engine adapters: one uniform surface over the two serving stacks.
 
 The gateway's HTTP layer speaks to a *backend* — a thin adapter that
-normalises :class:`~repro.serve.service.HotSpotService`,
-:class:`~repro.resilience.guard.ResilientHotSpotService`, and
+normalises :class:`~repro.resilience.guard.ResilientHotSpotService` and
 :class:`~repro.fleet.coordinator.FleetCoordinator` behind five verbs:
 
 ``submit``
@@ -28,52 +27,7 @@ from __future__ import annotations
 
 from repro.serve.telemetry import ServeTelemetry
 
-__all__ = ["PlainBackend", "ResilientBackend", "FleetBackend"]
-
-
-class PlainBackend:
-    """Bare :class:`HotSpotService` — no validation, WAL, or masking.
-
-    The tap fires with each ingested hour's events to keep the SSE
-    journal populated, but without an engine WAL behind it the
-    crash-resume parity contract does not apply (documented; the CLI
-    always builds the resilient or fleet backend).
-    """
-
-    name = "plain"
-
-    def __init__(self, service) -> None:
-        self.service = service
-        self.event_tap = None
-
-    def install_tap(self, tap) -> None:
-        self.event_tap = tap
-
-    @property
-    def clock(self) -> int:
-        return self.service.engine.ingestor.hours_seen
-
-    def submit(self, values, missing, calendar_row, hour=None) -> list[dict]:
-        hour_now = self.clock
-        events = self.service.ingest_hour(values, missing, calendar_row)
-        if self.event_tap is not None:
-            self.event_tap(hour_now, events)
-        return events
-
-    def telemetry_snapshot(self) -> ServeTelemetry:
-        return self.service.telemetry
-
-    def gauge_samples(self) -> list:
-        return [("clock_hours", None, self.clock)]
-
-    def stats(self) -> dict:
-        return self.service.stats()
-
-    def status(self) -> dict:
-        return {"backend": self.name, "clock": self.clock}
-
-    def close(self) -> None:
-        pass
+__all__ = ["ResilientBackend", "FleetBackend"]
 
 
 class ResilientBackend:

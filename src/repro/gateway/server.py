@@ -347,6 +347,10 @@ class HotSpotGateway:
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # Shutdown cancels handlers parked on an idle keep-alive
+            # read; that is their normal end, not an error to log.
+            pass
         finally:
             writer.close()
             try:

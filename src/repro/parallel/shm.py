@@ -61,7 +61,7 @@ class SharedNDArray:
         self._owner = owner
 
     @classmethod
-    def create(cls, source: np.ndarray, writable: bool = False) -> "SharedNDArray":
+    def create(cls, source: np.ndarray) -> "SharedNDArray":
         source = np.ascontiguousarray(source)
         try:
             shm = shared_memory.SharedMemory(
@@ -73,12 +73,11 @@ class SharedNDArray:
             ) from error
         array = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
         array[...] = source
-        if not writable:
-            array.flags.writeable = False
+        array.flags.writeable = False
         return cls(shm, array, owner=True)
 
     @classmethod
-    def attach(cls, spec: SharedArraySpec, writable: bool = False) -> "SharedNDArray":
+    def attach(cls, spec: SharedArraySpec) -> "SharedNDArray":
         shm = shared_memory.SharedMemory(name=spec.name)
         # Under the fork start method the workers share the parent's
         # resource tracker, whose registry is a set: the attach-side
@@ -87,8 +86,7 @@ class SharedNDArray:
         # would strip the owner's entry and the tracker would complain
         # at unlink time.)
         array = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
-        if not writable:
-            array.flags.writeable = False
+        array.flags.writeable = False
         return cls(shm, array, owner=False)
 
     @property
@@ -129,13 +127,11 @@ class SharedArrayBundle:
         self._owner = owner
 
     @classmethod
-    def create(
-        cls, arrays: dict[str, np.ndarray], writable: bool = False
-    ) -> "SharedArrayBundle":
+    def create(cls, arrays: dict[str, np.ndarray]) -> "SharedArrayBundle":
         blocks: dict[str, SharedNDArray] = {}
         try:
             for name, array in arrays.items():
-                blocks[name] = SharedNDArray.create(array, writable=writable)
+                blocks[name] = SharedNDArray.create(array)
         except SharedMemoryUnavailable:
             for block in blocks.values():
                 block.destroy()

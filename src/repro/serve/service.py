@@ -32,7 +32,7 @@ from repro.serve.engine import PredictionEngine
 from repro.serve.ingest import IngestTick
 from repro.serve.telemetry import ServeTelemetry
 
-__all__ = ["ServeConfig", "HotSpotService"]
+__all__ = ["ServeConfig", "HotSpotService", "run_jsonl"]
 
 
 @dataclass(frozen=True)
@@ -203,91 +203,17 @@ class HotSpotService:
         out: IO[str],
         tick_handler: "Callable[..., list[dict]] | None" = None,
     ) -> int:
-        """Drive the service from a JSON-lines stream.
+        """Drive the service from a JSON-lines stream (see :func:`run_jsonl`).
 
-        Supported operations (one JSON object per input line):
-
-        * ``{"op": "tick", "values": [[...]], "missing": ..., "calendar": ...,
-          "hour": ...}`` — ingest one hour; emits any resulting
-          day/alert events.  *tick_handler* overrides how the tick is
-          applied: it is called as ``tick_handler(values, missing,
-          calendar, hour)`` and must return the tick's events — this is
-          how :class:`~repro.resilience.guard.ResilientHotSpotService`
-          puts validation, quarantine, and journaling in front of the
-          stream (the optional declared ``hour`` only matters there,
-          for duplicate/gap detection).  The default handler ingests
-          directly.
-        * ``{"op": "predict", "horizon": h, "model": ..., "window": ...}``
-          — on-demand forecast; emits a ``"prediction"`` event.
-        * ``{"op": "stats"}`` — emits a ``"stats"`` snapshot event.
-        * ``{"op": "stop"}`` — terminates the loop.
-
-        Malformed lines and failed operations emit structured
-        ``{"event": "error", ...}`` objects (with the offending line
-        number, operation, and a machine-readable ``reason``) and the
-        loop keeps running — a serving process must not die on one bad
-        payload.  Only output-stream failures (:class:`OSError` from the
-        event sink) propagate: with the emit channel gone the service
-        cannot report anything, so the error is unrecoverable and the
-        CLI turns it into exit code 1.  Returns the number of processed
-        operations.
+        *tick_handler* overrides how a ``tick`` is applied: it is called
+        as ``tick_handler(values, missing, calendar, hour)`` and must
+        return the tick's events — this is how
+        :class:`~repro.resilience.guard.ResilientHotSpotService` puts
+        validation, quarantine, and journaling in front of the stream
+        (the optional declared ``hour`` only matters there, for
+        duplicate/gap detection).  The default handler ingests directly.
         """
-        if tick_handler is None:
-            tick_handler = self._ingest_tick
-        processed = 0
-        for line_no, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            processed += 1
-            try:
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as error:
-                    self._emit_error(out, line_no, None, "malformed_json", error)
-                    continue
-                if not isinstance(request, dict):
-                    self._emit_error(
-                        out, line_no, None, "not_an_object",
-                        TypeError(f"expected a JSON object, got {type(request).__name__}"),
-                    )
-                    continue
-                op = request.get("op")
-                if op == "stop":
-                    self._emit(out, {"type": "stopped", "processed": processed})
-                    break
-                if op == "tick" or op == "predict" or op == "stats":
-                    self._handle(out, request, op, tick_handler)
-                else:
-                    self._emit_error(
-                        out, line_no, op, "unknown_op",
-                        ValueError(f"unknown op {op!r}"),
-                    )
-            except OSError:
-                # The event sink itself failed; nothing can be reported
-                # downstream, so let the caller decide (CLI: exit 1).
-                raise
-            except Exception as error:  # noqa: BLE001 - service must survive bad input
-                op = request.get("op") if isinstance(request, dict) else None
-                self._emit_error(out, line_no, op, "operation_failed", error)
-        return processed
-
-    def _emit_error(
-        self, out: IO[str], line_no: int, op: str | None, reason: str, error: Exception
-    ) -> None:
-        self.telemetry.inc("stream_errors")
-        self._emit(
-            out,
-            {
-                "event": "error",
-                "type": "error",
-                "line": line_no,
-                "op": op,
-                "reason": reason,
-                "error": type(error).__name__,
-                "message": str(error),
-            },
-        )
+        return run_jsonl(lines, out, self.engine, tick_handler or self._ingest_tick)
 
     def _ingest_tick(
         self, values, missing, calendar_row, hour=None
@@ -295,45 +221,122 @@ class HotSpotService:
         """Default JSONL tick handler: plain ingest (declared hour unused)."""
         return self.ingest_hour(values, missing, calendar_row)
 
-    def _handle(
-        self,
-        out: IO[str],
-        request: dict,
-        op: str | None,
-        tick_handler: "Callable[..., list[dict]]",
-    ) -> None:
-        if op == "tick":
-            values = np.asarray(request["values"], dtype=np.float64)
-            missing = request.get("missing")
-            if missing is not None:
-                missing = np.asarray(missing, dtype=bool)
-            calendar = request.get("calendar")
-            if calendar is not None:
-                calendar = np.asarray(calendar, dtype=np.float64)
-            hour = request.get("hour")
-            if hour is not None:
-                hour = int(hour)
-            for event in tick_handler(values, missing, calendar, hour):
-                self._emit(out, event)
-        elif op == "predict":
-            scores = self.engine.predict(
-                int(request["horizon"]),
-                model=request.get("model"),
-                window=request.get("window"),
-            )
-            self._emit(
-                out,
-                {
-                    "type": "prediction",
-                    "t_day": self.engine.t_day,
-                    "horizon": int(request["horizon"]),
-                    "scores": [float(s) for s in scores],
-                },
-            )
-        elif op == "stats":
-            self._emit(out, {"type": "stats", **self.stats()})
 
-    @staticmethod
-    def _emit(out: IO[str], event: dict) -> None:
-        out.write(json.dumps(event) + "\n")
-        out.flush()
+def run_jsonl(
+    lines: Iterable[str],
+    out: IO[str],
+    target,
+    tick_handler: "Callable[..., list[dict]]",
+) -> int:
+    """The JSONL serving protocol, shared by the engine and the fleet.
+
+    *target* answers the read operations: it exposes ``predict(horizon,
+    model=, window=)``, ``t_day``, ``stats()`` and ``telemetry`` (a
+    :class:`~repro.serve.engine.PredictionEngine` or a
+    :class:`~repro.fleet.coordinator.FleetCoordinator`).  Ticks go to
+    ``tick_handler(values, missing, calendar, hour)``.  Supported
+    operations (one JSON object per input line):
+
+    * ``{"op": "tick", "values": [[...]], "missing": ..., "calendar": ...,
+      "hour": ...}`` — apply one hour; emits the tick's events.
+    * ``{"op": "predict", "horizon": h, "model": ..., "window": ...}``
+      — on-demand forecast; emits a ``"prediction"`` event.
+    * ``{"op": "stats"}`` — emits a ``"stats"`` snapshot event.
+    * ``{"op": "stop"}`` — terminates the loop.
+
+    Malformed lines and failed operations emit structured
+    ``{"event": "error", ...}`` objects (with the offending line
+    number, operation, and a machine-readable ``reason``) and the loop
+    keeps running — a serving process must not die on one bad payload.
+    Only output-stream failures (:class:`OSError` from the event sink)
+    propagate: with the emit channel gone nothing can be reported, so
+    the error is unrecoverable and the CLI turns it into exit code 1.
+    Returns the number of processed operations.
+    """
+    processed = 0
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        processed += 1
+        try:
+            try:
+                request = json.loads(line)
+            except json.JSONDecodeError as error:
+                _emit_error(out, target, line_no, None, "malformed_json", error)
+                continue
+            if not isinstance(request, dict):
+                _emit_error(
+                    out, target, line_no, None, "not_an_object",
+                    TypeError(f"expected a JSON object, got {type(request).__name__}"),
+                )
+                continue
+            op = request.get("op")
+            if op == "stop":
+                _emit(out, {"type": "stopped", "processed": processed})
+                break
+            if op == "tick":
+                for event in tick_handler(*_decode_tick(request)):
+                    _emit(out, event)
+            elif op == "predict":
+                horizon = int(request["horizon"])
+                scores = target.predict(
+                    horizon, model=request.get("model"), window=request.get("window")
+                )
+                _emit(out, {
+                    "type": "prediction",
+                    "t_day": target.t_day,
+                    "horizon": horizon,
+                    "scores": [float(s) for s in scores],
+                })
+            elif op == "stats":
+                _emit(out, {"type": "stats", **target.stats()})
+            else:
+                _emit_error(
+                    out, target, line_no, op, "unknown_op",
+                    ValueError(f"unknown op {op!r}"),
+                )
+        except OSError:
+            # The event sink itself failed; nothing can be reported
+            # downstream, so let the caller decide (CLI: exit 1).
+            raise
+        except Exception as error:  # noqa: BLE001 - service must survive bad input
+            op = request.get("op") if isinstance(request, dict) else None
+            _emit_error(out, target, line_no, op, "operation_failed", error)
+    return processed
+
+
+def _decode_tick(request: dict) -> tuple:
+    """``(values, missing, calendar, hour)`` arrays of a ``tick`` request."""
+    values = np.asarray(request["values"], dtype=np.float64)
+    missing = request.get("missing")
+    if missing is not None:
+        missing = np.asarray(missing, dtype=bool)
+    calendar = request.get("calendar")
+    if calendar is not None:
+        calendar = np.asarray(calendar, dtype=np.float64)
+    hour = request.get("hour")
+    if hour is not None:
+        hour = int(hour)
+    return values, missing, calendar, hour
+
+
+def _emit_error(out: IO[str], target, line_no: int, op, reason: str, error) -> None:
+    target.telemetry.inc("stream_errors")
+    _emit(
+        out,
+        {
+            "event": "error",
+            "type": "error",
+            "line": line_no,
+            "op": op,
+            "reason": reason,
+            "error": type(error).__name__,
+            "message": str(error),
+        },
+    )
+
+
+def _emit(out: IO[str], event: dict) -> None:
+    out.write(json.dumps(event) + "\n")
+    out.flush()

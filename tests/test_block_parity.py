@@ -26,7 +26,7 @@ import pytest
 
 from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sectors
 from repro.core.experiment import SweepRunner
-from repro.fleet import FleetConfig, SimulatedKill, build_fleet, recover_fleet
+from repro.fleet import FleetConfig, SimulatedKill, SupervisorConfig, build_fleet, recover_fleet
 from repro.imputation import ForwardFillImputer
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.degrade import ResilientPredictionEngine
@@ -237,11 +237,11 @@ class TestFleetBlocks:
         assert lines == baseline
 
     def test_process_block_stream_matches_hourly(self, env, baseline, tmp_path):
-        fleet = build_fleet(tmp_path, _config(env), 2, jobs=2)
+        fleet = build_fleet(tmp_path, _config(env), 2, supervise=SupervisorConfig())
         lines: list[str] = []
         try:
-            if fleet.backend.name != "process":
-                pytest.skip("process backend unavailable on this host")
+            if fleet.backend.name != "supervised":
+                pytest.skip("forked shard hosts unavailable on this host")
             # BLOCK > the broadcast capacity: the coordinator must split
             # the block into capacity slices transparently.
             assert fleet.backend.block_capacity < BLOCK

@@ -18,9 +18,8 @@ import pytest
 
 from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sectors
 from repro.core.experiment import SweepRunner
-from repro.fleet import FleetConfig, build_fleet
+from repro.fleet import FleetConfig, SupervisorConfig, build_fleet
 from repro.imputation import ForwardFillImputer
-from repro.parallel import shared_memory_available
 from repro.resilience.degrade import ResilientPredictionEngine
 from repro.resilience.guard import ResilientHotSpotService
 from repro.resilience.validate import DarkSectorTracker
@@ -135,8 +134,10 @@ def _fleet_config(env, top_k=TOP_K):
     )
 
 
-def _fleet_lines(env, directory, n_shards, top_k=TOP_K, jobs=1):
-    fleet = build_fleet(directory, _fleet_config(env, top_k), n_shards, jobs=jobs)
+def _fleet_lines(env, directory, n_shards, top_k=TOP_K, supervise=None):
+    fleet = build_fleet(
+        directory, _fleet_config(env, top_k), n_shards, supervise=supervise
+    )
     try:
         return _drive(fleet, env.ticks), fleet.stats()
     finally:
@@ -244,11 +245,11 @@ def test_run_jsonl_protocol(fleet_env, tmp_path):
     assert processed == 4  # every non-empty line counts, junk included
 
 
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="no shared memory on this host"
-)
 def test_process_backend_parity(fleet_env, baseline, tmp_path):
-    lines, stats = _fleet_lines(fleet_env, tmp_path / "proc", 2, jobs=2)
+    """Forked shard hosts (the supervised backend) merge the same stream."""
+    lines, stats = _fleet_lines(
+        fleet_env, tmp_path / "proc", 2, supervise=SupervisorConfig()
+    )
     assert lines == baseline
-    assert stats["fleet"]["backend"] == "process"
+    assert stats["fleet"]["backend"] == "supervised"
     assert all(s["hours_seen"] == END_HOUR for s in stats["fleet"]["per_shard"])
