@@ -48,7 +48,11 @@ from repro.fleet.coordinator import (
 )
 from repro.fleet.partition import PartitionPlan
 from repro.fleet.worker import FleetConfig
-from repro.resilience.checkpoint import CheckpointManager, TickJournal
+from repro.resilience.checkpoint import (
+    CheckpointManager,
+    TickJournal,
+    load_newest_snapshot,
+)
 from repro.serve.ingest import StreamIngestor
 
 __all__ = ["journal_clock", "recover_fleet", "reshard"]
@@ -59,21 +63,16 @@ def journal_clock(directory: str | Path) -> int:
 
     The newest *readable* snapshot's hour plus the contiguous run of
     journal records on top of it — exactly the ``hours_seen`` a
-    :meth:`CheckpointManager.recover` of the directory would restore,
-    computed without rebuilding the ingestor.  The fleet supervisor uses
+    :meth:`CheckpointManager.recover` of the directory would restore.
+    The snapshot is judged by the same loader ``recover`` uses, so a
+    snapshot with a corrupt member counts for neither; the journal
+    records on top are counted, not replayed.  The fleet supervisor uses
     it to find where a dead shard's durable state ends, so degraded-mode
     spooling appends precisely the hours the shard is missing.
     """
     directory = Path(directory)
-    clock = 0
-    for path in sorted(directory.glob("snapshot-*.npz"), reverse=True):
-        try:
-            with np.load(path) as archive:
-                archive["meta_json"]  # readability probe
-            clock = int(path.stem.split("-")[1])
-            break
-        except Exception:  # noqa: BLE001 - skip torn/corrupt snapshots
-            continue
+    snapshot = load_newest_snapshot(directory)
+    clock = 0 if snapshot is None else snapshot.hours_seen
     hours: set[int] = set()
     for segment in sorted(directory.glob("wal-*.log")):
         try:

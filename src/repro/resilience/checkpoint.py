@@ -14,7 +14,10 @@ uninterrupted run.  Two pieces make that hold:
   state (:meth:`state_dict` — rings, cumulative sums, histories, clock)
   is written to an ``.npz`` snapshot via a temp file and
   :func:`os.replace`, so a snapshot is either complete or absent, never
-  torn.
+  torn.  Snapshot members are stored, not deflated: the float rings
+  compress poorly and deflating them stalled the stream for longer than
+  the rest of the snapshot.  The zip CRC-32 of each member still
+  catches corruption inside it.
 
 Recovery loads the newest readable snapshot, then replays journal
 records with ``hour >= snapshot.hours_seen`` through the ordinary
@@ -61,7 +64,12 @@ from repro.core.scoring import ScoreConfig
 from repro.data.store import write_json_atomic
 from repro.serve.ingest import StreamIngestor
 
-__all__ = ["TickJournal", "CheckpointManager", "RecoveredState"]
+__all__ = [
+    "TickJournal",
+    "CheckpointManager",
+    "RecoveredState",
+    "load_newest_snapshot",
+]
 
 _MAGIC = b"RWAL0001"
 _HEADER = struct.Struct("<II")
@@ -278,6 +286,36 @@ class TickJournal:
                 )
 
 
+def load_newest_snapshot(
+    directory: str | Path, up_to_hour: int | None = None
+) -> StreamIngestor | None:
+    """Ingestor restored from the newest readable snapshot in *directory*.
+
+    Snapshots are tried newest first; one counts as readable only when
+    every member decodes (each read to its end, so the zip CRC-32 of
+    every member is checked) and :meth:`StreamIngestor.from_state`
+    accepts the result.  Torn or corrupt snapshots are skipped.
+    Snapshots past *up_to_hour* are ignored.  ``None`` when no snapshot
+    qualifies.  Stored and deflated members read alike, so directories
+    written with either still load.
+    """
+    for path in sorted(Path(directory).glob("snapshot-*.npz"), reverse=True):
+        if up_to_hour is not None and int(path.stem.split("-")[1]) > up_to_hour:
+            continue
+        try:
+            with np.load(path) as archive:
+                meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
+                arrays = {
+                    name: archive[name]
+                    for name in archive.files
+                    if name != "meta_json"
+                }
+            return StreamIngestor.from_state({"meta": meta, "arrays": arrays})
+        except Exception:  # noqa: BLE001 - skip torn/corrupt snapshots
+            continue
+    return None
+
+
 class RecoveredState:
     """Result of :meth:`CheckpointManager.recover`."""
 
@@ -439,7 +477,11 @@ class CheckpointManager:
 
     # ----------------------------------------------------------- snapshot
     def snapshot(self, ingestor: StreamIngestor) -> Path:
-        """Atomically snapshot *ingestor*, rotate and prune the journal."""
+        """Atomically snapshot *ingestor*, rotate and prune the journal.
+
+        The state goes into an uncompressed (stored) ``.npz``; see the
+        module docstring for why.
+        """
         state = ingestor.state_dict()
         path = self._snapshot_path(ingestor.hours_seen)
         meta_blob = np.frombuffer(
@@ -450,7 +492,7 @@ class CheckpointManager:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, meta_json=meta_blob, **state["arrays"])
+                np.savez(handle, meta_json=meta_blob, **state["arrays"])
                 if self.sync:
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -531,30 +573,8 @@ class CheckpointManager:
         old shard to a common watermark before reassembling sectors.
         """
         directory = Path(directory)
-        ingestor: StreamIngestor | None = None
-        snapshot_hour = 0
-        snapshot_paths = sorted(directory.glob("snapshot-*.npz"), reverse=True)
-        if up_to_hour is not None:
-            snapshot_paths = [
-                path for path in snapshot_paths
-                if int(path.stem.split("-")[1]) <= up_to_hour
-            ]
-        for path in snapshot_paths:
-            try:
-                with np.load(path) as archive:
-                    meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
-                    arrays = {
-                        name: archive[name]
-                        for name in archive.files
-                        if name != "meta_json"
-                    }
-                ingestor = StreamIngestor.from_state(
-                    {"meta": meta, "arrays": arrays}
-                )
-                snapshot_hour = ingestor.hours_seen
-                break
-            except Exception:  # noqa: BLE001 - skip torn/corrupt snapshots
-                continue
+        ingestor = load_newest_snapshot(directory, up_to_hour)
+        snapshot_hour = 0 if ingestor is None else ingestor.hours_seen
 
         records: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         for segment in sorted(directory.glob("wal-*.log")):

@@ -26,11 +26,14 @@ from repro.fleet import (
     FleetLifecycleSpec,
     SimulatedKill,
     build_fleet,
+    journal_clock,
     recover_fleet,
 )
 from repro.imputation import ForwardFillImputer
 from repro.lifecycle import DriftConfig, RetrainConfig
+from repro.resilience import CheckpointManager
 from repro.serve import ModelRegistry, train_and_register
+from tests.test_resilience_checkpoint import flip_member_byte
 
 START_DAY = 6
 END_HOUR = 380
@@ -150,6 +153,27 @@ def test_kill_then_reshard_continues_bitwise(env, baseline, tmp_path):
     finally:
         resumed.close()
     assert lines == baseline
+
+
+def test_journal_clock_matches_recover_on_corrupt_snapshot(env, tmp_path):
+    # At hour 60 a shard holds one snapshot (hour 48) and the segment
+    # journaled after it; the segment before it is pruned.  A corrupt
+    # ``values`` member behind an intact zip directory leaves nothing
+    # to restore, and journal_clock must say so rather than count the
+    # snapshot's hours.
+    fleet = build_fleet(tmp_path, _config(env), 2)
+    try:
+        _drive(fleet, 0, 60, [], env)
+    finally:
+        fleet.close()
+    shard_dir = tmp_path / fleet.plan.shard_dir(0)
+    newest = sorted(shard_dir.glob("snapshot-*.npz"))[-1]
+    assert newest.name == "snapshot-00000048.npz"
+    flip_member_byte(newest, "values.npy")
+
+    recovered = CheckpointManager.recover(shard_dir)
+    assert recovered.snapshot_hour == 0
+    assert journal_clock(shard_dir) == recovered.ingestor.hours_seen
 
 
 def _lifecycle_config(env):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import io
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -52,6 +54,42 @@ def assert_state_equal(actual: StreamIngestor, expected: StreamIngestor):
         np.testing.assert_array_equal(
             got["arrays"][name], want["arrays"][name], err_msg=name
         )
+
+
+def flip_member_byte(path, member="values.npy"):
+    """Flip one byte in the middle of *member*'s data inside zip *path*.
+
+    The zip directory and every other member stay intact, so only a
+    reader that decodes *member* (and checks its CRC-32) can notice.
+    """
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "r+b") as handle:
+        handle.seek(info.header_offset + 26)  # local header name/extra lengths
+        name_len, extra_len = struct.unpack("<HH", handle.read(4))
+        offset = (
+            info.header_offset + 30 + name_len + extra_len + info.compress_size // 2
+        )
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0xFF]))
+
+
+def deflate_snapshots(directory):
+    """Rewrite every snapshot in *directory* the way older releases did.
+
+    Same file names and members (``meta_json`` plus the state arrays),
+    but written with :func:`np.savez_compressed`.
+    """
+    for path in sorted(directory.glob("snapshot-*.npz")):
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        np.savez_compressed(path, **members)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +251,63 @@ class TestCrashRecoveryParity:
         assert recovered.ingestor.hours_seen == 250
         assert_state_equal(recovered.ingestor, ingestor)
 
+    @pytest.mark.parametrize("damage", ["flip_values_byte", "truncate_half"])
+    def test_damaged_snapshot_member_falls_back(
+        self, scored_dataset, tmp_path, damage
+    ):
+        # A flipped byte leaves the zip directory intact: only the CRC-32
+        # of the stored ``values`` member can reveal it.  A half-length
+        # file loses the directory itself.
+        ingestor = StreamIngestor.for_dataset(scored_dataset, w_max=WINDOW)
+        manager = CheckpointManager.for_ingestor(
+            tmp_path, ingestor, snapshot_every=SNAPSHOT_EVERY
+        )
+        feed(scored_dataset, ingestor, manager, 0, 250)
+        newest = sorted(tmp_path.glob("snapshot-*.npz"))[-1]
+        if damage == "flip_values_byte":
+            flip_member_byte(newest, "values.npy")
+        else:
+            with open(newest, "r+b") as handle:
+                handle.truncate(newest.stat().st_size // 2)
+
+        recovered = CheckpointManager.recover(tmp_path)
+        assert recovered.snapshot_hour == 192
+        assert recovered.ingestor.hours_seen == 250
+        assert_state_equal(recovered.ingestor, ingestor)
+
+    def test_deflated_snapshots_still_recover(
+        self, scored_dataset, uninterrupted, tmp_path
+    ):
+        # A checkpoint directory written by a release that deflated its
+        # snapshots: recover it, keep serving on it, recover again.
+        ingestor = StreamIngestor.for_dataset(scored_dataset, w_max=WINDOW)
+        manager = CheckpointManager.for_ingestor(
+            tmp_path, ingestor, snapshot_every=SNAPSHOT_EVERY
+        )
+        feed(scored_dataset, ingestor, manager, 0, 130)
+        del ingestor, manager  # crash
+        deflate_snapshots(tmp_path)
+
+        recovered = CheckpointManager.recover(tmp_path)
+        assert (recovered.snapshot_hour, recovered.ingestor.hours_seen) == (96, 130)
+        reference = StreamIngestor.for_dataset(scored_dataset, w_max=WINDOW)
+        feed(scored_dataset, reference, None, 0, 130)
+        assert_state_equal(recovered.ingestor, reference)
+
+        resumed = CheckpointManager.for_ingestor(
+            tmp_path, recovered.ingestor, snapshot_every=SNAPSHOT_EVERY
+        )
+        feed(scored_dataset, recovered.ingestor, resumed, 130, TOTAL_HOURS)
+        assert resumed.stats()["snapshots_written"] == 5  # hours 144 .. 336
+        segments = sorted(p.name for p in tmp_path.glob("wal-*.log"))
+        assert segments == ["wal-00000288.log", "wal-00000336.log"]
+        assert len(list(TickJournal.read_records(tmp_path / segments[0]))) == 48
+        del resumed  # crash again
+
+        final = CheckpointManager.recover(tmp_path)
+        assert final.ingestor.hours_seen == TOTAL_HOURS
+        assert_state_equal(final.ingestor, uninterrupted)
+
     def test_resume_after_torn_tail_keeps_later_ticks(
         self, scored_dataset, tmp_path
     ):
@@ -334,6 +429,18 @@ class TestCheckpointHousekeeping:
         stats = manager.stats()
         assert stats["snapshots_written"] == 5
         assert stats["last_snapshot_hour"] == 240
+
+    def test_snapshot_members_are_stored(self, scored_dataset, tmp_path):
+        ingestor = StreamIngestor.for_dataset(scored_dataset, w_max=WINDOW)
+        with CheckpointManager.for_ingestor(tmp_path, ingestor) as manager:
+            feed(scored_dataset, ingestor, manager, 0, 30)
+            path = manager.snapshot(ingestor)
+        with zipfile.ZipFile(path) as archive:
+            names = sorted(info.filename for info in archive.infolist())
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_STORED}
+        expected = {"meta_json", *ingestor.state_dict()["arrays"]}
+        assert names == sorted(f"{name}.npy" for name in expected)
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="snapshot_every"):
