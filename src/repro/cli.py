@@ -487,32 +487,23 @@ def _replay_events(
     """Drive a guarded service or fleet over the dataset's hours,
     streaming events as JSON lines on stdout.  Returns the alert count.
 
-    ``batch_hours`` > 1 submits columnar micro-batches through the
-    ``submit_block`` fast path (bitwise-identical events and state, one
-    WAL flush per day chunk); 1 is the classic per-hour loop.  The
-    effective setting is recorded in the telemetry counters as
-    ``replay_batch_hours``.
+    Hours go out as ``submit_block`` micro-batches of ``batch_hours``
+    (bitwise-identical events and state for every size, one WAL flush
+    per day chunk).  The effective setting is recorded in the telemetry
+    counters as ``replay_batch_hours``.
     """
     kpis = dataset.kpis
     end_hour = end_day * HOURS_PER_DAY
     front.telemetry.inc("replay_batch_hours", batch_hours)
     alerts = 0
     for hour in range(start_hour, end_hour, batch_hours):
-        if batch_hours == 1:
-            events = front.submit_tick(
-                kpis.values[:, hour, :],
-                kpis.missing[:, hour, :],
-                dataset.calendar[hour],
-                hour=hour,
-            )
-        else:
-            stop = min(hour + batch_hours, end_hour)
-            events = front.submit_block(
-                kpis.values[:, hour:stop, :],
-                kpis.missing[:, hour:stop, :],
-                dataset.calendar[hour:stop],
-                first_hour=hour,
-            )
+        stop = min(hour + batch_hours, end_hour)
+        events = front.submit_block(
+            kpis.values[:, hour:stop, :],
+            kpis.missing[:, hour:stop, :],
+            dataset.calendar[hour:stop],
+            first_hour=hour,
+        )
         for event in events:
             if event.get("type") == "alert":
                 alerts += 1

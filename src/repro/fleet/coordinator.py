@@ -59,10 +59,12 @@ from repro.fleet.worker import (
 from repro.parallel.pool import PoolUnavailable
 from repro.resilience.validate import (
     ACCEPT,
-    QUARANTINE,
-    RECONCILE,
     DeadLetterQueue,
     TickValidator,
+    accepted_block,
+    admit_block,
+    admit_tick,
+    mask_dark_alerts,
 )
 from repro.serve.ingest import default_calendar_row
 from repro.serve.service import run_jsonl
@@ -114,17 +116,6 @@ class SerialBackend:
                 for shard in range(plan.n_shards)
             ]
         )
-
-    def submit_hour(self, hour, values, missing, calendar_row) -> list[dict]:
-        return [
-            worker.submit(
-                hour,
-                values[worker.sector_ids, :],
-                missing[worker.sector_ids, :],
-                calendar_row,
-            )
-            for worker in self.workers
-        ]
 
     def submit_block(
         self, first_hour, values, missing, calendar_rows, released_before=None
@@ -218,15 +209,17 @@ class FleetCoordinator:
     ) -> list[dict]:
         """Validate, route, merge, acknowledge one tick.
 
-        The exact control flow of
+        The admission step of
         :meth:`ResilientHotSpotService.submit_tick`, with the per-row
         work delegated to the shards: quarantine and duplicate verdicts
-        are handled entirely here; accepted ticks (gap fills included)
-        are broadcast to every shard, and the merged events are released
-        only after every shard journaled the hour (then the fleet
-        watermark advances).
+        are handled entirely here; an accepted tick and its gap fills
+        are driven through the shards as one block (see
+        :meth:`submit_block`).
         """
-        verdict = self.validator.validate(
+        verdict, events = admit_tick(
+            self.validator,
+            self.dead_letters,
+            self.telemetry,
             values,
             missing,
             calendar_row,
@@ -234,43 +227,8 @@ class FleetCoordinator:
             clock=self.clock,
             ring_payload=self._ring_payload,
         )
-        if verdict.action == QUARANTINE:
-            self.telemetry.inc("ticks_quarantined")
-            record = self.dead_letters.push(
-                verdict.reason, hour=verdict.declared_hour, detail=verdict.detail
-            )
-            return [self.telemetry.event("quarantine", **record)]
-        if verdict.action == RECONCILE:
-            self.telemetry.inc("ticks_reconciled")
-            return [
-                self.telemetry.event(
-                    "duplicate", hour=verdict.declared_hour, detail=verdict.detail
-                )
-            ]
-        assert verdict.action == ACCEPT
-        events: list[dict] = []
-        for _ in range(verdict.gap_hours):
-            hour_now = self.clock
-            gap_values = np.full((self.config.n_sectors, self.config.n_kpis), np.nan)
-            gap_missing = np.ones_like(gap_values, dtype=bool)
-            self.telemetry.inc("ticks_gap_filled")
-            events.extend(
-                self._drive_hour(
-                    hour_now,
-                    gap_values,
-                    gap_missing,
-                    self._default_calendar(hour_now),
-                    prefix=[self.telemetry.event("gap_fill", hour=hour_now)],
-                )
-            )
-        events.extend(
-            self._drive_hour(
-                self.clock, verdict.values, verdict.missing, verdict.calendar_row
-            )
-        )
-        write_json_atomic(
-            self.directory / WATERMARK_NAME, {"emitted_hours": self.clock}
-        )
+        if verdict.action == ACCEPT:
+            events = self._drive([verdict])
         return events
 
     def submit_block(
@@ -282,77 +240,52 @@ class FleetCoordinator:
     ) -> list[dict]:
         """Validate, broadcast, and merge a micro-batch of hours.
 
-        Fleet twin of :meth:`ResilientHotSpotService.submit_block`:
-        every column is probe-validated against the clock it would meet
-        in per-hour order; a block of plain accepts is broadcast to the
-        shards in ``block_capacity`` slices (each shard applies and
-        journals it in day chunks) and the per-hour fragments are merged
-        in order, producing the identical event stream.  Any quarantine,
-        duplicate, or gap verdict discards the probe and replays the
-        original columns through per-hour :meth:`submit_tick`.  The
-        watermark advances once, after the whole block is merged — a
-        mid-block crash re-drives from the last acknowledged hour and
-        shards re-emit what they already journaled.
+        Fleet twin of :meth:`ResilientHotSpotService.submit_block`: a
+        block of plain accepts goes to the shards through :meth:`_drive`
+        (each shard applies and journals it in day chunks); any
+        quarantine, duplicate, or gap replays the block through
+        :meth:`submit_tick`.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 3:
-            raise ValueError(
-                f"values must be (n_sectors, n_hours, n_kpis), got {values.shape}"
-            )
-        if missing is not None:
-            missing = np.asarray(missing, dtype=bool)
-        if calendar_rows is not None:
-            calendar_rows = np.asarray(calendar_rows, dtype=np.float64)
-        n_hours = values.shape[1]
-        if n_hours == 0:
-            return []
-        verdicts = []
-        for j in range(n_hours):
-            verdict = self.validator.validate(
-                values[:, j, :],
-                None if missing is None else missing[:, j, :],
-                None if calendar_rows is None else calendar_rows[j],
-                hour=None if first_hour is None else first_hour + j,
-                clock=self.clock + j,
-                ring_payload=self._ring_payload,
-            )
-            if verdict.action != ACCEPT or verdict.gap_hours != 0:
-                break
-            verdicts.append(verdict)
-        if len(verdicts) < n_hours:
-            events: list[dict] = []
-            for j in range(n_hours):
-                events.extend(
-                    self.submit_tick(
-                        values[:, j, :],
-                        None if missing is None else missing[:, j, :],
-                        None if calendar_rows is None else calendar_rows[j],
-                        hour=None if first_hour is None else first_hour + j,
-                    )
-                )
-            return events
-        block_values = np.stack([v.values for v in verdicts], axis=1)
-        block_missing = np.stack([v.missing for v in verdicts], axis=1)
-        calendar_block = (
-            None
-            if calendar_rows is None
-            else np.stack([v.calendar_row for v in verdicts])
+        return admit_block(
+            self.validator,
+            values,
+            missing,
+            calendar_rows,
+            first_hour,
+            clock=self.clock,
+            ring_payload=self._ring_payload,
+            submit_tick=self.submit_tick,
+            apply=self._drive,
         )
-        events = []
-        capacity = self.backend.block_capacity or n_hours
-        # The acknowledged boundary for this whole block: shards keep
-        # every non-trivial response from here on so a mid-block crash
-        # re-emits faithfully across capacity slices and day chunks.
+
+    def _drive(self, verdicts) -> list[dict]:
+        """Broadcast accepted hours to the shards, merge, acknowledge.
+
+        The block (the first verdict's gap hours, then one hour per
+        verdict) goes out in ``block_capacity`` slices; each hour's
+        merged events, led by a ``gap_fill`` event on gap hours, pass
+        the event tap, and the watermark advances once, after the whole
+        block.  Every slice carries the acknowledged boundary — the
+        clock at entry — so the shards keep every non-trivial response
+        since it: a crash anywhere in the block re-drives from that
+        boundary and the shards re-emit what they already journaled.
+        """
         released = self.clock
-        start = 0
-        while start < n_hours:
+        values, missing, calendar_rows = accepted_block(
+            verdicts, released, self._default_calendar
+        )
+        gap_hours = verdicts[0].gap_hours
+        n_hours = values.shape[1]
+        capacity = self.backend.block_capacity or n_hours
+        events: list[dict] = []
+        for start in range(0, n_hours, capacity):
             stop = min(start + capacity, n_hours)
             hour0 = self.clock
             responses = self.backend.submit_block(
                 hour0,
-                block_values[:, start:stop, :],
-                block_missing[:, start:stop, :],
-                None if calendar_block is None else calendar_block[start:stop],
+                values[:, start:stop, :],
+                missing[:, start:stop, :],
+                calendar_rows[start:stop],
                 released_before=released,
             )
             if (
@@ -367,30 +300,18 @@ class FleetCoordinator:
                 )
             self.clock = hour0 + (stop - start)
             for j in range(stop - start):
-                hour_events = self._merge(hour0 + j, [shard[j] for shard in responses])
+                hour = hour0 + j
+                hour_events = []
+                if start + j < gap_hours:
+                    self.telemetry.inc("ticks_gap_filled")
+                    hour_events.append(self.telemetry.event("gap_fill", hour=hour))
+                hour_events.extend(self._merge(hour, [shard[j] for shard in responses]))
                 if self.event_tap is not None:
-                    self.event_tap(hour0 + j, hour_events)
+                    self.event_tap(hour, hour_events)
                 events.extend(hour_events)
-            start = stop
         write_json_atomic(
             self.directory / WATERMARK_NAME, {"emitted_hours": self.clock}
         )
-        return events
-
-    def _drive_hour(
-        self, hour, values, missing, calendar_row, prefix: list[dict] | None = None
-    ) -> list[dict]:
-        """Broadcast one accepted hour to the shards and merge fragments."""
-        responses = self.backend.submit_hour(hour, values, missing, calendar_row)
-        if self.kill_at == ("mid_merge", hour):
-            self.kill_at = None
-            raise SimulatedKill(
-                f"simulated crash: coordinator at mid_merge of hour {hour}"
-            )
-        self.clock = hour + 1
-        events = (prefix or []) + self._merge(hour, responses)
-        if self.event_tap is not None:
-            self.event_tap(hour, events)
         return events
 
     def _merge(self, hour: int, responses: list[dict]) -> list[dict]:
@@ -420,7 +341,7 @@ class FleetCoordinator:
         )
         events.append({"type": "day", "t_day": t_day, "hot_sectors": hot})
         if t_day >= self.config.start_day:
-            dark_mask = self._assemble_mask(responses)
+            alerts = []
             for horizon in self.config.horizons:
                 scores = self._assemble_scores(responses, horizon)
                 if scores is None:
@@ -429,7 +350,12 @@ class FleetCoordinator:
                 if alert is None:
                     continue
                 self.telemetry.inc("alerts_emitted")
-                events.append(self._mask_alert(alert, dark_mask))
+                alerts.append(alert)
+            events.extend(
+                mask_dark_alerts(
+                    alerts, self._assemble_mask(responses), self.telemetry
+                )
+            )
         for response in responses:
             events.extend(response["lifecycle"])
         return events
@@ -469,28 +395,6 @@ class FleetCoordinator:
             "sectors": [int(i) for i in order],
             "scores": [float(scores[i]) for i in order],
         }
-
-    def _mask_alert(self, alert: dict, dark_mask: np.ndarray) -> dict:
-        if not dark_mask.any():
-            return alert
-        keep = [i for i, s in enumerate(alert["sectors"]) if not dark_mask[s]]
-        removed = len(alert["sectors"]) - len(keep)
-        if removed:
-            self.telemetry.inc("alert_sectors_suppressed_dark", removed)
-        if not keep:
-            return self.telemetry.event(
-                "alert_suppressed",
-                t_day=alert["t_day"],
-                horizon=alert["horizon"],
-                reason="all alerted sectors are dark",
-            )
-        if removed:
-            alert = {
-                **alert,
-                "sectors": [alert["sectors"][i] for i in keep],
-                "scores": [alert["scores"][i] for i in keep],
-            }
-        return alert
 
     def _ring_payload(self, hour: int):
         payloads = self.backend.ring(hour)
@@ -623,8 +527,9 @@ def recovered_clock(directory: str | Path, shard_hours: list[int]) -> int:
     the watermark ``w`` records the last acknowledged hour + 1.  The
     fleet resumes from ``w``: everything before it was released to the
     consumer, everything in ``[w, m)`` was journaled by (some or all)
-    shards but never acknowledged — a per-hour crash leaves that window
-    at most one hour wide, a mid-block crash up to a block wide — and
+    shards but never acknowledged — a per-tick crash leaves that window
+    at most one tick plus its gap fills wide, a mid-block crash up to a
+    block wide — and
     re-driving it makes shards re-emit their persisted responses
     (at-most-once with respect to the watermark, exactly once with
     respect to the WALs).  ``w`` can never validly exceed ``m``;

@@ -80,7 +80,6 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.degrade import fallback_scores
-from repro.serve.ingest import default_calendar_row
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = ["STATE_NAME", "FleetSupervisor", "SupervisorConfig"]
@@ -159,10 +158,7 @@ def _shard_host_main(conn, directory, plan, config, shard_id, resume, chaos):
                 break
             op = request[0]
             try:
-                if op == "tick":
-                    _, hour, values, missing, calendar_row = request
-                    payload = worker.submit(hour, values, missing, calendar_row)
-                elif op == "tick_block":
+                if op == "tick_block":
                     _, first_hour, values, missing, rows, released = request
                     payload = worker.submit_block(
                         first_hour, values, missing, rows,
@@ -218,8 +214,11 @@ class _ShardHost:
 
 
 def _key_label(key: tuple) -> dict:
-    """Human/JSON-facing identity of an in-flight request key."""
-    if key[0] == "tick":
+    """Human/JSON-facing identity of an in-flight request key.
+
+    A one-hour block is a tick and keeps the tick label.
+    """
+    if key[0] == "tick_block" and key[2] == 1:
         return {"op": "tick", "hour": int(key[1])}
     if key[0] == "tick_block":
         return {"op": "tick_block", "first_hour": int(key[1]), "n_hours": int(key[2])}
@@ -301,19 +300,10 @@ class FleetSupervisor:
 
     # -------------------------------------------------------------- driving
     def submit_hour(self, hour, values, missing, calendar_row) -> list[dict]:
-        responses = []
-        for host in self.hosts:
-            ids = self.plan.sectors_of(host.shard_id)
-            responses.append(
-                self._drive_tick(
-                    host,
-                    int(hour),
-                    values[ids, :],
-                    missing[ids, :],
-                    calendar_row,
-                )
-            )
-        return responses
+        """One hour per shard: a one-hour :meth:`submit_block`."""
+        rows = np.asarray(calendar_row)[None, :]
+        blocks = self.submit_block(hour, values[:, None, :], missing[:, None, :], rows)
+        return [responses[0] for responses in blocks]
 
     def submit_block(
         self, first_hour, values, missing, calendar_rows, released_before=None
@@ -332,25 +322,6 @@ class FleetSupervisor:
                 )
             )
         return responses
-
-    def _drive_tick(self, host, hour, values, missing, calendar_row):
-        if host.degraded and not self._try_rejoin(host, hour):
-            return self._degraded_tick(host, hour, values, missing, calendar_row)
-        request = ("tick", hour, values, missing, calendar_row)
-
-        def substitute():
-            return (
-                "tick",
-                hour,
-                np.full_like(values, np.nan),
-                np.ones_like(missing),
-                calendar_row,
-            )
-
-        payload = self._exchange(host, request, ("tick", hour), substitute)
-        if payload is None:
-            return self._degraded_tick(host, hour, values, missing, calendar_row)
-        return self._success(host, payload)
 
     def _drive_block(
         self, host, first_hour, values, missing, calendar_rows, released_before
@@ -598,8 +569,7 @@ class FleetSupervisor:
         host.consecutive_deaths = 0
         host.death_key = None
         host.deaths_on_key = 0
-        responses = payload if isinstance(payload, list) else [payload]
-        for response in responses:
+        for response in payload:
             for horizon, fragment in response.get("scores", {}).items():
                 host.last_good[horizon] = [float(s) for s in fragment]
         if host.degraded:
@@ -617,7 +587,7 @@ class FleetSupervisor:
                 self._event(
                     "shard_recovered",
                     shard=host.shard_id,
-                    hour=responses[0].get("hour"),
+                    hour=payload[0].get("hour"),
                     restarts=host.restarts,
                 )
             )
@@ -625,37 +595,36 @@ class FleetSupervisor:
         return self._attach(host, payload)
 
     def _attach(self, host, payload):
-        """Prepend pending in-stream events to the (first) response."""
+        """Prepend pending in-stream events to the first response."""
         if not host.pending:
             return payload
         events, host.pending = host.pending, []
-        if isinstance(payload, list):
-            return [{**payload[0], "supervisor": events}, *payload[1:]]
-        return {**payload, "supervisor": events}
+        return [{**payload[0], "supervisor": events}, *payload[1:]]
 
     # ------------------------------------------------------- degraded mode
-    def _degraded_tick(self, host, hour, values, missing, calendar_row):
-        self._ensure_spool(host)
-        if hour < host.spool_clock:
-            # The dying worker journaled this hour (post-journal crash):
-            # its true response is persisted — re-emit it, bitwise.
-            response = self._persisted_response(host, hour)
-        else:
-            self._spool(host, hour, values, missing, calendar_row)
-            response = self._synthesize(host, hour)
-        return self._attach(host, response)
-
     def _degraded_block(self, host, first_hour, values, missing, calendar_rows):
         self._ensure_spool(host)
-        responses = []
-        for j in range(int(values.shape[1])):
-            hour = first_hour + j
-            if hour < host.spool_clock:
-                responses.append(self._persisted_response(host, hour))
-            else:
-                row = None if calendar_rows is None else calendar_rows[j]
-                self._spool(host, hour, values[:, j, :], missing[:, j, :], row)
-                responses.append(self._synthesize(host, hour))
+        n_hours = int(values.shape[1])
+        # Hours the dying worker journaled (post-journal crash) have
+        # their true responses persisted — re-emit them, bitwise.  The
+        # rest are spooled into the shard's WAL and synthesised.
+        journaled = min(max(host.spool_clock - first_hour, 0), n_hours)
+        responses = [
+            self._persisted_response(host, first_hour + j) for j in range(journaled)
+        ]
+        if journaled < n_hours:
+            host.spool.record_block(
+                first_hour + journaled,
+                values[:, journaled:, :],
+                missing[:, journaled:, :],
+                calendar_rows[journaled:],
+            )
+            host.spool_clock = first_hour + n_hours
+            self.telemetry.inc("spooled_ticks", n_hours - journaled)
+            responses += [
+                self._synthesize(host, first_hour + j)
+                for j in range(journaled, n_hours)
+            ]
         return self._attach(host, responses)
 
     def _ensure_spool(self, host) -> None:
@@ -670,20 +639,6 @@ class FleetSupervisor:
                 snapshot_every=self.config.snapshot_every,
             )
             host.spool_clock = journal_clock(self._shard_dir(host))
-
-    def _spool(self, host, hour, values, missing, calendar_row) -> None:
-        if hour < host.spool_clock:
-            return
-        if calendar_row is None:
-            calendar_row = default_calendar_row(
-                hour,
-                start_weekday=self.config.start_weekday,
-                start_hour=self.config.start_hour,
-                start_day_of_month=self.config.start_day_of_month,
-            )
-        host.spool.record_tick(hour, values, missing, calendar_row)
-        host.spool_clock = hour + 1
-        self.telemetry.inc("spooled_ticks")
 
     def _close_spool(self, host) -> None:
         if host.spool is not None:

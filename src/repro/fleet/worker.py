@@ -20,9 +20,10 @@ answer with *fragments* — local hot sectors, the full local score
 vector per horizon, newly-dark sectors — that the coordinator merges
 into the same event stream the single engine would emit.
 
-Crash consistency per tick (apply → journal → acknowledge):
+Crash consistency per day chunk of a block — a tick is a one-hour
+block — (apply → journal → acknowledge):
 
-1. ``maybe_snapshot`` — snapshot boundaries land *between* ticks;
+1. ``maybe_snapshot`` — snapshot boundaries land *between* chunks;
 2. apply — engine ingest, fragment computation, lifecycle day hook
    (which commits its own ``lifecycle.json`` first, see DESIGN.md 3e),
    dark-tracker update;
@@ -30,11 +31,12 @@ Crash consistency per tick (apply → journal → acknowledge):
    the response is non-trivial — the empty ⇔ not-persisted invariant;
    the file holds every non-trivial response since the coordinator's
    acknowledged boundary, so mid-block crashes re-emit faithfully);
-4. journal the tick into the WAL (fsynced append, the commit point).
+4. journal the chunk into the WAL (one flushed append, the commit
+   point).
 
 A worker killed anywhere in that sequence recovers to a state from
-which re-driving the same hour yields the identical response: before
-step 4 the hour is simply re-applied; after step 4 the worker re-emits
+which re-driving the same hours yields the identical responses: before
+step 4 the chunk is simply re-applied; after step 4 the worker re-emits
 the persisted response (or reconstructs the trivial one) without
 touching state.  :attr:`ShardWorker.kill_at` injects
 :class:`SimulatedKill` at the three seams for the kill-point suite.
@@ -200,70 +202,26 @@ class ShardWorker:
         hour: int,
         values: np.ndarray,
         missing: np.ndarray,
-        calendar_row: np.ndarray | None,
+        calendar_row: np.ndarray,
     ) -> dict:
-        """Apply one validated (or gap-synthesised) tick to this shard.
-
-        *values*/*missing* are already sliced to the shard's local rows.
-        Hours strictly below the shard clock are re-emitted from the
-        persisted response (the post-journal crash window); the hour at
-        the clock is applied; anything else is a protocol error.
-        """
-        hour = int(hour)
-        clock = self.ingestor.hours_seen
-        if hour < clock:
-            return self._reemit(hour)
-        if hour != clock:
-            raise FleetProtocolError(
-                f"shard {self.shard_id} at hour {clock} was driven with "
-                f"hour {hour}"
-            )
-        self.checkpoint.maybe_snapshot(self.ingestor)
-        self._maybe_kill("mid_apply", hour)
-        tick = self.engine.ingest_hour(values, missing, calendar_row)
-        response = self._trivial_response(hour)
-        response["day_completed"] = bool(tick.day_completed)
-        response["t_day"] = int(tick.t_day)
-        if tick.day_completed:
-            labels = self.ingestor.labels_daily
-            hot_local = np.flatnonzero(labels[:, tick.t_day] == 1)
-            response["hot"] = [int(self.sector_ids[i]) for i in hot_local]
-            if tick.t_day >= self.config.start_day:
-                for horizon in self.config.horizons:
-                    scores = self.engine.predict(int(horizon))
-                    response["scores"][str(int(horizon))] = [
-                        float(s) for s in scores
-                    ]
-            if self.controller is not None:
-                response["lifecycle"] = self.controller.on_day(tick)
-        newly_dark = self.dark.observe(missing)
-        for local in newly_dark:
-            response["dark_new"].append(
-                [int(self.sector_ids[int(local)]), int(self.dark.missing_run(int(local)))]
-            )
-        if tick.day_completed:
-            response["dark_mask"] = [bool(x) for x in self.dark.dark_mask]
-        if self._nontrivial(response):
-            self._persist_responses({hour: response})
-        self._maybe_kill("mid_journal", hour)
-        if calendar_row is None:
-            calendar_row = self.ingestor._default_calendar_row(hour)
-        self.checkpoint.record_tick(hour, values, missing, calendar_row)
-        self._maybe_kill("post_journal", hour)
-        return response
+        """Apply one tick (local rows): a one-hour :meth:`submit_block`."""
+        rows = np.asarray(calendar_row)[None, :]
+        return self.submit_block(hour, values[:, None, :], missing[:, None, :], rows)[0]
 
     def submit_block(
         self,
         first_hour: int,
         values: np.ndarray,
         missing: np.ndarray,
-        calendar_rows: np.ndarray | None,
+        calendar_rows: np.ndarray,
         released_before: int | None = None,
     ) -> list[dict]:
         """Apply a micro-batch of validated consecutive hours.
 
-        Returns one response dict per block column, identical to what
-        per-hour :meth:`submit` calls would produce.  Hours below the
+        *calendar_rows* are concrete (the coordinator fills defaults, so
+        every shard journals identical rows).  Returns one response dict
+        per block column — the shard's only apply path; a single tick is
+        a one-hour block.  Hours below the
         shard clock re-emit (the post-journal crash window covers whole
         journaled chunks after a mid-block crash); the remainder is
         applied in day-aligned chunks via the columnar engine ingest,
@@ -310,7 +268,7 @@ class ShardWorker:
             ticks = self.engine.ingest_block(
                 values[:, start:stop, :],
                 missing[:, start:stop, :],
-                None if calendar_rows is None else calendar_rows[start:stop],
+                calendar_rows[start:stop],
             )
             chunk: list[dict] = []
             for j, tick in enumerate(ticks):
@@ -349,20 +307,11 @@ class ShardWorker:
             if fresh:
                 self._persist_responses(fresh, keep_from=keep_from)
             self._maybe_kill_range("mid_journal", hour0, first_hour + stop)
-            if calendar_rows is None:
-                calendar_block = np.stack(
-                    [
-                        self.ingestor._default_calendar_row(h)
-                        for h in range(hour0, first_hour + stop)
-                    ]
-                )
-            else:
-                calendar_block = calendar_rows[start:stop]
             self.checkpoint.record_block(
                 hour0,
                 values[:, start:stop, :],
                 missing[:, start:stop, :],
-                calendar_block,
+                calendar_rows[start:stop],
             )
             self._maybe_kill_range("post_journal", hour0, first_hour + stop)
             responses.extend(chunk)
@@ -385,22 +334,16 @@ class ShardWorker:
             return persisted
         return self._trivial_response(hour)
 
-    def _persist_responses(self, fresh: dict, keep_from: int | None = None) -> None:
+    def _persist_responses(self, fresh: dict, keep_from: int) -> None:
         """Atomically persist non-trivial responses for the re-emit path.
 
-        Per-hour ticks are acknowledged every call, so only the current
-        hour is retained (*keep_from* ``None``).  Block submissions
-        acknowledge nothing until the whole coordinator block returns,
-        so entries at or past *keep_from* — the acknowledged boundary —
-        survive later chunks' persists.
+        The coordinator acknowledges nothing until its whole block
+        returns, so entries at or past *keep_from* — the acknowledged
+        boundary — survive later chunks' persists; older ones are
+        pruned.
         """
-        if keep_from is None:
-            store = {int(h): r for h, r in fresh.items()}
-        else:
-            store = {
-                h: r for h, r in self._responses.items() if h >= int(keep_from)
-            }
-            store.update({int(h): r for h, r in fresh.items()})
+        store = {h: r for h, r in self._responses.items() if h >= int(keep_from)}
+        store.update({int(h): r for h, r in fresh.items()})
         self._responses = store
         if self._events_path is not None:
             write_json_atomic(
@@ -429,17 +372,8 @@ class ShardWorker:
             or response["lifecycle"]
         )
 
-    def _maybe_kill(self, point: str, hour: int) -> None:
-        if self.seam_hook is not None:
-            self.seam_hook(point, hour)
-        if self.kill_at == (point, hour):
-            self.kill_at = None
-            raise SimulatedKill(
-                f"simulated crash: shard {self.shard_id} at {point} of hour {hour}"
-            )
-
     def _maybe_kill_range(self, point: str, lo: int, hi: int) -> None:
-        """Block-path kill seam: fire when the armed hour is in [lo, hi)."""
+        """Kill seam: fire when the armed hour is in [lo, hi)."""
         if self.seam_hook is not None:
             for hour in range(lo, hi):
                 self.seam_hook(point, hour)

@@ -176,21 +176,11 @@ class TickJournal:
         missing: np.ndarray,
         calendar_row: np.ndarray,
     ) -> None:
-        """Durably record one accepted tick."""
-        payload = (
-            np.ascontiguousarray(values, dtype=np.float64).tobytes()
-            + np.ascontiguousarray(missing, dtype=np.uint8).tobytes()
-            + np.ascontiguousarray(calendar_row, dtype=np.float64).tobytes()
+        """Durably record one accepted tick (a one-hour block)."""
+        rows = np.asarray(calendar_row, dtype=np.float64).reshape(1, -1)
+        self.append_block(
+            hour, np.asarray(values)[:, None, :], np.asarray(missing)[:, None, :], rows
         )
-        if len(payload) != self._payload_len:
-            raise ValueError(
-                f"payload is {len(payload)} bytes, journal expects {self._payload_len}"
-            )
-        self._handle.write(_RECORD_HEAD.pack(hour, len(payload)))
-        self._handle.write(payload)
-        self._handle.write(_CRC.pack(zlib.crc32(payload)))
-        self._flush()
-        self.appended += 1
 
     def append_block(
         self,
@@ -201,12 +191,10 @@ class TickJournal:
     ) -> None:
         """Durably record a micro-batch of consecutive accepted ticks.
 
-        Writes one standard per-hour record per block column — the
-        on-disk format is byte-identical to calling :meth:`append` once
-        per hour — but buffers the records and flushes (and optionally
-        fsyncs) once for the whole block.  A crash mid-write tears the
-        tail record exactly as with single appends; replay recovers
-        every fully written hour.
+        Writes one standard per-hour record per block column, buffered
+        and flushed (and optionally fsynced) once for the whole block.
+        A crash mid-write tears the tail record; replay recovers every
+        fully written hour.
         """
         values = np.ascontiguousarray(values, dtype=np.float64)
         missing = np.ascontiguousarray(missing, dtype=np.uint8)
@@ -458,7 +446,10 @@ class CheckpointManager:
         calendar_row: np.ndarray,
     ) -> None:
         """Journal one applied tick (call before acknowledging it)."""
-        self._journal.append(hour, values, missing, calendar_row)
+        rows = np.asarray(calendar_row, dtype=np.float64).reshape(1, -1)
+        self.record_block(
+            hour, np.asarray(values)[:, None, :], np.asarray(missing)[:, None, :], rows
+        )
 
     def record_block(
         self,
@@ -469,9 +460,8 @@ class CheckpointManager:
     ) -> None:
         """Journal a micro-batch of applied ticks with one flush.
 
-        On-disk bytes are identical to per-hour :meth:`record_tick`
-        calls; only the write/flush batching differs.  Call after the
-        block is applied and before acknowledging any of its hours.
+        Call after the block is applied and before acknowledging any of
+        its hours.
         """
         self._journal.append_block(first_hour, values, missing, calendar_rows)
 

@@ -4,7 +4,8 @@
 :class:`~repro.serve.service.HotSpotService` with the full resilience
 pipeline.  Every incoming tick passes through:
 
-1. **validation** (:class:`~repro.resilience.validate.TickValidator`) —
+1. **validation** (:class:`~repro.resilience.validate.TickValidator`,
+   through the admission functions the fleet coordinator shares) —
    malformed ticks land in the bounded dead-letter queue with a
    structured reason; idempotent duplicates are reconciled (dropped,
    counted); forward clock gaps within budget are filled with synthetic
@@ -38,11 +39,13 @@ from repro.data.tensor import HOURS_PER_DAY
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.validate import (
     ACCEPT,
-    QUARANTINE,
-    RECONCILE,
     DarkSectorTracker,
     DeadLetterQueue,
     TickValidator,
+    accepted_block,
+    admit_block,
+    admit_tick,
+    mask_dark_alerts,
 )
 from repro.serve.service import HotSpotService
 from repro.serve.telemetry import ServeTelemetry
@@ -94,7 +97,8 @@ class ResilientHotSpotService:
         self.checkpoint = checkpoint
         #: Optional per-hour event tap: ``tap(hour, events)`` is called
         #: with the hour's *final* (dark-masked, gap-prefixed) event
-        #: list after the tick is applied but **before** the WAL append.
+        #: list after the hour is applied but **before** its WAL append,
+        #: for ticks and blocks alike.
         #: The gateway points this at its durable event journal: any
         #: hour the WAL acknowledges therefore already has its events
         #: persisted for SSE delivery, so a crash between journal and
@@ -123,10 +127,15 @@ class ResilientHotSpotService:
 
         Never raises on bad input: malformed/late/conflicting ticks are
         quarantined, idempotent duplicates reconciled, short forward
-        gaps filled with all-missing hours.  Returned events mix the
+        gaps filled with all-missing hours.  An accepted tick is applied
+        as a one-hour block led by its gap fills, through the same
+        apply step as :meth:`submit_block`.  Returned events mix the
         wrapped service's day/alert events with resilience events.
         """
-        verdict = self.validator.validate(
+        verdict, events = admit_tick(
+            self.validator,
+            self.dead_letters,
+            self.telemetry,
             values,
             missing,
             calendar_row,
@@ -134,34 +143,8 @@ class ResilientHotSpotService:
             clock=self.ingestor.hours_seen,
             ring_payload=self._ring_payload,
         )
-        if verdict.action == QUARANTINE:
-            self.telemetry.inc("ticks_quarantined")
-            record = self.dead_letters.push(
-                verdict.reason, hour=verdict.declared_hour, detail=verdict.detail
-            )
-            return [self.telemetry.event("quarantine", **record)]
-        if verdict.action == RECONCILE:
-            self.telemetry.inc("ticks_reconciled")
-            return [
-                self.telemetry.event(
-                    "duplicate", hour=verdict.declared_hour, detail=verdict.detail
-                )
-            ]
-        assert verdict.action == ACCEPT
-        if self.checkpoint is not None:
-            # Snapshot at tick *entry*, before the new tick is applied:
-            # the state covered is identical to snapshotting right
-            # after the previous tick, but the slow npz write never
-            # sits between a journaled tick and the release of its
-            # events — a kill during the snapshot leaves this tick
-            # unjournaled and it is re-processed on resume.
-            self.checkpoint.maybe_snapshot(self.ingestor)
-        events: list[dict] = []
-        for _ in range(verdict.gap_hours):
-            events.extend(self._ingest_gap_hour())
-        events.extend(
-            self._ingest(verdict.values, verdict.missing, verdict.calendar_row)
-        )
+        if verdict.action == ACCEPT:
+            events = self._apply([verdict])
         return events
 
     def submit_block(
@@ -173,118 +156,25 @@ class ResilientHotSpotService:
     ) -> list[dict]:
         """Validate and ingest a micro-batch of consecutive hours.
 
-        Every block column is validated exactly as :meth:`submit_tick`
-        validates a single tick (against the clock it would see in
-        per-hour order).  When all columns are plain accepts — no
-        quarantines, duplicates, or gaps — the block takes the fast
-        path: columnar ingest, one batched WAL flush, and dark-sector
-        masking per day chunk, producing the same event stream as the
-        per-hour driver.  Any other verdict discards the probe and the
-        whole block falls back to per-hour :meth:`submit_tick`, whose
-        quarantine/reconcile/gap handling is unchanged.
-
-        *first_hour* is the declared hour of column 0 (``None`` trusts
-        arrival order); column *j* declares ``first_hour + j``.
+        A block of plain accepts is applied in one call — columnar
+        ingest, one batched WAL flush and dark masking per day chunk —
+        with the event stream of the per-hour driver; any quarantine,
+        duplicate, or gap replays the block through :meth:`submit_tick`
+        (:func:`~repro.resilience.validate.admit_block`).  *first_hour*
+        is the declared hour of column 0 (``None`` trusts arrival
+        order).
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 3:
-            raise ValueError(
-                f"values must be (n_sectors, n_hours, n_kpis), got {values.shape}"
-            )
-        if missing is not None:
-            missing = np.asarray(missing, dtype=bool)
-        if calendar_rows is not None:
-            calendar_rows = np.asarray(calendar_rows, dtype=np.float64)
-        n_hours = values.shape[1]
-        if n_hours == 0:
-            return []
-        clock = self.ingestor.hours_seen
-
-        # Probe-validate each column with the clock it would meet in
-        # per-hour order.  The validator is stateless, so a discarded
-        # probe costs nothing: the fallback re-validates identically.
-        verdicts = []
-        for j in range(n_hours):
-            verdict = self.validator.validate(
-                values[:, j, :],
-                None if missing is None else missing[:, j, :],
-                None if calendar_rows is None else calendar_rows[j],
-                hour=None if first_hour is None else first_hour + j,
-                clock=clock + j,
-                ring_payload=self._ring_payload,
-            )
-            if verdict.action != ACCEPT or verdict.gap_hours != 0:
-                break
-            verdicts.append(verdict)
-        if len(verdicts) < n_hours:
-            # Slow path: at least one column needs quarantine, duplicate
-            # reconciliation, or gap synthesis — replay the original
-            # inputs through the per-hour pipeline.
-            events: list[dict] = []
-            for j in range(n_hours):
-                events.extend(
-                    self.submit_tick(
-                        values[:, j, :],
-                        None if missing is None else missing[:, j, :],
-                        None if calendar_rows is None else calendar_rows[j],
-                        hour=None if first_hour is None else first_hour + j,
-                    )
-                )
-            return events
-
-        if self.checkpoint is not None:
-            # Snapshot once at block entry (see submit_tick); within a
-            # block the cadence check is deferred to the next block,
-            # which only bounds recovery replay length, never parity.
-            self.checkpoint.maybe_snapshot(self.ingestor)
-        block_values = np.stack([v.values for v in verdicts], axis=1)
-        block_missing = np.stack([v.missing for v in verdicts], axis=1)
-        # Defaulted calendar rows are exactly what the ingestor would
-        # synthesise itself, so filling them in keeps bitwise parity
-        # while giving the journal concrete rows to record.
-        calendar_block = np.stack(
-            [
-                self.ingestor._default_calendar_row(clock + j)
-                if v.calendar_row is None
-                else v.calendar_row
-                for j, v in enumerate(verdicts)
-            ]
+        return admit_block(
+            self.validator,
+            values,
+            missing,
+            calendar_rows,
+            first_hour,
+            clock=self.ingestor.hours_seen,
+            ring_payload=self._ring_payload,
+            submit_tick=self.submit_tick,
+            apply=self._apply,
         )
-
-        events = []
-        start = 0
-        while start < n_hours:
-            to_boundary = HOURS_PER_DAY - (clock + start) % HOURS_PER_DAY
-            stop = min(start + to_boundary, n_hours)
-            chunk_events = self.service.ingest_block(
-                block_values[:, start:stop, :],
-                block_missing[:, start:stop, :],
-                calendar_block[start:stop],
-            )
-            # Apply → journal → acknowledge, at chunk granularity: day
-            # events release only after every hour feeding them is in
-            # the WAL, so a crash mid-journal re-processes the chunk and
-            # re-emits its events rather than losing them.
-            if self.checkpoint is not None:
-                self.checkpoint.record_block(
-                    clock + start,
-                    block_values[:, start:stop, :],
-                    block_missing[:, start:stop, :],
-                    calendar_block[start:stop],
-                )
-            dark_events = []
-            for j in range(start, stop):
-                newly_dark = self.dark.observe(block_missing[:, j, :])
-                dark_events.extend(
-                    self.telemetry.event(
-                        "sector_dark", sector=int(sector), hour=clock + j,
-                        missing_run=self.dark.missing_run(int(sector)),
-                    )
-                    for sector in newly_dark
-                )
-            events.extend(dark_events + self._mask_dark_alerts(chunk_events))
-            start = stop
-        return events
 
     def run_jsonl(self, lines, out) -> int:
         """JSONL driver with the resilience pipeline in front.
@@ -298,59 +188,76 @@ class ResilientHotSpotService:
         """
         return self.service.run_jsonl(lines, out, tick_handler=self.submit_tick)
 
-    def _ingest_gap_hour(self) -> list[dict]:
-        """Synthesise one all-missing hour for a lost tick."""
-        ingestor = self.ingestor
-        hour = ingestor.hours_seen
-        values = np.full((ingestor.n_sectors, ingestor.n_kpis), np.nan)
-        missing = np.ones_like(values, dtype=bool)
-        calendar = ingestor._default_calendar_row(hour)
-        self.telemetry.inc("ticks_gap_filled")
-        return self._ingest(
-            values,
-            missing,
-            calendar,
-            prefix=[self.telemetry.event("gap_fill", hour=hour)],
-        )
+    def _apply(self, verdicts) -> list[dict]:
+        """Apply → (tap) → journal → acknowledge accepted hours.
 
-    def _ingest(
-        self,
-        values: np.ndarray,
-        missing: np.ndarray,
-        calendar_row,
-        prefix: list[dict] | None = None,
-    ) -> list[dict]:
+        The block (the first verdict's gap hours, then one hour per
+        verdict) is ingested in day-aligned chunks.  Per hour the
+        released events are its ``gap_fill`` prefix (gap hours only),
+        its ``sector_dark`` events and, on the day-completing hour, the
+        dark-masked day/alert events; the event tap sees each hour's
+        list before the chunk's WAL append.  A crash mid-apply leaves
+        the chunk out of the journal, so recovery re-processes it and
+        its events are re-emitted rather than silently lost —
+        journaling *before* apply would acknowledge hours whose alerts
+        nobody ever saw.
+        """
         ingestor = self.ingestor
-        hour = ingestor.hours_seen
-        journal_calendar = (
-            ingestor._default_calendar_row(hour)
-            if calendar_row is None
-            else calendar_row
-        )
-        events = self.service.ingest_hour(values, missing, calendar_row)
-        newly_dark = self.dark.observe(missing)
-        dark_events = [
-            self.telemetry.event(
-                "sector_dark", sector=int(sector), hour=hour,
-                missing_run=self.dark.missing_run(int(sector)),
-            )
-            for sector in newly_dark
-        ]
-        released = (prefix or []) + dark_events + self._mask_dark_alerts(events)
-        # Apply → (tap) → journal → acknowledge.  The WAL append sits
-        # between the (potentially slow) ingest/forecast step and the
-        # return of the tick's events: a crash mid-apply leaves the hour
-        # out of the journal, so recovery re-processes it and its events
-        # are re-emitted rather than silently lost — journaling *before*
-        # apply would acknowledge hours whose alerts nobody ever saw.
-        # The event tap fires with the final released list just before
-        # the WAL append, so any journaled hour has its events durably
-        # captured first (see :attr:`event_tap`).
-        if self.event_tap is not None:
-            self.event_tap(hour, released)
         if self.checkpoint is not None:
-            self.checkpoint.record_tick(hour, values, missing, journal_calendar)
-        return released
+            # Snapshot at entry, before the block is applied: the state
+            # covered is identical to snapshotting right after the
+            # previous call, but the slow npz write never sits between a
+            # journaled hour and the release of its events.  Within a
+            # block the cadence check waits for the next call, which
+            # only bounds recovery replay length, never parity.
+            self.checkpoint.maybe_snapshot(ingestor)
+        clock = ingestor.hours_seen
+        values, missing, calendar_rows = accepted_block(
+            verdicts, clock, ingestor._default_calendar_row
+        )
+        gap_hours = verdicts[0].gap_hours
+        n_hours = values.shape[1]
+        events: list[dict] = []
+        start = 0
+        while start < n_hours:
+            to_boundary = HOURS_PER_DAY - (clock + start) % HOURS_PER_DAY
+            stop = min(start + to_boundary, n_hours)
+            day_events = self.service.ingest_block(
+                values[:, start:stop, :],
+                missing[:, start:stop, :],
+                calendar_rows[start:stop],
+            )
+            for j in range(start, stop):
+                hour = clock + j
+                released = []
+                if j < gap_hours:
+                    self.telemetry.inc("ticks_gap_filled")
+                    released.append(self.telemetry.event("gap_fill", hour=hour))
+                released.extend(
+                    self.telemetry.event(
+                        "sector_dark", sector=int(sector), hour=hour,
+                        missing_run=self.dark.missing_run(int(sector)),
+                    )
+                    for sector in self.dark.observe(missing[:, j, :])
+                )
+                if j == stop - 1:
+                    released.extend(
+                        mask_dark_alerts(
+                            day_events, self.dark.dark_mask, self.telemetry
+                        )
+                    )
+                if self.event_tap is not None:
+                    self.event_tap(hour, released)
+                events.extend(released)
+            if self.checkpoint is not None:
+                self.checkpoint.record_block(
+                    clock + start,
+                    values[:, start:stop, :],
+                    missing[:, start:stop, :],
+                    calendar_rows[start:stop],
+                )
+            start = stop
+        return events
 
     def _ring_payload(self, hour: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Ring contents for *hour*, for duplicate reconciliation."""
@@ -361,40 +268,6 @@ class ResilientHotSpotService:
             return None  # evicted: cannot prove idempotency
         slot = hour % ingestor.capacity
         return ingestor.values[:, slot, :], ingestor.missing[:, slot, :]
-
-    # ----------------------------------------------------------- alerting
-    def _mask_dark_alerts(self, events: list[dict]) -> list[dict]:
-        """Strip dark sectors out of alert events (never alert on them)."""
-        dark = self.dark.dark_mask
-        if not dark.any():
-            return events
-        out: list[dict] = []
-        for event in events:
-            if event.get("type") != "alert":
-                out.append(event)
-                continue
-            keep = [i for i, s in enumerate(event["sectors"]) if not dark[s]]
-            removed = len(event["sectors"]) - len(keep)
-            if removed:
-                self.telemetry.inc("alert_sectors_suppressed_dark", removed)
-            if not keep:
-                out.append(
-                    self.telemetry.event(
-                        "alert_suppressed",
-                        t_day=event["t_day"],
-                        horizon=event["horizon"],
-                        reason="all alerted sectors are dark",
-                    )
-                )
-                continue
-            if removed:
-                event = {
-                    **event,
-                    "sectors": [event["sectors"][i] for i in keep],
-                    "scores": [event["scores"][i] for i in keep],
-                }
-            out.append(event)
-        return out
 
     # -------------------------------------------------------------- stats
     def stats(self) -> dict:

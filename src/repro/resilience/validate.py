@@ -18,10 +18,18 @@ step with exactly this).  This module is the contract's gatekeeper:
 * :class:`DarkSectorTracker` counts per-sector runs of fully-missing
   hours and flags sectors whose run exceeds the Sec. II-C threshold
   (half a week by default, mirroring the 50 %-missing-per-week sector
-  filter) so downstream forecasts and alerts can mask them.
+  filter) so downstream forecasts and alerts can mask them;
+* :func:`admit_tick`, :func:`admit_block`, :func:`accepted_block` and
+  :func:`mask_dark_alerts` are the one admission front both serving
+  stacks share — the guarded single engine
+  (:mod:`repro.resilience.guard`) and the fleet coordinator
+  (:mod:`repro.fleet.coordinator`): validate, quarantine or reconcile,
+  probe a block and fall back to per-tick, turn accepted verdicts (gap
+  fills included) into one block of hours, strip dark sectors from
+  alerts.
 
-Validation never mutates ingestor state; the resilient service
-(:mod:`repro.resilience.guard`) acts on the verdict.
+Validation never mutates ingestor state; the callers act on the
+verdict.
 """
 
 from __future__ import annotations
@@ -43,6 +51,10 @@ __all__ = [
     "TickValidator",
     "DeadLetterQueue",
     "DarkSectorTracker",
+    "accepted_block",
+    "admit_block",
+    "admit_tick",
+    "mask_dark_alerts",
 ]
 
 #: Verdict actions.
@@ -433,3 +445,192 @@ class DarkSectorTracker:
             "threshold_hours": self.threshold_hours,
             "longest_run": int(self._run.max()) if self.n_sectors else 0,
         }
+
+
+# --------------------------------------------------------------------------
+# admission: the shared front of the guarded service and the fleet
+# --------------------------------------------------------------------------
+def _plain(verdict: TickVerdict) -> bool:
+    return verdict.action == ACCEPT and verdict.gap_hours == 0
+
+
+def _screen(validator: TickValidator, columns, clock: int, ring_payload) -> list[TickVerdict]:
+    """Verdicts for consecutive ticks, each against the clock it would
+    meet in per-hour order, up to and including the first one that is
+    not a plain accept.
+
+    *columns* holds ``(values, missing, calendar_row, hour)`` tuples.
+    The validator is stateless, so a discarded verdict costs nothing.
+    """
+    verdicts: list[TickVerdict] = []
+    for j, (values, missing, calendar_row, hour) in enumerate(columns):
+        verdict = validator.validate(
+            values, missing, calendar_row,
+            hour=hour, clock=clock + j, ring_payload=ring_payload,
+        )
+        verdicts.append(verdict)
+        if not _plain(verdict):
+            break
+    return verdicts
+
+
+def admit_tick(
+    validator: TickValidator,
+    dead_letters: DeadLetterQueue,
+    telemetry,
+    values,
+    missing=None,
+    calendar_row=None,
+    *,
+    hour: int | None,
+    clock: int,
+    ring_payload,
+) -> tuple[TickVerdict, list[dict]]:
+    """Validate one tick, then quarantine or reconcile it.
+
+    Returns the verdict and the events it releases: a ``quarantine``
+    event (its record pushed to *dead_letters*) or a ``duplicate``
+    event.  An accepted tick releases nothing here — the caller applies
+    it (with its gap hours) and returns the apply step's events.
+    """
+    [verdict] = _screen(
+        validator, [(values, missing, calendar_row, hour)], clock, ring_payload
+    )
+    if verdict.action == QUARANTINE:
+        telemetry.inc("ticks_quarantined")
+        record = dead_letters.push(
+            verdict.reason, hour=verdict.declared_hour, detail=verdict.detail
+        )
+        return verdict, [telemetry.event("quarantine", **record)]
+    if verdict.action == RECONCILE:
+        telemetry.inc("ticks_reconciled")
+        return verdict, [
+            telemetry.event(
+                "duplicate", hour=verdict.declared_hour, detail=verdict.detail
+            )
+        ]
+    return verdict, []
+
+
+def admit_block(
+    validator: TickValidator,
+    values,
+    missing=None,
+    calendar_rows=None,
+    first_hour: int | None = None,
+    *,
+    clock: int,
+    ring_payload,
+    submit_tick: Callable[..., list[dict]],
+    apply: Callable[[list[TickVerdict]], list[dict]],
+) -> list[dict]:
+    """Probe-validate a block of consecutive hours and admit it.
+
+    Every column is validated against the clock it would meet in
+    per-hour order (column *j* declares ``first_hour + j``; ``None``
+    trusts arrival order).  When all of them are plain accepts the
+    verdicts go to *apply* in one call; any quarantine, duplicate, or
+    gap verdict discards the probe and replays every original column
+    through *submit_tick*, whose handling is the per-tick one.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 3:
+        raise ValueError(
+            f"values must be (n_sectors, n_hours, n_kpis), got {values.shape}"
+        )
+    if missing is not None:
+        missing = np.asarray(missing, dtype=bool)
+    if calendar_rows is not None:
+        calendar_rows = np.asarray(calendar_rows, dtype=np.float64)
+    columns = [
+        (
+            values[:, j, :],
+            None if missing is None else missing[:, j, :],
+            None if calendar_rows is None else calendar_rows[j],
+            None if first_hour is None else first_hour + j,
+        )
+        for j in range(values.shape[1])
+    ]
+    if not columns:
+        return []
+    verdicts = _screen(validator, columns, clock, ring_payload)
+    if len(verdicts) == len(columns) and _plain(verdicts[-1]):
+        return apply(verdicts)
+    events: list[dict] = []
+    for tick_values, tick_missing, calendar_row, hour in columns:
+        events.extend(submit_tick(tick_values, tick_missing, calendar_row, hour=hour))
+    return events
+
+
+def accepted_block(
+    verdicts: list[TickVerdict],
+    clock: int,
+    default_row: Callable[[int], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(values, missing, calendar_rows)`` for accepted *verdicts*.
+
+    The block starts at *clock*.  The first verdict's gap hours lead it
+    as all-missing hours (only a single tick's verdict can carry a gap;
+    a probed block of plain accepts has none), so a tick is applied as
+    a block of one hour plus its gap fills.  Calendar rows the verdicts
+    do not carry come from ``default_row(hour)``, exactly what the
+    ingestor would derive itself, so the journal records concrete rows.
+    """
+    gap = verdicts[0].gap_hours
+    if len(verdicts) == 1:
+        values = verdicts[0].values[:, None, :]
+        missing = verdicts[0].missing[:, None, :]
+    else:
+        values = np.stack([v.values for v in verdicts], axis=1)
+        missing = np.stack([v.missing for v in verdicts], axis=1)
+    if gap:
+        n_sectors, _, n_kpis = values.shape
+        values = np.concatenate(
+            [np.full((n_sectors, gap, n_kpis), np.nan), values], axis=1
+        )
+        missing = np.concatenate(
+            [np.ones((n_sectors, gap, n_kpis), dtype=bool), missing], axis=1
+        )
+    rows = [default_row(clock + j) for j in range(gap)]
+    rows += [
+        default_row(clock + gap + j) if v.calendar_row is None else v.calendar_row
+        for j, v in enumerate(verdicts)
+    ]
+    return values, missing, np.array(rows, dtype=np.float64)
+
+
+def mask_dark_alerts(events: list[dict], dark_mask: np.ndarray, telemetry) -> list[dict]:
+    """Strip dark sectors out of alert events (never alert on them).
+
+    An alert left with no sectors is replaced by an ``alert_suppressed``
+    event; other events pass through unchanged.
+    """
+    if not dark_mask.any():
+        return events
+    out: list[dict] = []
+    for event in events:
+        if event.get("type") != "alert":
+            out.append(event)
+            continue
+        keep = [i for i, s in enumerate(event["sectors"]) if not dark_mask[s]]
+        removed = len(event["sectors"]) - len(keep)
+        if removed:
+            telemetry.inc("alert_sectors_suppressed_dark", removed)
+        if not keep:
+            out.append(
+                telemetry.event(
+                    "alert_suppressed",
+                    t_day=event["t_day"],
+                    horizon=event["horizon"],
+                    reason="all alerted sectors are dark",
+                )
+            )
+            continue
+        if removed:
+            event = {
+                **event,
+                "sectors": [event["sectors"][i] for i in keep],
+                "scores": [event["scores"][i] for i in keep],
+            }
+        out.append(event)
+    return out

@@ -38,6 +38,11 @@ from tests.test_resilience_checkpoint import flip_member_byte
 START_DAY = 6
 END_HOUR = 380
 KILL_HOUR = 215  # mid-stream, after a snapshot boundary (snapshot_every=48)
+# A lost stretch ending on a gap-filled tick: the gap hours 140-146
+# include hour 143, which completes day 5, and darken every sector
+# (threshold 6 h) at 145, so later gap hours carry responses too.
+GAP_TICK = 147
+DROPPED = tuple(range(140, GAP_TICK))
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +72,11 @@ def _config(env, **overrides):
     )
 
 
-def _drive(fleet, start, end, lines, env):
+def _drive(fleet, start, end, lines, env, dropped=()):
     kpis = env.dataset.kpis
     for hour in range(start, end):
+        if hour in dropped:
+            continue
         events = fleet.submit_tick(
             kpis.values[:, hour, :],
             kpis.missing[:, hour, :],
@@ -91,18 +98,36 @@ def baseline(env):
     return lines
 
 
+@pytest.fixture(scope="module")
+def gap_baseline(env):
+    """Uninterrupted 2-shard run of the stream with :data:`DROPPED` lost."""
+    lines: list[str] = []
+    fleet = build_fleet(env.root / "gap-baseline", _config(env), 2)
+    try:
+        _drive(fleet, 0, END_HOUR, lines, env, dropped=DROPPED)
+    finally:
+        fleet.close()
+    return lines
+
+
 @pytest.mark.parametrize(
-    ("point", "hour"),
+    ("point", "hour", "dropped"),
     [
-        ("mid_apply", KILL_HOUR),
-        ("mid_journal", KILL_HOUR),
-        ("post_journal", KILL_HOUR),
-        ("mid_apply", 100),
-        ("mid_merge", KILL_HOUR),
-        ("mid_merge", KILL_HOUR + 1),
+        pytest.param("mid_apply", KILL_HOUR, (), id="mid_apply-215"),
+        pytest.param("mid_journal", KILL_HOUR, (), id="mid_journal-215"),
+        pytest.param("post_journal", KILL_HOUR, (), id="post_journal-215"),
+        pytest.param("mid_apply", 100, (), id="mid_apply-100"),
+        pytest.param("mid_merge", KILL_HOUR, (), id="mid_merge-215"),
+        pytest.param("mid_merge", KILL_HOUR + 1, (), id="mid_merge-216"),
+        # The coordinator dies after the shards journaled a gap-filled
+        # tick: every gap hour's response must survive to the re-drive.
+        pytest.param("mid_merge", GAP_TICK, DROPPED, id="mid_merge-147-after-gap"),
     ],
 )
-def test_kill_and_resume_is_bitwise(env, baseline, tmp_path, point, hour):
+def test_kill_and_resume_is_bitwise(
+    env, baseline, tmp_path, request, point, hour, dropped
+):
+    expected = request.getfixturevalue("gap_baseline") if dropped else baseline
     fleet = build_fleet(tmp_path, _config(env), 2)
     lines: list[str] = []
     if point == "mid_merge":
@@ -110,15 +135,15 @@ def test_kill_and_resume_is_bitwise(env, baseline, tmp_path, point, hour):
     else:
         fleet.backend.workers[1].kill_at = (point, hour)
     with pytest.raises(SimulatedKill):
-        _drive(fleet, 0, END_HOUR, lines, env)
+        _drive(fleet, 0, END_HOUR, lines, env, dropped)
     # Simulated crash: no close() — WAL handles die with the process.
     resumed = recover_fleet(tmp_path, _config(env))
     assert resumed.clock <= hour + 1
     try:
-        _drive(resumed, resumed.clock, END_HOUR, lines, env)
+        _drive(resumed, resumed.clock, END_HOUR, lines, env, dropped)
     finally:
         resumed.close()
-    assert lines == baseline
+    assert lines == expected
 
 
 @pytest.mark.parametrize("target", [3, 1])
