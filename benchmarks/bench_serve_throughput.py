@@ -44,10 +44,11 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from _reporting import format_table, peak_rss_mb, report
+from tests.oracles import percentile_features_reference, predict_proba_legacy
 
-import repro.core.feature_sets as feature_sets
 import repro.ml.forest as forest_mod
 from repro import (
     GeneratorConfig,
@@ -121,14 +122,14 @@ def legacy_path(registry: ModelRegistry, params):
     saved_predict = forest_mod.RandomForestClassifier.predict_proba
     saved_design = PredictionEngine._design
     forest_mod.RandomForestClassifier.predict_proba = (
-        lambda self, X, n_jobs=None: self.predict_proba_legacy(X)
+        lambda self, X, n_jobs=None: predict_proba_legacy(self, X)
     )
     PredictionEngine._design = lambda self, model, t_day, window: None
     saved_views = []
     for horizon in params["horizons"]:
         model = registry.get(ModelKey("hot", MODEL, horizon, params["window"]))
         saved_views.append((model, model._view))
-        model._view = feature_sets.percentile_features_reference
+        model._view = percentile_features_reference
     try:
         yield
     finally:
@@ -267,7 +268,7 @@ def _kernel_micro(registry, dataset, params, end_hour):
     packed_ms = 1e3 * (time.perf_counter() - start) / packed_rounds
     start = time.perf_counter()
     for _ in range(legacy_rounds):
-        legacy_out = forest.predict_proba_legacy(design)
+        legacy_out = predict_proba_legacy(forest, design)
     legacy_ms = 1e3 * (time.perf_counter() - start) / legacy_rounds
     parity = bool(
         np.array_equal(packed_out.view(np.uint64), legacy_out.view(np.uint64))

@@ -64,7 +64,6 @@ from repro.data.tensor import HOURS_PER_DAY
 from repro.fleet import FleetConfig, SupervisorConfig, build_fleet, recover_fleet
 from repro.gateway import (
     EventJournal,
-    FleetBackend,
     GatewayConfig,
     HotSpotGateway,
     ResilientBackend,
@@ -337,9 +336,9 @@ def _lifecycle_configs(args: argparse.Namespace, horizons: tuple) -> tuple | Non
 def _build_stack(args, dataset, horizons, lifecycle, supervise):
     """Train and register the served model, then assemble the stack.
 
-    Returns the stack behind its gateway adapter: a
-    :class:`FleetBackend` for ``fleet`` and ``gateway --shards``, else a
-    :class:`ResilientBackend` over one guarded engine.
+    Returns the stack behind its gateway adapter, a
+    :class:`ResilientBackend` over a fleet for ``fleet`` and ``gateway
+    --shards``, else over one guarded engine.
     """
     # Train once at --train-day and persist; every engine then serves
     # later days from that frozen model, loading it lazily from disk.
@@ -367,7 +366,7 @@ def _build_stack(args, dataset, horizons, lifecycle, supervise):
         sys.stderr,
     )
     if args.command == "fleet" or getattr(args, "shards", None) is not None:
-        return FleetBackend(_build_fleet(args, dataset, horizons, supervise))
+        return ResilientBackend(_build_fleet(args, dataset, horizons, supervise))
     return _build_guarded(args, dataset, registry, horizons, lifecycle)
 
 
@@ -518,8 +517,7 @@ def _replay_events(
 
 def _drive(args: argparse.Namespace, backend, dataset) -> int:
     """Feed the stack JSONL operations from stdin, or replay the dataset."""
-    fleet = isinstance(backend, FleetBackend)
-    front = backend.coordinator if fleet else backend.guarded
+    front = backend.front
     if args.from_stdin:
         # Stdin ticks take the same guarded path as replay ticks:
         # validation/quarantine always, journal + snapshots when a
@@ -538,8 +536,9 @@ def _drive(args: argparse.Namespace, backend, dataset) -> int:
         )
         stats = front.stats()
         counters = stats["counters"]
-        where = f" over {stats['fleet']['n_shards']} shards" if fleet else ""
-        supervisor = stats.get("fleet", {}).get("supervisor")
+        fleet = stats.get("fleet", {})
+        where = f" over {fleet['n_shards']} shards" if fleet else ""
+        supervisor = fleet.get("supervisor")
         supervised = (
             ""
             if supervisor is None
@@ -557,7 +556,7 @@ def _drive(args: argparse.Namespace, backend, dataset) -> int:
             args.quiet,
             sys.stderr,
         )
-    controller = getattr(backend, "controller", None)
+    controller = backend.controller
     if controller is not None:
         lifecycle = controller.stats()
         counter = front.telemetry.counter
@@ -571,7 +570,7 @@ def _drive(args: argparse.Namespace, backend, dataset) -> int:
             args.quiet,
             sys.stderr,
         )
-    degraded = getattr(front.backend, "degraded_shards", []) if fleet else []
+    degraded = getattr(backend.shards, "degraded_shards", None)
     if degraded:
         _info(
             f"fleet ended degraded: shard(s) {degraded} never rejoined",
@@ -586,15 +585,14 @@ def _shutdown_fields(backend) -> dict:
     """Where a signal-drained stack stopped, for the shutdown line."""
     if backend is None:
         return {"clock": 0}
-    if isinstance(backend, FleetBackend):
-        # The merged watermark is already durable for every acknowledged
-        # hour, so a signal drain loses nothing: a --resume picks up at
-        # the recovered clock.
-        return {"clock": backend.clock, "shards": backend.coordinator.plan.n_shards}
+    # A signal drain loses no acknowledged hour: the WAL (and a fleet's
+    # watermark) already covers it, so --resume picks up at the clock.
     fields = {
         "clock": backend.clock,
-        "quarantined": backend.guarded.telemetry.counter("ticks_quarantined"),
+        "quarantined": backend.front.telemetry.counter("ticks_quarantined"),
     }
+    if backend.shards is not None:
+        fields["shards"] = backend.front.plan.n_shards
     if backend.controller is not None:
         lifecycle = backend.controller.stats()
         fields["phase"] = lifecycle["phase"]

@@ -23,7 +23,6 @@ from repro.data.tensor import HOURS_PER_DAY
 __all__ = [
     "raw_features",
     "percentile_features",
-    "percentile_features_reference",
     "hand_crafted_features",
 ]
 
@@ -98,21 +97,6 @@ def percentile_features(window: np.ndarray) -> np.ndarray:
     # percentile over the hour axis -> (5, n, days, channels)
     pct = _daily_percentiles(daily)
     # order columns day-major, then channel, then percentile
-    return pct.transpose(1, 2, 3, 0).reshape(n, days * channels * len(_PERCENTILES))
-
-
-def percentile_features_reference(window: np.ndarray) -> np.ndarray:
-    """RF-F1 percentiles via ``np.percentile`` — the pre-vectorized path.
-
-    Kept as the parity oracle for :func:`percentile_features` (the
-    sorted-day kernel must match it bitwise) and as the legacy mode the
-    serving throughput benchmark pins when replaying the old hot path.
-    """
-    window = _validate_window(window)
-    n, hours, channels = window.shape
-    days = hours // HOURS_PER_DAY
-    daily = window.reshape(n, days, HOURS_PER_DAY, channels)
-    pct = np.percentile(daily, _PERCENTILES, axis=2)
     return pct.transpose(1, 2, 3, 0).reshape(n, days * channels * len(_PERCENTILES))
 
 

@@ -10,9 +10,9 @@ guarantees:
 * :mod:`repro.fleet.worker` — one shard's engine + WAL + dark tracker
   (+ optional lifecycle controller), crash-consistent per tick;
 * :mod:`repro.fleet.coordinator` — global validation, tick routing,
-  and the deterministic merge that makes the fleet's event stream
-  bitwise identical to a single engine's, with the shards in-process
-  (the serial backend) or forked by the supervisor;
+  and the deterministic merge (which the guarded single engine shares
+  as a one-shard fleet), with the shards in-process (the serial
+  backend) or forked by the supervisor;
 * :mod:`repro.fleet.recovery` — fleet-wide crash recovery and
   reshard (shard-count changes between runs), resuming to a
   bitwise-identical continuation of the merged stream;

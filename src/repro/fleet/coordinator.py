@@ -7,23 +7,12 @@ masking — and drives every shard worker with the rows it owns, then
 merges the shards' response fragments back into one deterministic event
 stream.
 
-The merged stream is, by construction, bitwise identical (as JSON
-lines) to what a single-engine
-:class:`~repro.resilience.guard.ResilientHotSpotService` over the whole
-network emits, for any shard count and either backend.  The merge rules
-that guarantee it (DESIGN.md 3f):
-
-* ``sector_dark`` events sort by global sector id (each shard reports
-  its newly-dark sectors in ascending local order, which is ascending
-  global order within the shard; the merge interleaves shards);
-* the ``day`` event's ``hot_sectors`` is the ascending union of the
-  shards' local hot sets;
-* alerts are assembled from *full local score vectors*: the coordinator
-  scatters each shard's fragment into a global score array and applies
-  the exact single-engine policy — stable argsort, top-k, optional
-  threshold, then global dark masking — because per-shard top-k would
-  not commute with the global ranking;
-* lifecycle events append in ascending shard-id order.
+The merged stream is bitwise identical (as JSON lines) to what a
+single-engine :class:`~repro.resilience.guard.ResilientHotSpotService`
+over the whole network emits, for any shard count and either backend:
+that service is the one-shard case of the same pipeline, and both
+fronts release their events through one merge, :func:`release_hours`
+(its rules are in DESIGN.md 3f).
 
 Watermark protocol: a tick is acknowledged (its events returned / its
 ``watermark.json`` advanced) only after every shard has applied *and
@@ -67,7 +56,7 @@ from repro.resilience.validate import (
     mask_dark_alerts,
 )
 from repro.serve.ingest import default_calendar_row
-from repro.serve.service import run_jsonl
+from repro.serve.service import build_alert, run_jsonl
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = [
@@ -76,6 +65,7 @@ __all__ = [
     "SerialBackend",
     "build_fleet",
     "recovered_clock",
+    "release_hours",
 ]
 
 #: Fleet-level acknowledge file: the number of hours whose events have
@@ -101,21 +91,6 @@ class SerialBackend:
 
     def __init__(self, workers: list[ShardWorker]) -> None:
         self.workers = workers
-
-    @classmethod
-    def build(
-        cls,
-        directory: Path,
-        plan: PartitionPlan,
-        config: FleetConfig,
-        resume: bool,
-    ) -> "SerialBackend":
-        return cls(
-            [
-                build_worker(directory, plan, shard, config, resume=resume)
-                for shard in range(plan.n_shards)
-            ]
-        )
 
     def submit_block(
         self, first_hour, values, missing, calendar_rows, released_before=None
@@ -209,12 +184,9 @@ class FleetCoordinator:
     ) -> list[dict]:
         """Validate, route, merge, acknowledge one tick.
 
-        The admission step of
-        :meth:`ResilientHotSpotService.submit_tick`, with the per-row
-        work delegated to the shards: quarantine and duplicate verdicts
-        are handled entirely here; an accepted tick and its gap fills
-        are driven through the shards as one block (see
-        :meth:`submit_block`).
+        The admission of :meth:`ResilientHotSpotService.submit_tick`:
+        quarantine and duplicate verdicts are handled here; an accepted
+        tick and its gap fills go through the shards as one block.
         """
         verdict, events = admit_tick(
             self.validator,
@@ -241,10 +213,8 @@ class FleetCoordinator:
         """Validate, broadcast, and merge a micro-batch of hours.
 
         Fleet twin of :meth:`ResilientHotSpotService.submit_block`: a
-        block of plain accepts goes to the shards through :meth:`_drive`
-        (each shard applies and journals it in day chunks); any
-        quarantine, duplicate, or gap replays the block through
-        :meth:`submit_tick`.
+        block of plain accepts goes to the shards in one :meth:`_drive`;
+        anything else replays the block through :meth:`submit_tick`.
         """
         return admit_block(
             self.validator,
@@ -263,12 +233,12 @@ class FleetCoordinator:
 
         The block (the first verdict's gap hours, then one hour per
         verdict) goes out in ``block_capacity`` slices; each hour's
-        merged events, led by a ``gap_fill`` event on gap hours, pass
-        the event tap, and the watermark advances once, after the whole
-        block.  Every slice carries the acknowledged boundary — the
-        clock at entry — so the shards keep every non-trivial response
-        since it: a crash anywhere in the block re-drives from that
-        boundary and the shards re-emit what they already journaled.
+        merged events (:func:`release_hours`) pass the event tap, and
+        the watermark advances once, after the whole block.  Every slice
+        carries the acknowledged boundary — the clock at entry — so the
+        shards keep every non-trivial response since it: a crash
+        anywhere in the block re-drives from that boundary and the
+        shards re-emit what they already journaled.
         """
         released = self.clock
         values, missing, calendar_rows = accepted_block(
@@ -299,102 +269,16 @@ class FleetCoordinator:
                     f"[{hour0}, {hour0 + stop - start})"
                 )
             self.clock = hour0 + (stop - start)
-            for j in range(stop - start):
-                hour = hour0 + j
-                hour_events = []
-                if start + j < gap_hours:
-                    self.telemetry.inc("ticks_gap_filled")
-                    hour_events.append(self.telemetry.event("gap_fill", hour=hour))
-                hour_events.extend(self._merge(hour, [shard[j] for shard in responses]))
-                if self.event_tap is not None:
-                    self.event_tap(hour, hour_events)
-                events.extend(hour_events)
+            events.extend(
+                release_hours(
+                    hour0, responses, self.plan, self.config, self.config.model,
+                    self.telemetry, gap_end=released + gap_hours, tap=self.event_tap,
+                )
+            )
         write_json_atomic(
             self.directory / WATERMARK_NAME, {"emitted_hours": self.clock}
         )
         return events
-
-    def _merge(self, hour: int, responses: list[dict]) -> list[dict]:
-        events: list[dict] = []
-        # Supervision transitions (shard_degraded / shard_recovered /
-        # poison_block) ride on the response that triggered them and are
-        # released first; healthy runs carry none, so stream parity with
-        # the single engine is untouched.
-        for response in responses:
-            events.extend(response.get("supervisor", ()))
-        newly_dark = sorted(
-            (int(sector), int(run))
-            for response in responses
-            for sector, run in response["dark_new"]
-        )
-        for sector, run in newly_dark:
-            events.append(
-                self.telemetry.event(
-                    "sector_dark", sector=sector, hour=hour, missing_run=run
-                )
-            )
-        if not responses[0]["day_completed"]:
-            return events
-        t_day = int(responses[0]["t_day"])
-        hot = sorted(
-            int(sector) for response in responses for sector in response["hot"]
-        )
-        events.append({"type": "day", "t_day": t_day, "hot_sectors": hot})
-        if t_day >= self.config.start_day:
-            alerts = []
-            for horizon in self.config.horizons:
-                scores = self._assemble_scores(responses, horizon)
-                if scores is None:
-                    continue
-                alert = self._build_alert(t_day, int(horizon), scores)
-                if alert is None:
-                    continue
-                self.telemetry.inc("alerts_emitted")
-                alerts.append(alert)
-            events.extend(
-                mask_dark_alerts(
-                    alerts, self._assemble_mask(responses), self.telemetry
-                )
-            )
-        for response in responses:
-            events.extend(response["lifecycle"])
-        return events
-
-    def _assemble_scores(self, responses, horizon) -> np.ndarray | None:
-        key = str(int(horizon))
-        scores = np.empty(self.config.n_sectors, dtype=np.float64)
-        for shard, response in enumerate(responses):
-            fragment = response["scores"].get(key)
-            if fragment is None:
-                return None
-            scores[self.plan.sectors_of(shard)] = np.asarray(
-                fragment, dtype=np.float64
-            )
-        return scores
-
-    def _assemble_mask(self, responses) -> np.ndarray:
-        mask = np.zeros(self.config.n_sectors, dtype=bool)
-        for shard, response in enumerate(responses):
-            local = response["dark_mask"]
-            if local:
-                mask[self.plan.sectors_of(shard)] = np.asarray(local, dtype=bool)
-        return mask
-
-    def _build_alert(self, t_day, horizon, scores) -> dict | None:
-        order = np.argsort(-scores, kind="stable")[: self.config.top_k]
-        if self.config.alert_threshold is not None:
-            order = order[scores[order] >= self.config.alert_threshold]
-        if order.size == 0:
-            return None
-        return {
-            "type": "alert",
-            "t_day": t_day,
-            "horizon": horizon,
-            "forecast_day": t_day + horizon,
-            "model": self.config.model,
-            "sectors": [int(i) for i in order],
-            "scores": [float(scores[i]) for i in order],
-        }
 
     def _ring_payload(self, hour: int):
         payloads = self.backend.ring(hour)
@@ -465,6 +349,90 @@ class FleetCoordinator:
 
 
 # --------------------------------------------------------------------------
+# release: the merge both serving fronts share
+# --------------------------------------------------------------------------
+def release_hours(
+    first_hour: int,
+    shard_responses: list[list[dict]],
+    plan: PartitionPlan,
+    policy,
+    model: str,
+    telemetry: ServeTelemetry,
+    gap_end: int = 0,
+    tap=None,
+) -> list[dict]:
+    """Merge shard responses into the events of consecutive applied hours.
+
+    The release step of both serving fronts (the guarded service is its
+    one-shard case).  *shard_responses* holds one list per shard of
+    *plan*, one response per hour from *first_hour*; *policy* (a
+    :class:`FleetConfig` or :class:`~repro.serve.service.ServeConfig`)
+    gives the horizons, first alerted day and top-k rule, *model* the
+    alerts' model name.  Per hour: a ``gap_fill`` event before
+    *gap_end*, supervision events, ``sector_dark`` events by global id,
+    then on a day-completing hour the ``day`` event (ascending union of
+    hot sectors), the alerts built from the scattered global scores and
+    dark-masked, and lifecycle events by shard id (DESIGN.md 3f).  *tap*
+    sees each hour's final list.
+    """
+    events: list[dict] = []
+    for j, responses in enumerate(zip(*shard_responses)):
+        hour = first_hour + j
+        hour_events: list[dict] = []
+        if hour < gap_end:
+            telemetry.inc("ticks_gap_filled")
+            hour_events.append(telemetry.event("gap_fill", hour=hour))
+        # Supervision transitions ride on the response that triggered
+        # them; healthy runs carry none.
+        for response in responses:
+            hour_events.extend(response.get("supervisor", ()))
+        newly_dark = sorted(
+            (int(sector), int(run))
+            for response in responses
+            for sector, run in response["dark_new"]
+        )
+        hour_events.extend(
+            telemetry.event("sector_dark", sector=sector, hour=hour, missing_run=run)
+            for sector, run in newly_dark
+        )
+        if responses[0]["day_completed"]:
+            hour_events.extend(_day_events(responses, plan, policy, model, telemetry))
+        if tap is not None:
+            tap(hour, hour_events)
+        events.extend(hour_events)
+    return events
+
+
+def _day_events(responses, plan, policy, model, telemetry) -> list[dict]:
+    """The merged ``day`` event, masked alerts and lifecycle events."""
+    sectors = [plan.sectors_of(shard) for shard in range(plan.n_shards)]
+    t_day = int(responses[0]["t_day"])
+    hot = sorted(int(sector) for response in responses for sector in response["hot"])
+    events = [{"type": "day", "t_day": t_day, "hot_sectors": hot}]
+    if t_day >= policy.start_day:
+        alerts = []
+        for horizon in policy.horizons:
+            key = str(int(horizon))
+            if any(key not in response["scores"] for response in responses):
+                continue
+            scores = np.empty(plan.n_sectors, dtype=np.float64)
+            for ids, response in zip(sectors, responses):
+                scores[ids] = response["scores"][key]
+            alert = build_alert(t_day, int(horizon), scores, model, policy)
+            if alert is not None:
+                telemetry.inc("alerts_emitted")
+                alerts.append(alert)
+        mask = np.zeros(plan.n_sectors, dtype=bool)
+        for ids, response in zip(sectors, responses):
+            if len(response["dark_mask"]):
+                mask[ids] = response["dark_mask"]
+        events.extend(mask_dark_alerts(alerts, mask, telemetry))
+    for response in responses:
+        events.extend(response["lifecycle"])
+    return events
+
+
+# --------------------------------------------------------------------------
 # factory
 # --------------------------------------------------------------------------
 def build_fleet(
@@ -509,7 +477,10 @@ def build_fleet(
         except PoolUnavailable:
             backend = None
     if backend is None:
-        backend = SerialBackend.build(directory, plan, config, resume)
+        backend = SerialBackend([
+            build_worker(directory, plan, shard, config, resume=resume)
+            for shard in range(plan.n_shards)
+        ])
     if clock is None:
         clock = recovered_clock(directory, backend.shard_hours()) if resume else 0
     coordinator = FleetCoordinator(

@@ -10,15 +10,15 @@ snapshots) and :class:`~repro.resilience.validate.DarkSectorTracker`,
 and optionally a per-shard
 :class:`~repro.lifecycle.controller.LifecycleController`.
 
-Deliberate deviation from a naive "worker wraps
-``ResilientHotSpotService``" layering: tick *validation* and dark-alert
-*masking* are global decisions (a tick is quarantined for the whole
-network or not at all, and top-k alert selection must see every
-sector's score before dark sectors are stripped), so they live in the
-coordinator.  The worker's job is the per-row part: apply the tick,
-answer with *fragments* — local hot sectors, the full local score
-vector per horizon, newly-dark sectors — that the coordinator merges
-into the same event stream the single engine would emit.
+Tick *validation* and dark-alert *masking* are global decisions (a
+tick is quarantined for the whole network or not at all, and top-k
+alert selection must see every sector's score before dark sectors are
+stripped), so they live in front of the workers.  The worker's job is
+the per-row part: apply the tick, answer with *fragments* — local hot
+sectors, the full local score vector per horizon, newly-dark sectors —
+that :func:`~repro.fleet.coordinator.release_hours` merges into one
+event stream.  The guarded service is the one-shard case: one
+in-process worker that owns every sector.
 
 Crash consistency per day chunk of a block — a tick is a one-hour
 block — (apply → journal → acknowledge):
@@ -30,9 +30,10 @@ block — (apply → journal → acknowledge):
 3. persist the response into ``last_events.json`` (atomic, only when
    the response is non-trivial — the empty ⇔ not-persisted invariant;
    the file holds every non-trivial response since the coordinator's
-   acknowledged boundary, so mid-block crashes re-emit faithfully);
+   acknowledged boundary, so mid-block crashes re-emit faithfully),
+   or, for the guard's worker, release the chunk's events;
 4. journal the chunk into the WAL (one flushed append, the commit
-   point).
+   point; a worker without a checkpoint skips it and step 1).
 
 A worker killed anywhere in that sequence recovers to a state from
 which re-driving the same hours yields the identical responses: before
@@ -62,6 +63,7 @@ from repro.resilience.degrade import ResilientPredictionEngine
 from repro.resilience.validate import DarkSectorTracker
 from repro.serve.ingest import StreamIngestor
 from repro.serve.registry import ModelKey, ModelRegistry
+from repro.serve.service import ServeConfig
 
 __all__ = [
     "EVENTS_NAME",
@@ -162,16 +164,20 @@ class FleetConfig:
 
 
 class ShardWorker:
-    """One shard's engine, checkpoint, and dark tracker."""
+    """One shard's engine, checkpoint, and dark tracker.
+
+    Of *config* only ``horizons`` and ``start_day`` are read, so the
+    guarded service passes its ``ServeConfig``.
+    """
 
     def __init__(
         self,
         shard_id: int,
         sector_ids: np.ndarray,
-        config: FleetConfig,
+        config: FleetConfig | ServeConfig,
         ingestor: StreamIngestor,
         engine: ResilientPredictionEngine,
-        checkpoint: CheckpointManager,
+        checkpoint: CheckpointManager | None,
         dark: DarkSectorTracker,
         controller: LifecycleController | None = None,
         events_path: Path | None = None,
@@ -183,8 +189,13 @@ class ShardWorker:
         self.ingestor = ingestor
         self.engine = engine
         self.checkpoint = checkpoint
+        # The dark runs are not checkpointed: rebuild them from the ring.
+        dark.backfill_from_ring(ingestor)
         self.dark = dark
         self.controller = controller
+        #: ``hook(tick) -> events`` run on each completed day after its
+        #: forecasts (the guarded service shares its own hook list).
+        self.day_hooks = [] if controller is None else [controller.on_day]
         self._events_path = events_path
         self._responses: dict[int, dict] = dict(responses or {})
         #: ``(point, hour)`` → raise :class:`SimulatedKill` at that seam.
@@ -215,13 +226,15 @@ class ShardWorker:
         missing: np.ndarray,
         calendar_rows: np.ndarray,
         released_before: int | None = None,
+        release=None,
     ) -> list[dict]:
         """Apply a micro-batch of validated consecutive hours.
 
         *calendar_rows* are concrete (the coordinator fills defaults, so
         every shard journals identical rows).  Returns one response dict
         per block column — the shard's only apply path; a single tick is
-        a one-hour block.  Hours below the
+        a one-hour block.  Score fragments and the dark mask are arrays
+        (lists once reloaded from the response store).  Hours below the
         shard clock re-emit (the post-journal crash window covers whole
         journaled chunks after a mid-block crash); the remainder is
         applied in day-aligned chunks via the columnar engine ingest,
@@ -238,6 +251,10 @@ class ShardWorker:
         hour since then must re-emit faithfully — not collapse to the
         trivial response.  When ``None`` (direct single-call use) the
         block's own first hour is the boundary.
+
+        *release*, when given, replaces the response store: each
+        applied chunk goes to ``release(first_hour, responses)`` before
+        its WAL append (the guarded service merges and taps there).
 
         Kill seams fire when the armed hour falls anywhere inside the
         chunk being processed — ``mid_apply`` before the chunk is
@@ -263,7 +280,8 @@ class ShardWorker:
             hour0 = first_hour + start
             to_boundary = HOURS_PER_DAY - hour0 % HOURS_PER_DAY
             stop = min(start + to_boundary, n_hours)
-            self.checkpoint.maybe_snapshot(self.ingestor)
+            if self.checkpoint is not None:
+                self.checkpoint.maybe_snapshot(self.ingestor)
             self._maybe_kill_range("mid_apply", hour0, first_hour + stop)
             ticks = self.engine.ingest_block(
                 values[:, start:stop, :],
@@ -272,47 +290,42 @@ class ShardWorker:
             )
             chunk: list[dict] = []
             for j, tick in enumerate(ticks):
-                hour = hour0 + j
-                response = self._trivial_response(hour)
-                response["day_completed"] = bool(tick.day_completed)
-                response["t_day"] = int(tick.t_day)
+                response = self._trivial_response(hour0 + j)
                 if tick.day_completed:
                     labels = self.ingestor.labels_daily
                     hot_local = np.flatnonzero(labels[:, tick.t_day] == 1)
-                    response["hot"] = [int(self.sector_ids[i]) for i in hot_local]
+                    response["hot"] = self.sector_ids[hot_local].tolist()
                     if tick.t_day >= self.config.start_day:
                         for horizon in self.config.horizons:
-                            scores = self.engine.predict(int(horizon))
-                            response["scores"][str(int(horizon))] = [
-                                float(s) for s in scores
-                            ]
-                    if self.controller is not None:
-                        response["lifecycle"] = self.controller.on_day(tick)
-                newly_dark = self.dark.observe(missing[:, start + j, :])
-                for local in newly_dark:
-                    response["dark_new"].append(
-                        [
-                            int(self.sector_ids[int(local)]),
-                            int(self.dark.missing_run(int(local))),
-                        ]
-                    )
+                            response["scores"][str(int(horizon))] = self.engine.predict(
+                                int(horizon)
+                            )
+                    response["lifecycle"] = [e for hook in self.day_hooks for e in hook(tick)]
+                response["dark_new"] = [
+                    [int(self.sector_ids[local]), self.dark.missing_run(int(local))]
+                    for local in self.dark.observe(missing[:, start + j, :])
+                ]
                 if tick.day_completed:
-                    response["dark_mask"] = [bool(x) for x in self.dark.dark_mask]
+                    response["dark_mask"] = self.dark.dark_mask
                 chunk.append(response)
-            fresh = {
-                hour0 + j: response
-                for j, response in enumerate(chunk)
-                if self._nontrivial(response)
-            }
-            if fresh:
-                self._persist_responses(fresh, keep_from=keep_from)
+            if release is not None:
+                release(hour0, chunk)
+            else:
+                fresh = {
+                    hour0 + j: response
+                    for j, response in enumerate(chunk)
+                    if self._nontrivial(response)
+                }
+                if fresh:
+                    self._persist_responses(fresh, keep_from=keep_from)
             self._maybe_kill_range("mid_journal", hour0, first_hour + stop)
-            self.checkpoint.record_block(
-                hour0,
-                values[:, start:stop, :],
-                missing[:, start:stop, :],
-                calendar_rows[start:stop],
-            )
+            if self.checkpoint is not None:
+                self.checkpoint.record_block(
+                    hour0,
+                    values[:, start:stop, :],
+                    missing[:, start:stop, :],
+                    calendar_rows[start:stop],
+                )
             self._maybe_kill_range("post_journal", hour0, first_hour + stop)
             responses.extend(chunk)
             start = stop
@@ -348,7 +361,7 @@ class ShardWorker:
         if self._events_path is not None:
             write_json_atomic(
                 self._events_path,
-                {"hours": {str(h): store[h] for h in sorted(store)}},
+                {"hours": {str(h): _jsonable(store[h]) for h in sorted(store)}},
             )
 
     @staticmethod
@@ -420,7 +433,8 @@ class ShardWorker:
         return snapshot
 
     def close(self) -> None:
-        self.checkpoint.close()
+        if self.checkpoint is not None:
+            self.checkpoint.close()
 
 
 def build_worker(
@@ -433,9 +447,9 @@ def build_worker(
     """Construct (or recover) the worker for *shard_id*.
 
     With ``resume`` the shard's checkpoint directory is replayed
-    (snapshot + WAL), the dark tracker is rebuilt from the recovered
-    ring (:meth:`DarkSectorTracker.backfill_from_ring`), and the last
-    persisted response is reloaded for the re-emit path.
+    (snapshot + WAL), so the worker rebuilds its dark tracker from the
+    recovered ring (:meth:`DarkSectorTracker.backfill_from_ring`), and
+    the last persisted response is reloaded for the re-emit path.
     """
     shard_dir = Path(directory) / plan.shard_dir(shard_id)
     sector_ids = plan.sectors_of(shard_id)
@@ -467,8 +481,6 @@ def build_worker(
     dark = DarkSectorTracker(
         n_local, threshold_hours=config.dark_threshold_hours
     )
-    if resume:
-        dark.backfill_from_ring(ingestor)
     controller = None
     if config.lifecycle is not None:
         spec = config.lifecycle
@@ -501,6 +513,15 @@ def build_worker(
         events_path=events_path,
         responses=responses,
     )
+
+
+def _jsonable(response: dict) -> dict:
+    """*response* with its score fragments and dark mask as JSON lists."""
+    return {
+        **response,
+        "scores": {h: np.asarray(s).tolist() for h, s in response["scores"].items()},
+        "dark_mask": np.asarray(response["dark_mask"]).tolist(),
+    }
 
 
 def _shard_registry(shard_dir: Path, config: FleetConfig) -> ModelRegistry:

@@ -9,7 +9,7 @@ alert stream is bitwise identical to the offline replay of the same
 ticks, at every kill point.
 """
 
-from repro.gateway.backends import FleetBackend, ResilientBackend
+from repro.gateway.backends import ResilientBackend
 from repro.gateway.journal import EventJournal
 from repro.gateway.metrics import render_prometheus, validate_exposition
 from repro.gateway.server import GatewayConfig, GatewayThread, HotSpotGateway
@@ -17,7 +17,6 @@ from repro.gateway.sse import SseHub, SseSubscriber, format_frame
 
 __all__ = [
     "EventJournal",
-    "FleetBackend",
     "GatewayConfig",
     "GatewayThread",
     "HotSpotGateway",

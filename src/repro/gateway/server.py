@@ -172,16 +172,11 @@ class HotSpotGateway:
                 values, missing, calendar, None if hour is None else int(hour)
             )
         pairs, self._tap_pairs = self._tap_pairs, []
-        tapped = [event for _, event in pairs]
-        if tapped != events:
-            # Events the tap never saw: quarantine/duplicate verdicts
-            # (no hour was applied) or a tap-less plain backend.  They
-            # still get journal ids so the SSE stream carries them.
-            if tapped and events[: len(tapped)] == tapped:
-                extra = events[len(tapped):]
-            else:
-                extra = events
-            pairs = pairs + self.journal.record_transient(extra)
+        # The backend taps every applied hour, so the tapped events lead
+        # the returned list.  The rest — quarantine and duplicate
+        # verdicts, which apply no hour — still get journal ids so the
+        # SSE stream carries them.
+        pairs = pairs + self.journal.record_transient(events[len(pairs):])
         self.telemetry.inc("ticks_applied")
         return pairs, events
 

@@ -99,8 +99,3 @@ class SseHub:
             if subscriber.dropped > before:
                 self.telemetry.inc("sse_events_dropped", subscriber.dropped - before)
             subscriber.wakeup.set()
-
-    def wake_all(self) -> None:
-        """Nudge every writer coroutine (shutdown path)."""
-        for subscriber in self._subscribers:
-            subscriber.wakeup.set()

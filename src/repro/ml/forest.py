@@ -273,7 +273,8 @@ class RandomForestClassifier:
         The default path walks the packed struct-of-arrays kernel
         (:meth:`packed`) — one vectorized node-index walk over all
         ``(n_samples × n_trees)`` lanes — and is bitwise identical to
-        the legacy per-tree loop (:meth:`predict_proba_legacy`).
+        the legacy per-tree loop, the parity oracle in
+        ``tests/oracles.py``.
 
         *n_jobs* overrides the constructor's worker count for this call;
         row blocks are distributed across processes, each walking the
@@ -297,21 +298,6 @@ class RandomForestClassifier:
                 pass  # degrade to the serial packed walk below
 
         return self.packed().predict_proba(X)
-
-    def predict_proba_legacy(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree prediction loop.
-
-        Kept as the parity oracle for the packed kernel: one active-lane
-        walk and one class scatter per member, accumulated in tree
-        order.  ``predict_proba`` must match this bitwise.
-        """
-        self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        positions = self._member_positions()
-        total = np.zeros((X.shape[0], self.classes_.size))
-        for tree, position in zip(self.estimators_, positions):
-            total += self._expand_proba(tree, X, position)
-        return total / self.n_estimators
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most-probable class label per sample."""

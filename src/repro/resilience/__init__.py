@@ -13,7 +13,7 @@ immortal process.  This package removes those assumptions:
   through cached-forecast → Persist → Random instead of raising, with
   bounded retry/backoff and automatic recovery;
 * :mod:`repro.resilience.guard` — the composed fault-tolerant service
-  front (validate → journal → ingest → mask dark alerts);
+  front, a one-shard fleet (validate → apply → release → journal);
 * :mod:`repro.resilience.chaos` — a deterministic fault-injection
   harness (drop/duplicate/reorder/corrupt ticks, dark sectors, registry
   I/O failures) for tests and the chaos bench.

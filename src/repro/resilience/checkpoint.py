@@ -169,19 +169,6 @@ class TickJournal:
         if self.sync:
             os.fsync(self._handle.fileno())
 
-    def append(
-        self,
-        hour: int,
-        values: np.ndarray,
-        missing: np.ndarray,
-        calendar_row: np.ndarray,
-    ) -> None:
-        """Durably record one accepted tick (a one-hour block)."""
-        rows = np.asarray(calendar_row, dtype=np.float64).reshape(1, -1)
-        self.append_block(
-            hour, np.asarray(values)[:, None, :], np.asarray(missing)[:, None, :], rows
-        )
-
     def append_block(
         self,
         first_hour: int,

@@ -1,29 +1,29 @@
-"""The fault-tolerant serving front: validate → ingest → journal → mask.
+"""The fault-tolerant serving front: validate → apply → release → journal.
 
 :class:`ResilientHotSpotService` wraps a plain
-:class:`~repro.serve.service.HotSpotService` with the full resilience
-pipeline.  Every incoming tick passes through:
+:class:`~repro.serve.service.HotSpotService` as the one-shard case of
+the fleet pipeline.  Every incoming tick passes through:
 
-1. **validation** (:class:`~repro.resilience.validate.TickValidator`,
-   through the admission functions the fleet coordinator shares) —
-   malformed ticks land in the bounded dead-letter queue with a
+1. **validation** (the admission functions of
+   :mod:`repro.resilience.validate`, shared with the fleet coordinator)
+   — malformed ticks land in the bounded dead-letter queue with a
    structured reason; idempotent duplicates are reconciled (dropped,
    counted); forward clock gaps within budget are filled with synthetic
    all-missing hours so lost hours read as darkness, not corruption;
-2. **ingest + alerting** — the wrapped service runs as usual (with a
-   :class:`~repro.resilience.degrade.ResilientPredictionEngine` the
-   forecast path degrades instead of raising);
-3. **journaling** (:class:`~repro.resilience.checkpoint
-   .CheckpointManager`, optional) — accepted ticks (gap fills included)
-   hit the write-ahead log after they are applied but *before* their
-   events are released to the caller, and periodic atomic snapshots
-   bound replay time after a crash; a tick interrupted mid-apply is
-   absent from the journal and re-processed (events re-emitted) on
-   resume, never acknowledged-then-lost;
-4. **dark-sector masking** — sectors whose fully-missing run exceeds
-   the Sec. II-C threshold are stripped from alert events until they
-   report again; an alert emptied this way is replaced by an
-   ``alert_suppressed`` event.
+2. **apply** — one in-process :class:`~repro.fleet.worker.ShardWorker`
+   owning every sector ingests day-aligned chunks, forecasts completed
+   days (degrading instead of raising with a
+   :class:`~repro.resilience.degrade.ResilientPredictionEngine`), runs
+   the service's day hooks and tracks dark sectors;
+3. **release** — the fleet's merge
+   (:func:`~repro.fleet.coordinator.release_hours`) turns each hour into
+   its events, stripping sectors dark past the Sec. II-C threshold from
+   alerts, and passes them to the event tap;
+4. **journaling** (optional :class:`~repro.resilience.checkpoint
+   .CheckpointManager`) — the chunk's WAL append, after the tap and
+   before the events are returned, is the commit point; snapshots
+   bound replay.  A chunk interrupted before its append is re-processed
+   (events re-emitted) on resume, never acknowledged-then-lost.
 
 Resilience events (quarantine, gap_fill, duplicate, sector_dark,
 alert_suppressed, degraded, recovered) flow through the shared
@@ -33,9 +33,6 @@ returned inline with the tick's events, so drivers can stream them.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.data.tensor import HOURS_PER_DAY
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.validate import (
     ACCEPT,
@@ -45,9 +42,8 @@ from repro.resilience.validate import (
     accepted_block,
     admit_block,
     admit_tick,
-    mask_dark_alerts,
 )
-from repro.serve.service import HotSpotService
+from repro.serve.service import HotSpotService, run_jsonl
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = ["ResilientHotSpotService"]
@@ -67,9 +63,12 @@ class ResilientHotSpotService:
         Quarantine queue; defaults to a 256-record ring.
     dark_tracker:
         Dark-sector run tracker; defaults to the half-week threshold.
+        The worker rebuilds its runs from the ingestor's ring, so a
+        recovered ingestor resumes its dark sectors.
     checkpoint:
         Optional checkpoint manager.  When given, every accepted tick is
-        journaled before ingest and snapshots are taken on its cadence.
+        journaled before its events are returned and snapshots are
+        taken on its cadence.
     """
 
     def __init__(
@@ -95,16 +94,23 @@ class ResilientHotSpotService:
         self.dead_letters = dead_letters or DeadLetterQueue()
         self.dark = dark_tracker or DarkSectorTracker(ingestor.n_sectors)
         self.checkpoint = checkpoint
-        #: Optional per-hour event tap: ``tap(hour, events)`` is called
-        #: with the hour's *final* (dark-masked, gap-prefixed) event
-        #: list after the hour is applied but **before** its WAL append,
-        #: for ticks and blocks alike.
-        #: The gateway points this at its durable event journal: any
-        #: hour the WAL acknowledges therefore already has its events
-        #: persisted for SSE delivery, so a crash between journal and
-        #: delivery re-emits instead of losing them.  The tap must be
-        #: idempotent per hour — a crash before the WAL append makes
-        #: the re-sent tick recompute the identical event list.
+        # Imported here: the fleet package imports this one.
+        from repro.fleet.coordinator import release_hours
+        from repro.fleet.partition import PartitionPlan
+        from repro.fleet.worker import ShardWorker
+
+        self._release_hours = release_hours
+        self._plan = PartitionPlan.compute(ingestor.n_sectors, 1)
+        self._worker = ShardWorker(
+            0, self._plan.sectors_of(0), service.config, ingestor, self.engine,
+            checkpoint, self.dark,
+        )
+        self._worker.day_hooks = service.day_hooks
+        #: Optional per-hour event tap: ``tap(hour, events)`` gets each
+        #: applied hour's final event list **before** its WAL append, so
+        #: every hour the WAL acknowledges already has its events in the
+        #: gateway's journal (DESIGN.md 3j).  A crash before the append
+        #: re-sends the tick, so the tap must be idempotent per hour.
         self.event_tap = None
 
     @property
@@ -114,6 +120,11 @@ class ResilientHotSpotService:
     @property
     def ingestor(self):
         return self.engine.ingestor
+
+    @property
+    def clock(self) -> int:
+        """The next hour the service expects (``ingestor.hours_seen``)."""
+        return self.ingestor.hours_seen
 
     # -------------------------------------------------------------- ticks
     def submit_tick(
@@ -140,8 +151,8 @@ class ResilientHotSpotService:
             missing,
             calendar_row,
             hour=hour,
-            clock=self.ingestor.hours_seen,
-            ring_payload=self._ring_payload,
+            clock=self.clock,
+            ring_payload=self._worker.ring_payload,
         )
         if verdict.action == ACCEPT:
             events = self._apply([verdict])
@@ -170,104 +181,49 @@ class ResilientHotSpotService:
             missing,
             calendar_rows,
             first_hour,
-            clock=self.ingestor.hours_seen,
-            ring_payload=self._ring_payload,
+            clock=self.clock,
+            ring_payload=self._worker.ring_payload,
             submit_tick=self.submit_tick,
             apply=self._apply,
         )
 
     def run_jsonl(self, lines, out) -> int:
-        """JSONL driver with the resilience pipeline in front.
-
-        Same stream protocol as :meth:`HotSpotService.run_jsonl`, but
-        every ``tick`` operation goes through :meth:`submit_tick` —
-        validated, quarantined/reconciled/gap-filled as needed, and
-        journaled/snapshotted when a checkpoint manager is attached —
-        instead of hitting the ingestor directly.  A tick may declare
-        its ``"hour"`` for duplicate/gap detection.
-        """
-        return self.service.run_jsonl(lines, out, tick_handler=self.submit_tick)
+        """JSONL driver (:func:`~repro.serve.service.run_jsonl`): every
+        ``tick`` goes through :meth:`submit_tick` and may declare its
+        ``"hour"``."""
+        return run_jsonl(lines, out, self.engine, self.submit_tick)
 
     def _apply(self, verdicts) -> list[dict]:
-        """Apply → (tap) → journal → acknowledge accepted hours.
+        """Apply → release (tap) → journal → acknowledge accepted hours.
 
         The block (the first verdict's gap hours, then one hour per
-        verdict) is ingested in day-aligned chunks.  Per hour the
-        released events are its ``gap_fill`` prefix (gap hours only),
-        its ``sector_dark`` events and, on the day-completing hour, the
-        dark-masked day/alert events; the event tap sees each hour's
-        list before the chunk's WAL append.  A crash mid-apply leaves
-        the chunk out of the journal, so recovery re-processes it and
-        its events are re-emitted rather than silently lost —
-        journaling *before* apply would acknowledge hours whose alerts
-        nobody ever saw.
+        verdict) goes to the worker in day-aligned chunks; each chunk's
+        responses are released between its apply and its WAL append.  A
+        crash before the append leaves the chunk out of the journal, so
+        recovery re-processes it and its events are re-emitted rather
+        than silently lost — journaling *before* release would
+        acknowledge hours whose alerts nobody ever saw.
         """
-        ingestor = self.ingestor
-        if self.checkpoint is not None:
-            # Snapshot at entry, before the block is applied: the state
-            # covered is identical to snapshotting right after the
-            # previous call, but the slow npz write never sits between a
-            # journaled hour and the release of its events.  Within a
-            # block the cadence check waits for the next call, which
-            # only bounds recovery replay length, never parity.
-            self.checkpoint.maybe_snapshot(ingestor)
-        clock = ingestor.hours_seen
+        clock = self.clock
         values, missing, calendar_rows = accepted_block(
-            verdicts, clock, ingestor._default_calendar_row
+            verdicts, clock, self.ingestor._default_calendar_row
         )
-        gap_hours = verdicts[0].gap_hours
-        n_hours = values.shape[1]
+        gap_end = clock + verdicts[0].gap_hours
         events: list[dict] = []
-        start = 0
-        while start < n_hours:
-            to_boundary = HOURS_PER_DAY - (clock + start) % HOURS_PER_DAY
-            stop = min(start + to_boundary, n_hours)
-            day_events = self.service.ingest_block(
-                values[:, start:stop, :],
-                missing[:, start:stop, :],
-                calendar_rows[start:stop],
-            )
-            for j in range(start, stop):
-                hour = clock + j
-                released = []
-                if j < gap_hours:
-                    self.telemetry.inc("ticks_gap_filled")
-                    released.append(self.telemetry.event("gap_fill", hour=hour))
-                released.extend(
-                    self.telemetry.event(
-                        "sector_dark", sector=int(sector), hour=hour,
-                        missing_run=self.dark.missing_run(int(sector)),
-                    )
-                    for sector in self.dark.observe(missing[:, j, :])
-                )
-                if j == stop - 1:
-                    released.extend(
-                        mask_dark_alerts(
-                            day_events, self.dark.dark_mask, self.telemetry
-                        )
-                    )
-                if self.event_tap is not None:
-                    self.event_tap(hour, released)
-                events.extend(released)
-            if self.checkpoint is not None:
-                self.checkpoint.record_block(
-                    clock + start,
-                    values[:, start:stop, :],
-                    missing[:, start:stop, :],
-                    calendar_rows[start:stop],
-                )
-            start = stop
-        return events
 
-    def _ring_payload(self, hour: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Ring contents for *hour*, for duplicate reconciliation."""
-        ingestor = self.ingestor
-        if not 0 <= hour < ingestor.hours_seen:
-            return None
-        if hour < ingestor.hours_seen - ingestor.capacity:
-            return None  # evicted: cannot prove idempotency
-        slot = hour % ingestor.capacity
-        return ingestor.values[:, slot, :], ingestor.missing[:, slot, :]
+        def release(first_hour: int, responses: list[dict]) -> None:
+            events.extend(
+                self._release_hours(
+                    first_hour, [responses], self._plan, self.service.config,
+                    self.engine.default_model, self.telemetry,
+                    gap_end=gap_end, tap=self.event_tap,
+                )
+            )
+
+        self._worker.submit_block(
+            clock, values, missing, calendar_rows, release=release
+        )
+        return events
 
     # -------------------------------------------------------------- stats
     def stats(self) -> dict:
@@ -279,3 +235,7 @@ class ResilientHotSpotService:
         if self.checkpoint is not None:
             snapshot["resilience"]["checkpoint"] = self.checkpoint.stats()
         return snapshot
+
+    def close(self) -> None:
+        """Close the checkpoint's journal, if any; idempotent."""
+        self._worker.close()

@@ -19,14 +19,14 @@ step with exactly this).  This module is the contract's gatekeeper:
   hours and flags sectors whose run exceeds the Sec. II-C threshold
   (half a week by default, mirroring the 50 %-missing-per-week sector
   filter) so downstream forecasts and alerts can mask them;
-* :func:`admit_tick`, :func:`admit_block`, :func:`accepted_block` and
-  :func:`mask_dark_alerts` are the one admission front both serving
-  stacks share — the guarded single engine
-  (:mod:`repro.resilience.guard`) and the fleet coordinator
-  (:mod:`repro.fleet.coordinator`): validate, quarantine or reconcile,
-  probe a block and fall back to per-tick, turn accepted verdicts (gap
-  fills included) into one block of hours, strip dark sectors from
-  alerts.
+* :func:`admit_tick`, :func:`admit_block` and :func:`accepted_block`
+  are the one admission front both serving stacks share — the guarded
+  single engine (:mod:`repro.resilience.guard`) and the fleet
+  coordinator (:mod:`repro.fleet.coordinator`): validate, quarantine or
+  reconcile, probe a block and fall back to per-tick, turn accepted
+  verdicts (gap fills included) into one block of hours;
+  :func:`mask_dark_alerts` strips dark sectors from alerts in their
+  shared release step.
 
 Validation never mutates ingestor state; the callers act on the
 verdict.

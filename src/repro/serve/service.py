@@ -14,8 +14,9 @@ provided:
   ``{"op": "stats"}``, ``{"op": "stop"}``) and writes event objects to
   an output stream, so the service can sit behind a pipe or socket.
 
-Alert policy: per refresh, sectors are ranked by forecast score; the
-top ``top_k`` are alerted, optionally restricted to scores at or above
+Alert policy (:func:`build_alert`, shared with the fleet merge): per
+refresh, sectors are ranked by forecast score; the top ``top_k`` are
+alerted, optionally restricted to scores at or above
 ``alert_threshold``.  Every event is a plain JSON-serialisable dict.
 """
 
@@ -32,7 +33,7 @@ from repro.serve.engine import PredictionEngine
 from repro.serve.ingest import IngestTick
 from repro.serve.telemetry import ServeTelemetry
 
-__all__ = ["ServeConfig", "HotSpotService", "run_jsonl"]
+__all__ = ["ServeConfig", "HotSpotService", "build_alert", "run_jsonl"]
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,10 @@ class HotSpotService:
         )
         if tick.t_day >= self.config.start_day:
             for horizon in self.config.horizons:
-                alert = self._refresh_horizon(tick, horizon)
+                alert = build_alert(
+                    tick.t_day, horizon, self.engine.predict(horizon),
+                    self.engine.default_model, self.config,
+                )
                 if alert is not None:
                     events.append(alert)
                     self.telemetry.inc("alerts_emitted")
@@ -175,51 +179,43 @@ class HotSpotService:
             events.extend(hook(tick))
         return events
 
-    def _refresh_horizon(self, tick: IngestTick, horizon: int) -> dict | None:
-        scores = self.engine.predict(horizon)
-        order = np.argsort(-scores, kind="stable")[: self.config.top_k]
-        if self.config.alert_threshold is not None:
-            order = order[scores[order] >= self.config.alert_threshold]
-        if order.size == 0:
-            return None
-        return {
-            "type": "alert",
-            "t_day": tick.t_day,
-            "horizon": horizon,
-            "forecast_day": tick.t_day + horizon,
-            "model": self.engine.default_model,
-            "sectors": [int(i) for i in order],
-            "scores": [float(scores[i]) for i in order],
-        }
-
     def stats(self) -> dict:
         """Engine + registry + telemetry snapshot."""
         return self.engine.stats()
 
     # ----------------------------------------------------------------- jsonl
-    def run_jsonl(
-        self,
-        lines: Iterable[str],
-        out: IO[str],
-        tick_handler: "Callable[..., list[dict]] | None" = None,
-    ) -> int:
-        """Drive the service from a JSON-lines stream (see :func:`run_jsonl`).
+    def run_jsonl(self, lines: Iterable[str], out: IO[str]) -> int:
+        """Drive the service from a JSON-lines stream (see :func:`run_jsonl`)."""
+        return run_jsonl(lines, out, self.engine, self._ingest_tick)
 
-        *tick_handler* overrides how a ``tick`` is applied: it is called
-        as ``tick_handler(values, missing, calendar, hour)`` and must
-        return the tick's events — this is how
-        :class:`~repro.resilience.guard.ResilientHotSpotService` puts
-        validation, quarantine, and journaling in front of the stream
-        (the optional declared ``hour`` only matters there, for
-        duplicate/gap detection).  The default handler ingests directly.
-        """
-        return run_jsonl(lines, out, self.engine, tick_handler or self._ingest_tick)
-
-    def _ingest_tick(
-        self, values, missing, calendar_row, hour=None
-    ) -> list[dict]:
-        """Default JSONL tick handler: plain ingest (declared hour unused)."""
+    def _ingest_tick(self, values, missing, calendar_row, hour=None) -> list[dict]:
+        """JSONL tick handler: plain ingest (the declared hour is unused)."""
         return self.ingest_hour(values, missing, calendar_row)
+
+
+def build_alert(
+    t_day: int, horizon: int, scores: np.ndarray, model: str, policy
+) -> dict | None:
+    """The ``"alert"`` event for one horizon's *scores*, or ``None``.
+
+    The top ``policy.top_k`` sectors by score (stable: ties go to the
+    lower index), kept only at or above ``policy.alert_threshold`` when
+    set.  *policy* is a :class:`ServeConfig` or a ``FleetConfig``.
+    """
+    order = np.argsort(-scores, kind="stable")[: policy.top_k]
+    if policy.alert_threshold is not None:
+        order = order[scores[order] >= policy.alert_threshold]
+    if order.size == 0:
+        return None
+    return {
+        "type": "alert",
+        "t_day": t_day,
+        "horizon": horizon,
+        "forecast_day": t_day + horizon,
+        "model": model,
+        "sectors": [int(i) for i in order],
+        "scores": [float(scores[i]) for i in order],
+    }
 
 
 def run_jsonl(

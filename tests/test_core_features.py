@@ -14,6 +14,7 @@ from repro.core.feature_sets import (
 )
 from repro.core.features import FeatureTensor, build_feature_tensor
 from repro.core.scoring import ScoreConfig
+from tests.oracles import percentile_features_reference
 
 
 class TestBuildFeatureTensor:
@@ -112,6 +113,17 @@ class TestFeatureViews:
         # day 0, channel 0, percentile 50 is at column 0*5*5 + 0*5 + 2
         expected = np.percentile(window[:, :24, 0], 50, axis=1)
         np.testing.assert_allclose(flat[:, 2], expected)
+
+    def test_percentile_kernel_matches_reference_bitwise(self, rng):
+        """Every channel and percentile equals ``np.percentile``'s bits,
+        on ties and repeated values as well as distinct ones."""
+        window = rng.random((6, 24 * 7, 5))
+        window[:, :24, 1] = 0.5  # a constant day
+        window[:, 24:48, 2] = np.round(window[:, 24:48, 2], 1)  # ties
+        flat = percentile_features(window)
+        reference = percentile_features_reference(window)
+        assert flat.shape == reference.shape == (6, 7 * 5 * 5)
+        np.testing.assert_array_equal(flat.view(np.uint64), reference.view(np.uint64))
 
     def test_percentiles_ordered(self, window):
         """Within each (day, channel) block the five percentiles ascend."""

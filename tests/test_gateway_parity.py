@@ -22,7 +22,6 @@ from repro import GeneratorConfig, TelemetryGenerator, save_dataset
 from repro.fleet import FleetConfig, SupervisorConfig, build_fleet
 from repro.gateway import (
     EventJournal,
-    FleetBackend,
     GatewayConfig,
     GatewayThread,
     HotSpotGateway,
@@ -275,7 +274,7 @@ class TestFleetParity:
             supervise=SupervisorConfig(), chaos=chaos,
         )
         gateway = HotSpotGateway(
-            FleetBackend(fleet),
+            ResilientBackend(fleet),
             EventJournal(tmp_path / "chaos" / "gateway_events.jsonl"),
             GatewayConfig(port=0),
         )

@@ -2,8 +2,8 @@
 
 The contract under test (repro.ml.packed): ``predict_proba`` through
 the packed kernel — serial or row-parallel — must be *bitwise* equal to
-the legacy per-tree loop (``predict_proba_legacy``), including forests
-whose bootstrap members missed a class entirely.
+the legacy per-tree loop (``tests.oracles.predict_proba_legacy``),
+including forests whose bootstrap members missed a class entirely.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.packed import PackedForest
 from repro.ml.tree import _LEAF
+from tests.oracles import predict_proba_legacy
 
 
 def _blobs(rng, n=300, p=8):
@@ -45,7 +46,7 @@ class TestPackedParity:
     def test_serial_matches_legacy_bitwise(self, rng):
         X, y = _blobs(rng)
         forest = RandomForestClassifier(n_estimators=12, random_state=0).fit(X, y)
-        _assert_bitwise(forest.predict_proba(X), forest.predict_proba_legacy(X))
+        _assert_bitwise(forest.predict_proba(X), predict_proba_legacy(forest, X))
 
     def test_members_missing_classes(self, rng):
         X, y = _rare_class_blobs(rng)
@@ -55,20 +56,20 @@ class TestPackedParity:
             "fixture regression: every member saw all classes"
         )
         assert forest.classes_.size == 3
-        _assert_bitwise(forest.predict_proba(X), forest.predict_proba_legacy(X))
+        _assert_bitwise(forest.predict_proba(X), predict_proba_legacy(forest, X))
 
     @pytest.mark.parametrize("n_jobs", [1, 4])
     def test_parallel_matches_legacy_bitwise(self, rng, n_jobs):
         X, y = _rare_class_blobs(rng, n=400)
         forest = RandomForestClassifier(n_estimators=8, random_state=2).fit(X, y)
         proba = forest.predict_proba(X, n_jobs=n_jobs)
-        _assert_bitwise(proba, forest.predict_proba_legacy(X))
+        _assert_bitwise(proba, predict_proba_legacy(forest, X))
 
     def test_predict_labels_unchanged(self, rng):
         X, y = _blobs(rng)
         forest = RandomForestClassifier(n_estimators=10, random_state=3).fit(X, y)
         legacy_labels = forest.classes_[
-            np.argmax(forest.predict_proba_legacy(X), axis=1)
+            np.argmax(predict_proba_legacy(forest, X), axis=1)
         ]
         np.testing.assert_array_equal(forest.predict(X), legacy_labels)
 

@@ -116,7 +116,9 @@ class TestJournal:
     def write(self, path, records):
         with TickJournal(path, *self.SHAPE) as journal:
             for hour, values, missing, calendar in records:
-                journal.append(hour, values, missing, calendar)
+                journal.append_block(
+                    hour, values[:, None, :], missing[:, None, :], calendar[None, :]
+                )
 
     def test_roundtrip(self, tmp_path):
         records = self.records(5)
@@ -192,7 +194,9 @@ class TestJournal:
     def test_wrong_payload_size_rejected(self, tmp_path):
         with TickJournal(tmp_path / "wal.log", *self.SHAPE) as journal:
             with pytest.raises(ValueError, match="payload"):
-                journal.append(0, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros(5))
+                journal.append_block(
+                    0, np.zeros((4, 1, 4)), np.zeros((4, 1, 4)), np.zeros((1, 5))
+                )
 
 
 class TestCrashRecoveryParity:
