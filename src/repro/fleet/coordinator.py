@@ -200,7 +200,9 @@ class FleetCoordinator:
             ring_payload=self._ring_payload,
         )
         if verdict.action == ACCEPT:
-            events = self._drive([verdict])
+            events = self._drive(
+                *accepted_block(verdict, self.clock, self._default_calendar)
+            )
         return events
 
     def submit_block(
@@ -223,28 +225,24 @@ class FleetCoordinator:
             calendar_rows,
             first_hour,
             clock=self.clock,
-            ring_payload=self._ring_payload,
+            default_row=self._default_calendar,
             submit_tick=self.submit_tick,
             apply=self._drive,
         )
 
-    def _drive(self, verdicts) -> list[dict]:
+    def _drive(self, values, missing, calendar_rows, gap_hours: int) -> list[dict]:
         """Broadcast accepted hours to the shards, merge, acknowledge.
 
-        The block (the first verdict's gap hours, then one hour per
-        verdict) goes out in ``block_capacity`` slices; each hour's
-        merged events (:func:`release_hours`) pass the event tap, and
-        the watermark advances once, after the whole block.  Every slice
-        carries the acknowledged boundary — the clock at entry — so the
-        shards keep every non-trivial response since it: a crash
+        The block (led by *gap_hours* gap fills) goes out in
+        ``block_capacity`` slices; each hour's merged events
+        (:func:`release_hours`) pass the event tap, and the watermark
+        advances once, after the whole block.  Every slice carries the
+        acknowledged boundary — the clock at entry — so the shards keep
+        every non-trivial response since it: a crash
         anywhere in the block re-drives from that boundary and the
         shards re-emit what they already journaled.
         """
         released = self.clock
-        values, missing, calendar_rows = accepted_block(
-            verdicts, released, self._default_calendar
-        )
-        gap_hours = verdicts[0].gap_hours
         n_hours = values.shape[1]
         capacity = self.backend.block_capacity or n_hours
         events: list[dict] = []

@@ -155,7 +155,9 @@ class ResilientHotSpotService:
             ring_payload=self._worker.ring_payload,
         )
         if verdict.action == ACCEPT:
-            events = self._apply([verdict])
+            events = self._apply(
+                *accepted_block(verdict, self.clock, self.ingestor._default_calendar_row)
+            )
         return events
 
     def submit_block(
@@ -182,7 +184,7 @@ class ResilientHotSpotService:
             calendar_rows,
             first_hour,
             clock=self.clock,
-            ring_payload=self._worker.ring_payload,
+            default_row=self.ingestor._default_calendar_row,
             submit_tick=self.submit_tick,
             apply=self._apply,
         )
@@ -193,11 +195,11 @@ class ResilientHotSpotService:
         ``"hour"``."""
         return run_jsonl(lines, out, self.engine, self.submit_tick)
 
-    def _apply(self, verdicts) -> list[dict]:
+    def _apply(self, values, missing, calendar_rows, gap_hours: int) -> list[dict]:
         """Apply → release (tap) → journal → acknowledge accepted hours.
 
-        The block (the first verdict's gap hours, then one hour per
-        verdict) goes to the worker in day-aligned chunks; each chunk's
+        The block starts at the clock with *gap_hours* gap fills and
+        goes to the worker in day-aligned chunks; each chunk's
         responses are released between its apply and its WAL append.  A
         crash before the append leaves the chunk out of the journal, so
         recovery re-processes it and its events are re-emitted rather
@@ -205,10 +207,7 @@ class ResilientHotSpotService:
         acknowledge hours whose alerts nobody ever saw.
         """
         clock = self.clock
-        values, missing, calendar_rows = accepted_block(
-            verdicts, clock, self.ingestor._default_calendar_row
-        )
-        gap_end = clock + verdicts[0].gap_hours
+        gap_end = clock + gap_hours
         events: list[dict] = []
 
         def release(first_hour: int, responses: list[dict]) -> None:

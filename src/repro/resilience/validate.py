@@ -23,8 +23,8 @@ step with exactly this).  This module is the contract's gatekeeper:
   are the one admission front both serving stacks share — the guarded
   single engine (:mod:`repro.resilience.guard`) and the fleet
   coordinator (:mod:`repro.fleet.coordinator`): validate, quarantine or
-  reconcile, probe a block and fall back to per-tick, turn accepted
-  verdicts (gap fills included) into one block of hours;
+  reconcile a tick, check a block in one array pass and fall back to
+  per-tick, turn an accepted tick (gap fills included) into a block;
   :func:`mask_dark_alerts` strips dark sectors from alerts in their
   shared release step.
 
@@ -191,9 +191,7 @@ class TickValidator:
                 f"values shape {values.shape} != expected {expected}",
                 declared_hour=declared,
             )
-        if missing is None:
-            missing = np.isnan(values)
-        else:
+        if missing is not None:
             try:
                 missing = np.asarray(missing, dtype=bool)
             except (TypeError, ValueError) as error:
@@ -207,22 +205,12 @@ class TickValidator:
                     f"missing mask shape {missing.shape} != expected {expected}",
                     declared_hour=declared,
                 )
-            missing = missing | np.isnan(values)
 
         # --- NaN/inf budget --------------------------------------------
-        # Non-finite non-NaN entries (inf sentinel garbage) are folded
-        # into the missing mask; the tick as a whole must stay under the
-        # bad-entry budget or it carries no usable signal.
-        bad = missing | ~np.isfinite(values)
-        bad_fraction = float(bad.mean())
-        if bad_fraction > self.max_bad_fraction:
-            return TickVerdict(
-                QUARANTINE, "bad_value_budget",
-                f"{bad_fraction:.1%} of entries missing/non-finite "
-                f"(budget {self.max_bad_fraction:.1%})",
-                declared_hour=declared,
-            )
-        missing = bad
+        missing = _bad_entries(values, missing)
+        fault = self._budget_fault(missing[:, None, :])
+        if fault is not None:
+            return TickVerdict(QUARANTINE, "bad_value_budget", fault, declared_hour=declared)
 
         # --- calendar consistency --------------------------------------
         if calendar_row is not None:
@@ -233,27 +221,9 @@ class TickValidator:
                     QUARANTINE, "calendar", f"calendar row not numeric: {error}",
                     declared_hour=declared,
                 )
-            if calendar_row.shape != (_CALENDAR_WIDTH,):
-                return TickVerdict(
-                    QUARANTINE, "calendar",
-                    f"calendar row has {calendar_row.size} elements, "
-                    f"expected {_CALENDAR_WIDTH}",
-                    declared_hour=declared,
-                )
-            if self.check_calendar:
-                if not np.isfinite(calendar_row).all():
-                    return TickVerdict(
-                        QUARANTINE, "calendar", "calendar row has non-finite entries",
-                        declared_hour=declared,
-                    )
-                expected_hod = declared % HOURS_PER_DAY
-                if int(calendar_row[0]) != expected_hod:
-                    return TickVerdict(
-                        QUARANTINE, "calendar",
-                        f"calendar hour-of-day {calendar_row[0]:.0f} != "
-                        f"{expected_hod} for hour {declared}",
-                        declared_hour=declared,
-                    )
+            fault = self._calendar_fault(calendar_row[None, :], np.array([declared]))
+            if fault is not None:
+                return TickVerdict(QUARANTINE, "calendar", fault, declared_hour=declared)
 
         # --- hour monotonicity via the ring clock ----------------------
         if declared < clock:
@@ -293,6 +263,78 @@ class TickValidator:
             values=values, missing=missing, calendar_row=calendar_row,
             gap_hours=gap, declared_hour=declared,
         )
+
+    def plain_block(self, values, missing, calendar_rows, first_hour, clock):
+        """:meth:`validate` for every column of a float64 ``(n, h, k)``
+        block in one array pass (a tick is the one-hour case).
+
+        Returns ``(missing, calendar_rows)`` — the bad-entry mask and the
+        rows as ``(h, 5)`` — when column *j* would be a plain accept (no
+        gap) at ``clock + j`` for every *j*, else ``None``.
+        """
+        n_sectors, n_hours, n_kpis = values.shape
+        if (n_sectors, n_kpis) != (self.n_sectors, self.n_kpis) or (
+            missing is not None and missing.shape != values.shape
+        ):
+            return None
+        offsets = np.arange(n_hours)
+        hours = clock + offsets
+        # int() truncates the declared hour, as validate() does.
+        if first_hour is not None and (np.trunc(first_hour + offsets) != hours).any():
+            return None
+        missing = _bad_entries(values, missing)
+        if self._budget_fault(missing) is not None:
+            return None
+        if calendar_rows is not None:
+            calendar_rows = calendar_rows.reshape(n_hours, calendar_rows.size // n_hours)
+            if self._calendar_fault(calendar_rows, hours) is not None:
+                return None
+        return missing, calendar_rows
+
+    def _budget_fault(self, bad: np.ndarray) -> str | None:
+        """Why an ``(n, h, k)`` bad-entry mask is over the NaN/inf budget
+        in some hour, or ``None``.  An hour's share is its exact count
+        over its size in float64, which is what ``bad[:, j, :].mean()``
+        gives; summing sectors first keeps the reduction contiguous."""
+        n_sectors, _, n_kpis = bad.shape
+        shares = bad.sum(axis=0, dtype=np.uint32).sum(axis=1) / (n_sectors * n_kpis)
+        over = shares > self.max_bad_fraction
+        if not over.any():
+            return None
+        return (
+            f"{shares[over.argmax()]:.1%} of entries missing/non-finite "
+            f"(budget {self.max_bad_fraction:.1%})"
+        )
+
+    def _calendar_fault(self, rows: np.ndarray, hours: np.ndarray) -> str | None:
+        """Why ``(h, w)`` calendar *rows* declared for *hours* are
+        inconsistent, or ``None``.  With ``check_calendar`` they must be
+        finite and their hour-of-day field must truncate to the declared
+        one (``np.trunc`` equals ``int()`` on finite values)."""
+        if rows.shape[1] != _CALENDAR_WIDTH:
+            return f"calendar row has {rows.shape[1]} elements, expected {_CALENDAR_WIDTH}"
+        if not self.check_calendar:
+            return None
+        if not np.isfinite(rows).all():
+            return "calendar row has non-finite entries"
+        expected = hours % HOURS_PER_DAY
+        wrong = np.trunc(rows[:, 0]) != expected
+        if not wrong.any():
+            return None
+        j = wrong.argmax()
+        return (
+            f"calendar hour-of-day {rows[j, 0]:.0f} != {expected[j]} "
+            f"for hour {hours[j]}"
+        )
+
+
+def _bad_entries(values: np.ndarray, missing: np.ndarray | None) -> np.ndarray:
+    """Entries missing or non-finite (NaN and inf sentinel garbage): the
+    mask an accepted payload carries."""
+    bad = ~np.isfinite(values)
+    if missing is not None:
+        bad |= missing
+    return bad
 
 
 class DeadLetterQueue:
@@ -450,30 +492,6 @@ class DarkSectorTracker:
 # --------------------------------------------------------------------------
 # admission: the shared front of the guarded service and the fleet
 # --------------------------------------------------------------------------
-def _plain(verdict: TickVerdict) -> bool:
-    return verdict.action == ACCEPT and verdict.gap_hours == 0
-
-
-def _screen(validator: TickValidator, columns, clock: int, ring_payload) -> list[TickVerdict]:
-    """Verdicts for consecutive ticks, each against the clock it would
-    meet in per-hour order, up to and including the first one that is
-    not a plain accept.
-
-    *columns* holds ``(values, missing, calendar_row, hour)`` tuples.
-    The validator is stateless, so a discarded verdict costs nothing.
-    """
-    verdicts: list[TickVerdict] = []
-    for j, (values, missing, calendar_row, hour) in enumerate(columns):
-        verdict = validator.validate(
-            values, missing, calendar_row,
-            hour=hour, clock=clock + j, ring_payload=ring_payload,
-        )
-        verdicts.append(verdict)
-        if not _plain(verdict):
-            break
-    return verdicts
-
-
 def admit_tick(
     validator: TickValidator,
     dead_letters: DeadLetterQueue,
@@ -491,10 +509,10 @@ def admit_tick(
     Returns the verdict and the events it releases: a ``quarantine``
     event (its record pushed to *dead_letters*) or a ``duplicate``
     event.  An accepted tick releases nothing here — the caller applies
-    it (with its gap hours) and returns the apply step's events.
+    it (:func:`accepted_block`) and returns the apply step's events.
     """
-    [verdict] = _screen(
-        validator, [(values, missing, calendar_row, hour)], clock, ring_payload
+    verdict = validator.validate(
+        values, missing, calendar_row, hour=hour, clock=clock, ring_payload=ring_payload
     )
     if verdict.action == QUARANTINE:
         telemetry.inc("ticks_quarantined")
@@ -520,69 +538,72 @@ def admit_block(
     first_hour: int | None = None,
     *,
     clock: int,
-    ring_payload,
+    default_row: Callable[[int], np.ndarray],
     submit_tick: Callable[..., list[dict]],
-    apply: Callable[[list[TickVerdict]], list[dict]],
+    apply: Callable[..., list[dict]],
 ) -> list[dict]:
-    """Probe-validate a block of consecutive hours and admit it.
+    """Check a block of consecutive hours in one pass and admit it.
 
-    Every column is validated against the clock it would meet in
-    per-hour order (column *j* declares ``first_hour + j``; ``None``
-    trusts arrival order).  When all of them are plain accepts the
-    verdicts go to *apply* in one call; any quarantine, duplicate, or
-    gap verdict discards the probe and replays every original column
-    through *submit_tick*, whose handling is the per-tick one.
+    Column *j* declares ``first_hour + j`` (``None`` trusts arrival
+    order).  A block of plain accepts (:meth:`TickValidator.plain_block`)
+    goes to ``apply(values, missing, calendar_rows, 0)`` as one
+    C-contiguous ``(n, h, k)`` copy, rows from ``default_row(hour)`` if
+    it carries none; any other block replays every original column
+    through *submit_tick*.  A C-contiguous float64 block is not copied,
+    so *apply* may get the caller's own buffers: nothing keeps them
+    after the call.  A mask or calendar whose hour count differs from
+    *values*' raises ``ValueError`` before anything is applied.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 3:
-        raise ValueError(
-            f"values must be (n_sectors, n_hours, n_kpis), got {values.shape}"
-        )
+        raise ValueError(f"values must be (n_sectors, n_hours, n_kpis), got {values.shape}")
+    n_hours = values.shape[1]
     if missing is not None:
         missing = np.asarray(missing, dtype=bool)
+        if missing.ndim != 3 or missing.shape[1] != n_hours:
+            raise ValueError(
+                f"missing shape {missing.shape} does not match values shape {values.shape}"
+            )
     if calendar_rows is not None:
         calendar_rows = np.asarray(calendar_rows, dtype=np.float64)
-    columns = [
-        (
-            values[:, j, :],
-            None if missing is None else missing[:, j, :],
-            None if calendar_rows is None else calendar_rows[j],
-            None if first_hour is None else first_hour + j,
-        )
-        for j in range(values.shape[1])
-    ]
-    if not columns:
+        if calendar_rows.ndim == 0 or len(calendar_rows) != n_hours:
+            raise ValueError(
+                f"calendar_rows shape {calendar_rows.shape} does not match "
+                f"values shape {values.shape}"
+            )
+    if not n_hours:
         return []
-    verdicts = _screen(validator, columns, clock, ring_payload)
-    if len(verdicts) == len(columns) and _plain(verdicts[-1]):
-        return apply(verdicts)
+    plain = validator.plain_block(values, missing, calendar_rows, first_hour, clock)
+    if plain is not None:
+        bad, rows = plain
+        if rows is None:
+            rows = np.array([default_row(clock + j) for j in range(n_hours)], dtype=np.float64)
+        return apply(values, bad, rows, 0)
     events: list[dict] = []
-    for tick_values, tick_missing, calendar_row, hour in columns:
-        events.extend(submit_tick(tick_values, tick_missing, calendar_row, hour=hour))
+    for j in range(n_hours):
+        tick_missing = None if missing is None else missing[:, j, :]
+        calendar_row = None if calendar_rows is None else calendar_rows[j]
+        hour = None if first_hour is None else first_hour + j
+        events.extend(submit_tick(values[:, j, :], tick_missing, calendar_row, hour=hour))
     return events
 
 
 def accepted_block(
-    verdicts: list[TickVerdict],
+    verdict: TickVerdict,
     clock: int,
     default_row: Callable[[int], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(values, missing, calendar_rows)`` for accepted *verdicts*.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """An accepted tick as ``apply`` arguments: ``(values, missing,
+    calendar_rows, gap_hours)`` of a block starting at *clock*.
 
-    The block starts at *clock*.  The first verdict's gap hours lead it
-    as all-missing hours (only a single tick's verdict can carry a gap;
-    a probed block of plain accepts has none), so a tick is applied as
-    a block of one hour plus its gap fills.  Calendar rows the verdicts
-    do not carry come from ``default_row(hour)``, exactly what the
-    ingestor would derive itself, so the journal records concrete rows.
+    The verdict's gap hours lead the block as all-missing hours.  A row
+    the tick does not carry comes from ``default_row(hour)``, exactly
+    what the ingestor would derive itself, so the journal records
+    concrete rows.
     """
-    gap = verdicts[0].gap_hours
-    if len(verdicts) == 1:
-        values = verdicts[0].values[:, None, :]
-        missing = verdicts[0].missing[:, None, :]
-    else:
-        values = np.stack([v.values for v in verdicts], axis=1)
-        missing = np.stack([v.missing for v in verdicts], axis=1)
+    gap = verdict.gap_hours
+    values = verdict.values[:, None, :]
+    missing = verdict.missing[:, None, :]
     if gap:
         n_sectors, _, n_kpis = values.shape
         values = np.concatenate(
@@ -592,11 +613,8 @@ def accepted_block(
             [np.ones((n_sectors, gap, n_kpis), dtype=bool), missing], axis=1
         )
     rows = [default_row(clock + j) for j in range(gap)]
-    rows += [
-        default_row(clock + gap + j) if v.calendar_row is None else v.calendar_row
-        for j, v in enumerate(verdicts)
-    ]
-    return values, missing, np.array(rows, dtype=np.float64)
+    rows.append(default_row(clock + gap) if verdict.calendar_row is None else verdict.calendar_row)
+    return values, missing, np.array(rows, dtype=np.float64), gap
 
 
 def mask_dark_alerts(events: list[dict], dark_mask: np.ndarray, telemetry) -> list[dict]:

@@ -51,7 +51,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.features import assemble_window
 from repro.core.scoring import ScoreConfig
 from repro.data.dataset import Dataset
 from repro.data.tensor import HOURS_PER_DAY, HOURS_PER_WEEK
@@ -603,23 +602,6 @@ class StreamIngestor:
         # from the component rings (see _ingest_chunk), so the result
         # is bitwise-unchanged.
         return self._features[:, slots, :]
-
-    def assembled_window(self, lo_hour: int, hi_hour: int) -> np.ndarray:
-        """Eq. 5 channels for ``[lo_hour, hi_hour)`` via assemble_window.
-
-        Reference path for the feature-ring parity tests: concatenates
-        the component rings the way :meth:`feature_window` did before
-        the persistent feature ring existed.
-        """
-        slots = self._ring_slots(lo_hour, hi_hour)
-        return assemble_window(
-            self.values[:, slots, :],
-            self.calendar[slots],
-            self.score_hourly[:, slots],
-            self.trail_daily[:, slots],
-            self.trail_weekly[:, slots],
-            self.trail_label[:, slots],
-        )
 
     # ------------------------------------------------------- checkpointing
     def state_dict(self) -> dict:

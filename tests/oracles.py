@@ -1,9 +1,10 @@
 """Reference implementations the fast runtime paths must match bitwise.
 
 They live outside the runtime package: the tier-1 parity tests compare
-the packed forest kernel and the sorted-day percentile kernel against
-them, and ``benchmarks/bench_serve_throughput.py`` replays its legacy
-hot path through them.
+the packed forest kernel, the sorted-day percentile kernel, the
+persistent feature ring and the one-pass block admission against them,
+and ``benchmarks/bench_serve_throughput.py`` replays its legacy hot path
+through them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.feature_sets import _PERCENTILES, _validate_window
+from repro.core.features import assemble_window
 from repro.data.tensor import HOURS_PER_DAY
+from repro.resilience.validate import ACCEPT
 
 
 def predict_proba_legacy(forest, X: np.ndarray) -> np.ndarray:
@@ -41,3 +44,60 @@ def percentile_features_reference(window: np.ndarray) -> np.ndarray:
     daily = window.reshape(n, days, HOURS_PER_DAY, channels)
     pct = np.percentile(daily, _PERCENTILES, axis=2)
     return pct.transpose(1, 2, 3, 0).reshape(n, days * channels * len(_PERCENTILES))
+
+
+def assembled_window(ingestor, lo_hour: int, hi_hour: int) -> np.ndarray:
+    """Eq. 5 channels for ``[lo_hour, hi_hour)`` via ``assemble_window``.
+
+    Concatenates the ingestor's component rings the way
+    ``StreamIngestor.feature_window`` did before the persistent feature
+    ring existed; ``feature_window`` must match it bitwise.
+    """
+    slots = ingestor._ring_slots(lo_hour, hi_hour)
+    return assemble_window(
+        ingestor.values[:, slots, :],
+        ingestor.calendar[slots],
+        ingestor.score_hourly[:, slots],
+        ingestor.trail_daily[:, slots],
+        ingestor.trail_weekly[:, slots],
+        ingestor.trail_label[:, slots],
+    )
+
+
+def probe_block_reference(
+    validator, values, missing, calendar_rows, first_hour, clock, default_row
+):
+    """The per-hour block probe: ``None`` (replay per tick) or the
+    ``(values, missing, calendar_rows)`` a block is applied with.
+
+    Every column is validated against the clock it would meet in
+    per-hour order, stopping at the first verdict that is not a plain
+    accept (no gap); the accepted verdicts are stacked hour by hour.
+    ``repro.resilience.validate.admit_block`` must take the same
+    decision and, on apply, pass bitwise-equal arrays.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    missing = None if missing is None else np.asarray(missing, dtype=bool)
+    if calendar_rows is not None:
+        calendar_rows = np.asarray(calendar_rows, dtype=np.float64)
+    verdicts = []
+    for j in range(values.shape[1]):
+        verdict = validator.validate(
+            values[:, j, :],
+            None if missing is None else missing[:, j, :],
+            None if calendar_rows is None else calendar_rows[j],
+            hour=None if first_hour is None else first_hour + j,
+            clock=clock + j,
+        )
+        if verdict.action != ACCEPT or verdict.gap_hours:
+            return None
+        verdicts.append(verdict)
+    rows = [
+        default_row(clock + j) if v.calendar_row is None else v.calendar_row
+        for j, v in enumerate(verdicts)
+    ]
+    return (
+        np.stack([v.values for v in verdicts], axis=1),
+        np.stack([v.missing for v in verdicts], axis=1),
+        np.array(rows, dtype=np.float64),
+    )

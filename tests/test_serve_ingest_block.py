@@ -14,6 +14,7 @@ import pytest
 
 from repro.data.tensor import HOURS_PER_DAY, HOURS_PER_WEEK
 from repro.serve.ingest import StreamIngestor
+from tests.oracles import assembled_window
 
 
 def _feed(rng, n=7, l=21, hours=HOURS_PER_WEEK * 2 + 30, missing_rate=0.06):
@@ -80,7 +81,7 @@ def test_feature_window_matches_assembled_reference(rng):
     lo = HOURS_PER_DAY * (t_day - window + 1)
     hi = HOURS_PER_DAY * (t_day + 1)
     np.testing.assert_array_equal(
-        ing.feature_window(t_day, window), ing.assembled_window(lo, hi)
+        ing.feature_window(t_day, window), assembled_window(ing, lo, hi)
     )
 
 
