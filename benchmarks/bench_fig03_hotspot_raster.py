@@ -8,8 +8,6 @@ raster's row-density distribution and checks that composition.
 
 from __future__ import annotations
 
-import numpy as np
-
 from _reporting import format_table, report
 
 

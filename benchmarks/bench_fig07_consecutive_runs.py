@@ -8,8 +8,6 @@ single-day bursts with a tail of multi-day (and multi-week) stretches.
 
 from __future__ import annotations
 
-import numpy as np
-
 from _reporting import format_series, report
 from repro.analysis.temporal import consecutive_period_histogram
 

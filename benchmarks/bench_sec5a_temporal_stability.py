@@ -10,8 +10,6 @@ and reproduces the screen.
 
 from __future__ import annotations
 
-import numpy as np
-
 from _reporting import format_table, report
 from repro.core.experiment import SweepGrid
 from repro.core.stability import temporal_stability

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.dataset import SectorGeography
 from repro.stats.buckets import LogBuckets
-from repro.stats.correlation import pairwise_pearson, pearson_matrix_to_targets
+from repro.stats.correlation import pearson_matrix_to_targets
 
 __all__ = ["SpatialCorrelation", "spatial_correlation"]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.experiment import ExperimentResult
-from repro.stats.ks import KSResult, ks_two_sample
+from repro.stats.ks import ks_two_sample
 
 __all__ = ["StabilityReport", "temporal_stability"]
 

@@ -9,7 +9,7 @@ scoring pipeline: hourly/daily/weekly scores ``S`` and hot spot labels
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -68,13 +68,16 @@ class CorruptStoreError(RuntimeError):
 
 
 @contextmanager
-def _atomic_replace(path: Path, text: bool = False):
+def _atomic_replace(path: Path, text: bool = False, sync: bool = False):
     """Yield a temp-file handle that is renamed onto *path* on success.
 
-    Same contract as :func:`write_json_atomic` (same-directory temp file
-    plus ``os.replace``): readers only ever see the previous contents or
-    the complete new ones, never a torn file.  On any failure the temp
-    file is removed and *path* is left untouched.
+    The one atomic writer behind every durable file (JSON state, dataset
+    and model archives, checkpoint snapshots): a same-directory temp
+    file plus ``os.replace``, so readers only ever see the previous
+    contents or the complete new ones, never a torn file.  With *sync*
+    the temp file is fsync'd before the rename (crash-durable, one disk
+    sync per write).  On any failure the temp file is removed and *path*
+    is left untouched.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
@@ -87,6 +90,9 @@ def _atomic_replace(path: Path, text: bool = False):
             handle = os.fdopen(fd, "wb")
         with handle:
             yield handle
+            if sync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -220,28 +226,12 @@ def write_json_atomic(path: str | Path, payload: dict, sync: bool = False) -> Pa
 
     Readers see either the previous contents or the new ones, never a
     torn file — the property the checkpoint metadata, model provenance
-    sidecars, and lifecycle state journal all rely on.  With *sync* the
-    temp file is fsync'd before the rename (crash-durable, one disk sync
-    per write).
+    sidecars, and lifecycle state journal all rely on.  *sync* is
+    :func:`_atomic_replace`'s fsync-before-rename flag.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            if sync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with _atomic_replace(path, text=True, sync=sync) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
     return path
 
 

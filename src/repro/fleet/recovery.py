@@ -50,7 +50,8 @@ from repro.fleet.partition import PartitionPlan
 from repro.fleet.worker import FleetConfig
 from repro.resilience.checkpoint import (
     CheckpointManager,
-    TickJournal,
+    journal_records,
+    journal_run,
     load_newest_snapshot,
 )
 from repro.serve.ingest import StreamIngestor
@@ -64,27 +65,14 @@ def journal_clock(directory: str | Path) -> int:
     The newest *readable* snapshot's hour plus the contiguous run of
     journal records on top of it — exactly the ``hours_seen`` a
     :meth:`CheckpointManager.recover` of the directory would restore.
-    The snapshot is judged by the same loader ``recover`` uses, so a
-    snapshot with a corrupt member counts for neither; the journal
-    records on top are counted, not replayed.  The fleet supervisor uses
+    The snapshot loader and the journal run are the ones ``recover``
+    uses; the run is counted, not replayed.  The fleet supervisor uses
     it to find where a dead shard's durable state ends, so degraded-mode
     spooling appends precisely the hours the shard is missing.
     """
-    directory = Path(directory)
     snapshot = load_newest_snapshot(directory)
     clock = 0 if snapshot is None else snapshot.hours_seen
-    hours: set[int] = set()
-    for segment in sorted(directory.glob("wal-*.log")):
-        try:
-            for hour, _values, _missing, _calendar in TickJournal.read_records(
-                segment
-            ):
-                hours.add(hour)
-        except ValueError:
-            continue  # foreign or headerless file
-    while clock in hours:
-        clock += 1
-    return clock
+    return clock + len(journal_run(journal_records(directory), clock))
 
 
 def recover_fleet(

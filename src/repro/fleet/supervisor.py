@@ -55,7 +55,6 @@ Two conditions end the restart loop:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +70,7 @@ from repro.fleet.worker import (
     FleetConfig,
     ShardWorker,
     build_worker,
+    load_responses,
 )
 from repro.parallel.pool import PoolUnavailable
 from repro.resilience.chaos import (
@@ -609,8 +609,10 @@ class FleetSupervisor:
         # their true responses persisted — re-emit them, bitwise.  The
         # rest are spooled into the shard's WAL and synthesised.
         journaled = min(max(host.spool_clock - first_hour, 0), n_hours)
+        stored = load_responses(self._shard_dir(host) / EVENTS_NAME) if journaled else {}
         responses = [
-            self._persisted_response(host, first_hour + j) for j in range(journaled)
+            stored.get(hour) or ShardWorker._trivial_response(hour)
+            for hour in range(first_hour, first_hour + journaled)
         ]
         if journaled < n_hours:
             host.spool.record_block(
@@ -676,18 +678,6 @@ class FleetSupervisor:
             fallback=level,
         )
         return [float(s) for s in scores]
-
-    def _persisted_response(self, host, hour: int) -> dict:
-        path = self._shard_dir(host) / EVENTS_NAME
-        if path.exists():
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                stored = payload.get("hours", {}).get(str(int(hour)))
-                if stored is not None:
-                    return stored
-            except (OSError, json.JSONDecodeError):
-                pass
-        return ShardWorker._trivial_response(hour)
 
     # ------------------------------------------------------------- queries
     def ring(self, hour: int) -> list:

@@ -73,6 +73,7 @@ __all__ = [
     "ShardWorker",
     "SimulatedKill",
     "build_worker",
+    "load_responses",
 ]
 
 #: Per-shard file holding the non-trivial responses of the current
@@ -189,7 +190,15 @@ class ShardWorker:
         self.ingestor = ingestor
         self.engine = engine
         self.checkpoint = checkpoint
-        # The dark runs are not checkpointed: rebuild them from the ring.
+        # The dark runs are not checkpointed: rebuild them from the ring,
+        # which holds at most `capacity` hours of any run.
+        if dark.threshold_hours > ingestor.capacity:
+            raise ValueError(
+                f"dark threshold of {dark.threshold_hours} h exceeds the "
+                f"{ingestor.capacity}-hour ingest ring, so a resumed shard "
+                "could not rebuild its dark runs; lower the threshold or "
+                "raise w_max"
+            )
         dark.backfill_from_ring(ingestor)
         self.dark = dark
         self.controller = controller
@@ -494,13 +503,7 @@ def build_worker(
             n_jobs=1,
         )
     events_path = shard_dir / EVENTS_NAME
-    responses: dict[int, dict] = {}
-    if resume and events_path.exists():
-        payload = json.loads(events_path.read_text(encoding="utf-8"))
-        if "hours" in payload:
-            responses = {int(h): r for h, r in payload["hours"].items()}
-        elif "hour" in payload:  # pre-block single-response layout
-            responses = {int(payload["hour"]): payload}
+    responses = load_responses(events_path) if resume else {}
     return ShardWorker(
         shard_id=shard_id,
         sector_ids=sector_ids,
@@ -513,6 +516,22 @@ def build_worker(
         events_path=events_path,
         responses=responses,
     )
+
+
+def load_responses(path: Path) -> dict[int, dict]:
+    """Hour → persisted response, read from a shard's response store.
+
+    ``{}`` when the store is absent.  The pre-block layout held a single
+    response (``{"hour": h, ...}``) and still reads.
+    """
+    if not path.exists():
+        return {}
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if "hours" in payload:
+        return {int(h): r for h, r in payload["hours"].items()}
+    if "hour" in payload:  # pre-block single-response layout
+        return {int(payload["hour"]): payload}
+    return {}
 
 
 def _jsonable(response: dict) -> dict:

@@ -25,7 +25,8 @@ Crash windows:
   hour*, handing back the previously assigned ids instead of
   re-appending.  Re-delivery is the subscriber's dedup problem (ids
   make it trivial), double-journaling never happens.
-* **crash mid-append** — the torn tail line is dropped on reload.
+* **crash mid-append** — the torn tail line is dropped on reload; a
+  final line without its newline counts as torn even when it parses.
   Because the tap fires *before* the WAL append, a torn record always
   belongs to an hour the engine never acknowledged, so the re-driven
   hour re-records it; nothing acknowledged is ever lost.
@@ -102,6 +103,11 @@ class EventJournal:
             for raw in fh:
                 end = offset + len(raw)
                 try:
+                    if not raw.endswith(b"\n"):
+                        # Parseable but unterminated: the append was cut
+                        # before its newline, and the next append would
+                        # land on the same line.
+                        raise ValueError("record has no newline")
                     record = json.loads(raw.decode("utf-8"))
                     first = record["first_id"]
                     events = record["events"]

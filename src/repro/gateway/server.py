@@ -51,11 +51,10 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.gateway.journal import EventJournal
 from repro.gateway.metrics import render_prometheus
 from repro.gateway.sse import SseHub, format_frame
+from repro.serve.service import _decode_tick
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = ["GatewayConfig", "HotSpotGateway", "GatewayThread"]
@@ -158,19 +157,9 @@ class HotSpotGateway:
 
     def _apply(self, op: dict) -> tuple[list[tuple[int, dict]], list[dict]]:
         """Apply one tick on the worker thread; returns (pairs, events)."""
-        values = np.asarray(op["values"], dtype=np.float64)
-        missing = op.get("missing")
-        if missing is not None:
-            missing = np.asarray(missing, dtype=bool)
-        calendar = op.get("calendar")
-        if calendar is not None:
-            calendar = np.asarray(calendar, dtype=np.float64)
-        hour = op.get("hour")
         self._tap_pairs = []
         with self.telemetry.timer("ingest_apply"):
-            events = self.backend.submit(
-                values, missing, calendar, None if hour is None else int(hour)
-            )
+            events = self.backend.submit(*_decode_tick(op))
         pairs, self._tap_pairs = self._tap_pairs, []
         # The backend taps every applied hour, so the tapped events lead
         # the returned list.  The rest — quarantine and duplicate

@@ -53,21 +53,21 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import zlib
 from pathlib import Path
 from typing import IO, Iterator
 
 import numpy as np
 
-from repro.core.scoring import ScoreConfig
-from repro.data.store import write_json_atomic
+from repro.data.store import _atomic_replace, write_json_atomic
 from repro.serve.ingest import StreamIngestor
 
 __all__ = [
     "TickJournal",
     "CheckpointManager",
     "RecoveredState",
+    "journal_records",
+    "journal_run",
     "load_newest_snapshot",
 ]
 
@@ -77,6 +77,46 @@ _RECORD_HEAD = struct.Struct("<QI")
 _CRC = struct.Struct("<I")
 _CALENDAR_WIDTH = 5
 _META_NAME = "meta.json"
+#: Snapshot generations kept on disk: a corrupt newest one falls back a
+#: generation, which is why two are kept.
+_KEEP_SNAPSHOTS = 2
+
+
+def _payload_len(n_sectors: int, n_kpis: int) -> int:
+    """Record payload bytes: values float64, missing uint8, calendar float64."""
+    return 9 * n_sectors * n_kpis + 8 * _CALENDAR_WIDTH
+
+
+def _read_header(handle: IO[bytes], path: Path) -> tuple[int, int]:
+    """``(n_sectors, n_kpis)`` of the segment open at its start in *handle*."""
+    head = handle.read(len(_MAGIC) + _HEADER.size)
+    if len(head) < len(_MAGIC) + _HEADER.size or head[: len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"'{path}' is not a tick journal")
+    return _HEADER.unpack(head[len(_MAGIC):])
+
+
+def _intact_records(handle: IO[bytes], payload_len: int) -> Iterator[tuple[int, bytes]]:
+    """``(hour, payload)`` per intact record from *handle*'s position on.
+
+    Stops silently at the first record that is short, of the wrong
+    length, or fails its CRC — the torn tail of a crashed writer; after
+    each yield *handle* sits just past the record.  The one walk behind
+    both torn-tail truncation on reopen and replay.
+    """
+    while True:
+        record_head = handle.read(_RECORD_HEAD.size)
+        if len(record_head) < _RECORD_HEAD.size:
+            return  # clean EOF or torn header
+        hour, length = _RECORD_HEAD.unpack(record_head)
+        if length != payload_len:
+            return
+        payload = handle.read(length)
+        crc_bytes = handle.read(_CRC.size)
+        if len(payload) < length or len(crc_bytes) < _CRC.size:
+            return  # torn record: crash mid-append
+        if zlib.crc32(payload) != _CRC.unpack(crc_bytes)[0]:
+            return  # corrupted tail
+        yield hour, payload
 
 
 class TickJournal:
@@ -104,17 +144,20 @@ class TickJournal:
         self.n_sectors = int(n_sectors)
         self.n_kpis = int(n_kpis)
         self.sync = sync
-        self._payload_len = (
-            8 * self.n_sectors * self.n_kpis  # values float64
-            + self.n_sectors * self.n_kpis  # missing uint8
-            + 8 * _CALENDAR_WIDTH  # calendar float64
-        )
+        self._payload_len = _payload_len(self.n_sectors, self.n_kpis)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         if not fresh:
             with open(self.path, "rb") as readable:
-                self._check_header(readable)
-                valid_end = self._scan_valid_end(readable)
+                n, l = _read_header(readable, self.path)
+                if (n, l) != (self.n_sectors, self.n_kpis):
+                    raise ValueError(
+                        f"journal '{self.path}' is for ({n} sectors, {l} KPIs), "
+                        f"expected ({self.n_sectors}, {self.n_kpis})"
+                    )
+                valid_end = readable.tell()
+                for _ in _intact_records(readable, self._payload_len):
+                    valid_end = readable.tell()
             if valid_end < self.path.stat().st_size:
                 # Torn/corrupt tail from a crashed writer: cut the file
                 # back to its last intact record, otherwise every record
@@ -129,40 +172,6 @@ class TickJournal:
             self._handle.write(_MAGIC + _HEADER.pack(self.n_sectors, self.n_kpis))
             self._flush()
         self.appended = 0
-
-    def _scan_valid_end(self, handle: IO[bytes]) -> int:
-        """Byte offset just past the last intact record in *handle*.
-
-        *handle* must be positioned at the first record (right after the
-        header).  Anything beyond the returned offset failed a length or
-        CRC check and is unusable.
-        """
-        end = handle.tell()
-        while True:
-            record_head = handle.read(_RECORD_HEAD.size)
-            if len(record_head) < _RECORD_HEAD.size:
-                return end
-            _, payload_len = _RECORD_HEAD.unpack(record_head)
-            if payload_len != self._payload_len:
-                return end
-            payload = handle.read(payload_len)
-            crc_bytes = handle.read(_CRC.size)
-            if len(payload) < payload_len or len(crc_bytes) < _CRC.size:
-                return end
-            if zlib.crc32(payload) != _CRC.unpack(crc_bytes)[0]:
-                return end
-            end = handle.tell()
-
-    def _check_header(self, handle: IO[bytes]) -> None:
-        head = handle.read(len(_MAGIC) + _HEADER.size)
-        if len(head) < len(_MAGIC) + _HEADER.size or head[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(f"'{self.path}' is not a tick journal")
-        n, l = _HEADER.unpack(head[len(_MAGIC):])
-        if (n, l) != (self.n_sectors, self.n_kpis):
-            raise ValueError(
-                f"journal '{self.path}' is for ({n} sectors, {l} KPIs), "
-                f"expected ({self.n_sectors}, {self.n_kpis})"
-            )
 
     def _flush(self) -> None:
         self._handle.flush()
@@ -229,21 +238,8 @@ class TickJournal:
         """
         path = Path(path)
         with open(path, "rb") as handle:
-            head = handle.read(len(_MAGIC) + _HEADER.size)
-            if len(head) < len(_MAGIC) + _HEADER.size or head[: len(_MAGIC)] != _MAGIC:
-                raise ValueError(f"'{path}' is not a tick journal")
-            n, l = _HEADER.unpack(head[len(_MAGIC):])
-            while True:
-                record_head = handle.read(_RECORD_HEAD.size)
-                if len(record_head) < _RECORD_HEAD.size:
-                    return  # clean EOF or torn header
-                hour, payload_len = _RECORD_HEAD.unpack(record_head)
-                payload = handle.read(payload_len)
-                crc_bytes = handle.read(_CRC.size)
-                if len(payload) < payload_len or len(crc_bytes) < _CRC.size:
-                    return  # torn record: crash mid-append
-                if zlib.crc32(payload) != _CRC.unpack(crc_bytes)[0]:
-                    return  # corrupted tail
+            n, l = _read_header(handle, path)
+            for hour, payload in _intact_records(handle, _payload_len(n, l)):
                 values = np.frombuffer(payload, dtype=np.float64, count=n * l)
                 offset = 8 * n * l
                 missing = np.frombuffer(
@@ -291,6 +287,51 @@ def load_newest_snapshot(
     return None
 
 
+def journal_records(
+    directory: str | Path,
+) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every intact record of every journal segment in *directory*.
+
+    In hour order (stable, so an hour journaled in two segments keeps
+    segment order); foreign or headerless ``wal-*.log`` files are
+    skipped.
+    """
+    records: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    for segment in sorted(Path(directory).glob("wal-*.log")):
+        try:
+            records.extend(TickJournal.read_records(segment))
+        except ValueError:
+            continue  # foreign or headerless file
+    records.sort(key=lambda record: record[0])
+    return records
+
+
+def journal_run(
+    records: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+    start_hour: int,
+    up_to_hour: int | None = None,
+) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The records of :func:`journal_records` that continue *start_hour*.
+
+    One record per hour, contiguous from *start_hour*: earlier hours are
+    superseded (by the snapshot, or by the first copy of an hour
+    journaled twice), a gap ends the run (nothing after it is
+    replayable), and so does *up_to_hour* when given.  Recovery replays
+    this run; :func:`repro.fleet.recovery.journal_clock` counts it.
+    """
+    run: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    for record in records:
+        hour = record[0]
+        if up_to_hour is not None and hour >= up_to_hour:
+            break
+        if hour < start_hour + len(run):
+            continue
+        if hour > start_hour + len(run):
+            break
+        run.append(record)
+    return run
+
+
 class RecoveredState:
     """Result of :meth:`CheckpointManager.recover`."""
 
@@ -322,14 +363,14 @@ class CheckpointManager:
     n_sectors, n_kpis:
         Payload shape for the journal.
     snapshot_every:
-        Snapshot cadence in accepted hours (default one week).
-    keep_snapshots:
-        Snapshots retained; older ones are pruned after each snapshot.
+        Snapshot cadence in accepted hours (default one week).  The two
+        newest snapshots are kept; older ones are pruned after each
+        snapshot.
     sync:
         Passed to :class:`TickJournal`.
     ingestor_meta:
         Construction parameters of the ingestor being checkpointed (see
-        :meth:`construction_meta`); written atomically to ``meta.json``
+        :meth:`StreamIngestor.construction_meta`); written atomically to ``meta.json``
         so a journal-only recovery (crash before the first snapshot)
         rebuilds an identically configured ingestor.  Supplied
         automatically by :meth:`for_ingestor`.
@@ -341,20 +382,16 @@ class CheckpointManager:
         n_sectors: int,
         n_kpis: int,
         snapshot_every: int = 168,
-        keep_snapshots: int = 2,
         sync: bool = False,
         ingestor_meta: dict | None = None,
     ) -> None:
         if snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
-        if keep_snapshots < 1:
-            raise ValueError(f"keep_snapshots must be >= 1, got {keep_snapshots}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.n_sectors = int(n_sectors)
         self.n_kpis = int(n_kpis)
         self.snapshot_every = snapshot_every
-        self.keep_snapshots = keep_snapshots
         self.sync = sync
         self.snapshots_written = 0
         if ingestor_meta is not None:
@@ -369,24 +406,8 @@ class CheckpointManager:
     def for_ingestor(
         cls, directory: str | Path, ingestor: StreamIngestor, **kwargs
     ) -> "CheckpointManager":
-        kwargs.setdefault("ingestor_meta", cls.construction_meta(ingestor))
+        kwargs.setdefault("ingestor_meta", ingestor.construction_meta())
         return cls(directory, ingestor.n_sectors, ingestor.n_kpis, **kwargs)
-
-    @staticmethod
-    def construction_meta(ingestor: StreamIngestor) -> dict:
-        """JSON-able parameters that rebuild an equivalent empty ingestor."""
-        return {
-            "n_sectors": ingestor.n_sectors,
-            "n_kpis": ingestor.n_kpis,
-            "w_max": ingestor.w_max,
-            "capacity": ingestor.capacity,
-            "start_weekday": ingestor.start_weekday,
-            "start_hour": ingestor.start_hour,
-            "start_day_of_month": ingestor.start_day_of_month,
-            "weights": list(ingestor.config.weights),
-            "thresholds": list(ingestor.config.thresholds),
-            "hotspot_threshold": ingestor.config.hotspot_threshold,
-        }
 
     def _write_meta(self, meta: dict) -> None:
         """Atomically persist *meta* as ``meta.json`` (temp + replace)."""
@@ -464,22 +485,8 @@ class CheckpointManager:
         meta_blob = np.frombuffer(
             json.dumps(state["meta"]).encode("utf-8"), dtype=np.uint8
         )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, meta_json=meta_blob, **state["arrays"])
-                if self.sync:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with _atomic_replace(path, sync=self.sync) as handle:
+            np.savez(handle, meta_json=meta_blob, **state["arrays"])
         self.snapshots_written += 1
         self._last_snapshot_hour = ingestor.hours_seen
         self._rotate_journal(ingestor.hours_seen)
@@ -501,7 +508,7 @@ class CheckpointManager:
 
     def _prune(self) -> None:
         snapshots = self._snapshot_files()
-        for stale in snapshots[: -self.keep_snapshots]:
+        for stale in snapshots[:-_KEEP_SNAPSHOTS]:
             stale.unlink(missing_ok=True)
         # A segment starting before the oldest *retained* snapshot is
         # fully superseded by it (segments rotate exactly at snapshots).
@@ -552,38 +559,17 @@ class CheckpointManager:
         directory = Path(directory)
         ingestor = load_newest_snapshot(directory, up_to_hour)
         snapshot_hour = 0 if ingestor is None else ingestor.hours_seen
-
-        records: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        for segment in sorted(directory.glob("wal-*.log")):
-            try:
-                records.extend(TickJournal.read_records(segment))
-            except ValueError:
-                continue  # foreign or headerless file
-        records.sort(key=lambda record: record[0])
-
-        replayed = 0
-        for hour, values, missing, calendar in records:
-            if ingestor is None:
-                # Journal-only recovery (crash before the first
-                # snapshot): rebuild from the persisted construction
-                # meta so anchors/w_max/capacity/score config match the
-                # original run; fall back to a shape-derived default
-                # only when the meta is absent or unusable.
-                ingestor = cls._fresh_ingestor(directory, values.shape)
-            if up_to_hour is not None and hour >= up_to_hour:
-                break  # caller-bounded recovery (fleet reshard rewind)
-            if hour < ingestor.hours_seen:
-                continue  # superseded by the snapshot
-            if hour > ingestor.hours_seen:
-                break  # gap in the journal: nothing after it is replayable
+        records = journal_records(directory)
+        if ingestor is None and records:
+            # Journal-only recovery (crash before the first snapshot).
+            ingestor = cls._fresh_ingestor(directory, records[0][1].shape)
+        run = journal_run(records, snapshot_hour, up_to_hour)
+        for _hour, values, missing, calendar in run:
             ingestor.ingest_hour(values, missing, calendar)
-            replayed += 1
-        return RecoveredState(ingestor, snapshot_hour, replayed)
+        return RecoveredState(ingestor, snapshot_hour, len(run))
 
-    @classmethod
-    def _fresh_ingestor(
-        cls, directory: Path, shape: tuple[int, int]
-    ) -> StreamIngestor:
+    @staticmethod
+    def _fresh_ingestor(directory: Path, shape: tuple[int, int]) -> StreamIngestor:
         """Empty ingestor for journal-only replay, shaped like *shape*.
 
         Prefers the construction parameters persisted in ``meta.json``
@@ -592,24 +578,9 @@ class CheckpointManager:
         default configuration rather than failing recovery.
         """
         try:
-            meta = json.loads(
-                (directory / _META_NAME).read_text(encoding="utf-8")
-            )
+            meta = json.loads((directory / _META_NAME).read_text(encoding="utf-8"))
             if (int(meta["n_sectors"]), int(meta["n_kpis"])) != tuple(shape):
                 raise ValueError("meta.json shape does not match the journal")
-            return StreamIngestor(
-                n_sectors=int(meta["n_sectors"]),
-                n_kpis=int(meta["n_kpis"]),
-                score_config=ScoreConfig(
-                    weights=tuple(float(w) for w in meta["weights"]),
-                    thresholds=tuple(float(t) for t in meta["thresholds"]),
-                    hotspot_threshold=float(meta["hotspot_threshold"]),
-                ),
-                w_max=int(meta["w_max"]),
-                capacity_hours=int(meta["capacity"]),
-                start_weekday=int(meta["start_weekday"]),
-                start_hour=int(meta["start_hour"]),
-                start_day_of_month=int(meta["start_day_of_month"]),
-            )
+            return StreamIngestor.from_construction_meta(meta)
         except Exception:  # noqa: BLE001 - degrade to defaults, never fail
             return StreamIngestor(n_sectors=shape[0], n_kpis=shape[1])

@@ -452,11 +452,12 @@ class DarkSectorTracker:
         After a crash the tracker's in-memory runs are gone; the ring
         buffer, restored from snapshot+WAL, still holds the last
         ``capacity`` hours of per-KPI missing masks.  The trailing
-        fully-missing run per sector is recomputed from it exactly:
-        because ``threshold_hours`` (84 by default) is far below the
-        ring capacity (>= 192 h), any run long enough to matter fits
-        entirely inside the ring, so the rebuilt state is equal to the
-        uninterrupted tracker's (asserted in the fleet parity tests).
+        fully-missing run per sector is recomputed from it exactly as
+        long as ``threshold_hours`` (84 by default) is at most the ring
+        capacity (>= 192 h), which :class:`~repro.fleet.worker.ShardWorker`
+        enforces: any run long enough to matter then fits inside the
+        ring, so the rebuilt state is equal to the uninterrupted
+        tracker's (asserted in the fleet parity tests).
         ``went_dark_total`` is a lifetime counter with no ring
         representation; it is left untouched (zero on a fresh tracker).
         """

@@ -38,10 +38,12 @@ accumulation order as the per-hour path, see the parity contract),
 gathered Eq. 3 trailing means, and per-day-segment accumulator writes —
 and is *bitwise identical* to calling :meth:`~StreamIngestor.ingest_hour`
 once per hour.  ``ingest_hour`` is in fact implemented as the
-block-size-1 case.  The ingestor also maintains a persistent Eq. 5
-feature ring (the assembled channel columns per slot, written
-incrementally) so :meth:`~StreamIngestor.feature_window` is a single
-gather instead of a six-array concatenation per forecast.
+block-size-1 case.  The ring itself is the persistent Eq. 5 feature
+ring (the assembled channel columns per slot, written incrementally),
+so :meth:`~StreamIngestor.feature_window` is a single gather instead of
+a six-array concatenation per forecast; the per-channel rings
+(``values``, ``calendar``, ``score_hourly``, the trailing channels) are
+column views into it.
 """
 
 from __future__ import annotations
@@ -210,23 +212,24 @@ class StreamIngestor:
         self._threshold = config.hotspot_threshold
 
         n, cap, l = n_sectors, self.capacity, n_kpis
-        # Ring-buffered hourly state (slot = hour % capacity).
-        self.values = np.full((n, cap, l), np.nan)
+        # Ring-buffered hourly state (slot = hour % capacity).  The Eq. 5
+        # feature ring holds the assembled channel columns of every slot
+        # (KPIs | calendar | S^h | S^d | S^w | Y^d), so feature_window()
+        # is one gather; the per-channel rings are column views into it,
+        # never second copies.  Unfilled KPI slots read NaN.
+        self._features = np.zeros((n, cap, l + 9))
+        self._features[:, :, :l] = np.nan
+        self.values = self._features[:, :, :l]
+        #: Sector 0's calendar columns: every sector holds the same rows.
+        self.calendar = self._features[0, :, l : l + 5]
+        self.score_hourly = self._features[:, :, l + 5]
+        self.trail_daily = self._features[:, :, l + 6]
+        self.trail_weekly = self._features[:, :, l + 7]
+        self.trail_label = self._features[:, :, l + 8]
         self.missing = np.ones((n, cap, l), dtype=bool)
-        self.calendar = np.zeros((cap, 5))
-        self.score_hourly = np.zeros((n, cap))
         self.labels_hourly = np.zeros((n, cap), dtype=np.int8)
-        self.trail_daily = np.zeros((n, cap))
-        self.trail_weekly = np.zeros((n, cap))
-        self.trail_label = np.zeros((n, cap))
         self._cumsum = np.zeros((n, cap))
         self._running_total = np.zeros(n)
-        # Persistent Eq. 5 feature ring: the assembled channel columns
-        # for every slot (KPIs | calendar | S^h | S^d | S^w | Y^d), so
-        # feature_window() gathers instead of concatenating.  Derived
-        # state — rebuilt from the component rings on restore, never
-        # part of state_dict().
-        self._features = np.zeros((n, cap, l + 9))
         # Contiguous per-period accumulators (see parity contract).
         self._day_scores = np.zeros((n, HOURS_PER_DAY))
         self._week_scores = np.zeros((n, HOURS_PER_WEEK))
@@ -407,10 +410,11 @@ class StreamIngestor:
         tripped &= ~missing
         score = (tripped * self._weights[None, None, :]).sum(axis=2) / self._weight_sum
 
-        self.values[:, slots, :] = values
+        features = self._features
+        features[:, slots, :n_kpis] = values
+        features[:, slots, n_kpis : n_kpis + 5] = calendar_rows[None, :, :]
+        features[:, slots, n_kpis + 5] = score
         self.missing[:, slots, :] = missing
-        self.calendar[slots] = calendar_rows
-        self.score_hourly[:, slots] = score
         self.labels_hourly[:, slots] = (score > self._threshold).astype(np.int8)
 
         # Extend the running cumulative sum: np.cumsum accumulates
@@ -424,20 +428,9 @@ class StreamIngestor:
 
         trail_daily = self._trailing_block(hours, cumsum, HOURS_PER_DAY)
         trail_weekly = self._trailing_block(hours, cumsum, HOURS_PER_WEEK)
-        trail_label = (trail_daily > self._threshold).astype(np.float64)
-        self.trail_daily[:, slots] = trail_daily
-        self.trail_weekly[:, slots] = trail_weekly
-        self.trail_label[:, slots] = trail_label
-
-        # Incremental Eq. 5 delta: the feature ring gets this block's
-        # assembled channel columns once, here.
-        features = self._features
-        features[:, slots, :n_kpis] = values
-        features[:, slots, n_kpis : n_kpis + 5] = calendar_rows[None, :, :]
-        features[:, slots, n_kpis + 5] = score
         features[:, slots, n_kpis + 6] = trail_daily
         features[:, slots, n_kpis + 7] = trail_weekly
-        features[:, slots, n_kpis + 8] = trail_label
+        features[:, slots, n_kpis + 8] = trail_daily > self._threshold
 
         # Per-period accumulators, one contiguous segment per day (a
         # day segment never straddles a week boundary: 168 % 24 == 0).
@@ -597,25 +590,21 @@ class StreamIngestor:
                 "forecast window contains missing KPI values; impute upstream "
                 "(the batch pipeline rejects incomplete tensors the same way)"
             )
-        # One gather from the persistent feature ring; the stored
-        # columns are exactly what assemble_window() would concatenate
-        # from the component rings (see _ingest_chunk), so the result
-        # is bitwise-unchanged.
+        # One gather from the feature ring, whose columns the component
+        # rings are views of.
         return self._features[:, slots, :]
 
     # ------------------------------------------------------- checkpointing
-    def state_dict(self) -> dict:
-        """Complete snapshot of the ingestor's mutable state.
+    def construction_meta(self) -> dict:
+        """JSON-able parameters that rebuild an equivalent empty ingestor.
 
-        The returned mapping has two entries: ``"meta"`` (JSON-able
-        construction parameters and the hour clock) and ``"arrays"``
-        (copies of every numpy buffer, including ring slots beyond
-        ``hours_seen``).  :meth:`from_state` rebuilds an ingestor that
-        continues *bitwise-identically* to this one — the basis of the
-        :mod:`repro.resilience.checkpoint` crash-recovery contract.
+        The one codec for the construction parameters: the checkpoint's
+        ``meta.json`` stores this mapping and :meth:`state_dict`'s meta
+        carries it minus the shape (which the arrays hold).
         """
-        meta = {
-            "hours_seen": self.hours_seen,
+        return {
+            "n_sectors": self.n_sectors,
+            "n_kpis": self.n_kpis,
             "w_max": self.w_max,
             "capacity": self.capacity,
             "start_weekday": self.start_weekday,
@@ -625,6 +614,39 @@ class StreamIngestor:
             "thresholds": list(self.config.thresholds),
             "hotspot_threshold": self.config.hotspot_threshold,
         }
+
+    @classmethod
+    def from_construction_meta(cls, meta: dict) -> "StreamIngestor":
+        """Empty ingestor built from a :meth:`construction_meta` mapping."""
+        return cls(
+            n_sectors=int(meta["n_sectors"]),
+            n_kpis=int(meta["n_kpis"]),
+            score_config=ScoreConfig(
+                weights=tuple(float(w) for w in meta["weights"]),
+                thresholds=tuple(float(t) for t in meta["thresholds"]),
+                hotspot_threshold=float(meta["hotspot_threshold"]),
+            ),
+            w_max=int(meta["w_max"]),
+            capacity_hours=int(meta["capacity"]),
+            start_weekday=int(meta["start_weekday"]),
+            start_hour=int(meta["start_hour"]),
+            start_day_of_month=int(meta["start_day_of_month"]),
+        )
+
+    def state_dict(self) -> dict:
+        """Complete snapshot of the ingestor's mutable state.
+
+        The returned mapping has two entries: ``"meta"`` (JSON-able
+        construction parameters and the hour clock) and ``"arrays"``
+        (copies of every numpy buffer, including ring slots beyond
+        ``hours_seen``).  :meth:`from_state` rebuilds an ingestor that
+        continues *bitwise-identically* to this one — the basis of the
+        :mod:`repro.resilience.checkpoint` crash-recovery contract.
+        The feature ring is stored as its per-channel views, one array
+        each, with the calendar once (every sector holds the same rows).
+        """
+        meta = {"hours_seen": self.hours_seen, **self.construction_meta()}
+        del meta["n_sectors"], meta["n_kpis"]  # the arrays carry the shape
         arrays = {
             "values": self.values.copy(),
             "missing": self.missing.copy(),
@@ -649,25 +671,13 @@ class StreamIngestor:
     def from_state(cls, state: dict) -> "StreamIngestor":
         """Rebuild an ingestor from a :meth:`state_dict` snapshot."""
         meta, arrays = state["meta"], state["arrays"]
-        config = ScoreConfig(
-            weights=tuple(float(w) for w in meta["weights"]),
-            thresholds=tuple(float(t) for t in meta["thresholds"]),
-            hotspot_threshold=float(meta["hotspot_threshold"]),
-        )
-        ingestor = cls(
-            n_sectors=int(arrays["values"].shape[0]),
-            n_kpis=int(arrays["values"].shape[2]),
-            score_config=config,
-            w_max=int(meta["w_max"]),
-            capacity_hours=int(meta["capacity"]),
-            start_weekday=int(meta["start_weekday"]),
-            start_hour=int(meta["start_hour"]),
-            start_day_of_month=int(meta["start_day_of_month"]),
+        n_sectors, _, n_kpis = arrays["values"].shape
+        ingestor = cls.from_construction_meta(
+            {**meta, "n_sectors": n_sectors, "n_kpis": n_kpis}
         )
         for attr, key in (
             ("values", "values"),
             ("missing", "missing"),
-            ("calendar", "calendar"),
             ("score_hourly", "score_hourly"),
             ("labels_hourly", "labels_hourly"),
             ("trail_daily", "trail_daily"),
@@ -679,6 +689,8 @@ class StreamIngestor:
             ("_week_scores", "week_scores"),
         ):
             getattr(ingestor, attr)[...] = arrays[key]
+        # The stored calendar ring is shared by every sector's columns.
+        ingestor._features[:, :, n_kpis : n_kpis + 5] = arrays["calendar"][None, :, :]
         ingestor._score_daily = _History.from_matrix(
             np.asarray(arrays["score_daily"], dtype=np.float64)
         )
@@ -692,20 +704,4 @@ class StreamIngestor:
             np.asarray(arrays["labels_weekly"], dtype=np.int8)
         )
         ingestor.hours_seen = int(meta["hours_seen"])
-        # The feature ring is derived state and deliberately absent
-        # from state_dict() (snapshots stay byte-compatible with
-        # pre-feature-ring checkpoints); rebuild it from the restored
-        # component rings.
-        ingestor._rebuild_features()
         return ingestor
-
-    def _rebuild_features(self) -> None:
-        """Recompute the Eq. 5 feature ring from the component rings."""
-        n_kpis = self.n_kpis
-        features = self._features
-        features[:, :, :n_kpis] = self.values
-        features[:, :, n_kpis : n_kpis + 5] = self.calendar[None, :, :]
-        features[:, :, n_kpis + 5] = self.score_hourly
-        features[:, :, n_kpis + 6] = self.trail_daily
-        features[:, :, n_kpis + 7] = self.trail_weekly
-        features[:, :, n_kpis + 8] = self.trail_label

@@ -17,8 +17,6 @@ statistics for the telemetry layer.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 import zipfile
 from collections import OrderedDict
@@ -35,7 +33,7 @@ from repro.core.baselines import (
     TrendModel,
 )
 from repro.core.forecaster import HotSpotForecaster
-from repro.data.store import write_json_atomic
+from repro.data.store import _atomic_replace, write_json_atomic
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.regression_tree import RegressionTree
@@ -356,21 +354,9 @@ class ModelRegistry:
         """
         meta, arrays = _dump_model(model)
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         meta_blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, meta_json=meta_blob, **arrays)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with _atomic_replace(path) as handle:
+            np.savez_compressed(handle, meta_json=meta_blob, **arrays)
         self.saves += 1
         self._remember(key, model)
         return path

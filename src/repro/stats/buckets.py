@@ -8,7 +8,7 @@ module provides that bucketing as a small reusable component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

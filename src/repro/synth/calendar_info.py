@@ -14,11 +14,11 @@ zero-based day offsets from the Monday the data starts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.tensor import HOURS_PER_DAY, TimeAxis
+from repro.data.tensor import TimeAxis
 
 __all__ = ["CalendarConfig", "default_holidays", "build_calendar"]
 

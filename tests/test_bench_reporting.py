@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
-import sys
 from pathlib import Path
 
-import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench_reporting", Path(__file__).parent.parent / "benchmarks" / "_reporting.py"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.labels import become_hot_labels, hot_spot_labels
 from repro.core.scoring import (
     ScoreConfig,
-    attach_scores,
     hourly_score,
     integrate_score,
     trailing_mean,

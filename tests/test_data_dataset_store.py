@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.scoring import attach_scores
 from repro.data.dataset import Dataset, SectorGeography
 from repro.data.store import (
     CorruptStoreError,

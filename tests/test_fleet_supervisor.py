@@ -16,7 +16,6 @@ import json
 import multiprocessing
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sectors

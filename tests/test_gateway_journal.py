@@ -128,6 +128,30 @@ class TestRecovery:
         assert third.next_id == 3
         third.close()
 
+    def test_tail_without_newline_is_torn(self, tmp_path):
+        # A crash between a record's JSON and its newline leaves a line
+        # that parses; appending behind it would join the next record
+        # onto the same line and lose both at the following reload.
+        path = tmp_path / "events.jsonl"
+        journal = EventJournal(path)
+        journal.record_hour(0, _events("a"))
+        journal.record_hour(1, _events("b", "c"))
+        journal.close()
+        path.write_bytes(path.read_bytes()[:-1])
+        reopened = EventJournal(path)
+        assert reopened.torn_tail_dropped == 1
+        assert reopened.next_id == 1
+        assert [i for i, _ in reopened.replay(-1)] == [0]
+        # The dropped hour was never acknowledged, so it is re-driven.
+        assert [i for i, _ in reopened.record_hour(1, _events("b", "c"))] == [1, 2]
+        assert [i for i, _ in reopened.record_hour(2, _events("d"))] == [3]
+        reopened.close()
+        third = EventJournal(path)
+        assert third.torn_tail_dropped == 0
+        assert third.next_id == 4
+        assert [i for i, _ in third.replay(-1)] == [0, 1, 2, 3]
+        third.close()
+
     def test_file_contents_are_plain_jsonl(self, tmp_path):
         path = tmp_path / "events.jsonl"
         journal = EventJournal(path)

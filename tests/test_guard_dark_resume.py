@@ -16,6 +16,7 @@ import pytest
 
 from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sectors
 from repro.core.experiment import SweepRunner
+from repro.fleet import FleetConfig, build_fleet
 from repro.imputation import ForwardFillImputer
 from repro.resilience import CheckpointManager, ResilientHotSpotService
 from repro.resilience.degrade import ResilientPredictionEngine
@@ -116,3 +117,29 @@ def test_resume_inside_dark_span_continues_the_stream(env, tmp_path, batch):
     assert resumed_records == [r for r in full_records if r[0] >= KILL_HOUR]
     head = sum(len(json.loads(events)) for hour, events in full_records if hour < KILL_HOUR)
     assert resumed_lines == full_lines[head:]
+
+
+def test_dark_threshold_beyond_the_ring_is_refused(env, tmp_path):
+    # The tracker's runs are rebuilt from the ring on resume, which
+    # holds at most `capacity` hours of a run: a longer threshold would
+    # resume with no dark sectors and announce a second time.
+    ingestor = StreamIngestor.for_dataset(env.dataset, w_max=7)
+    assert ingestor.capacity == 192
+    engine = ResilientPredictionEngine(
+        ingestor, ModelRegistry(env.root / "registry"), target="hot",
+        model="Persist", window=3,
+    )
+    service = HotSpotService(engine, ServeConfig(horizons=HORIZONS, start_day=START_DAY))
+    with pytest.raises(ValueError, match=r"200 h exceeds the 192-hour"):
+        ResilientHotSpotService(
+            service, dark_tracker=DarkSectorTracker(ingestor.n_sectors, threshold_hours=200)
+        )
+    ResilientHotSpotService(
+        service, dark_tracker=DarkSectorTracker(ingestor.n_sectors, threshold_hours=192)
+    )
+    config = FleetConfig.for_dataset(
+        env.dataset, env.root / "registry", model="Persist", horizons=HORIZONS,
+        window=3, start_day=START_DAY, w_max=7, dark_threshold_hours=200,
+    )
+    with pytest.raises(ValueError, match=r"200 h exceeds the 192-hour"):
+        build_fleet(tmp_path / "fleet", config, 2)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.evaluation import EvaluationResult, evaluate_ranking
 from repro.core.features import build_feature_tensor
-from repro.core.forecaster import make_model
 from repro.data.tensor import HOURS_PER_DAY
 from repro.lifecycle import RetrainConfig, RetrainScheduler, ShadowEvaluator, ShadowResult
 from repro.serve import StreamIngestor

@@ -12,12 +12,17 @@ from __future__ import annotations
 import io
 import json
 import struct
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.tensor import HOURS_PER_DAY
+from repro.fleet import journal_clock
 from repro.resilience import CheckpointManager, ResilientHotSpotService, TickJournal
 from repro.serve import (
     HotSpotService,
@@ -420,7 +425,7 @@ class TestCheckpointHousekeeping:
     def test_snapshot_atomic_and_pruned(self, scored_dataset, tmp_path):
         ingestor = StreamIngestor.for_dataset(scored_dataset, w_max=WINDOW)
         manager = CheckpointManager.for_ingestor(
-            tmp_path, ingestor, snapshot_every=SNAPSHOT_EVERY, keep_snapshots=2
+            tmp_path, ingestor, snapshot_every=SNAPSHOT_EVERY
         )
         feed(scored_dataset, ingestor, manager, 0, 250)
         manager.close()
@@ -449,8 +454,88 @@ class TestCheckpointHousekeeping:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="snapshot_every"):
             CheckpointManager(tmp_path, 2, 2, snapshot_every=0)
-        with pytest.raises(ValueError, match="keep_snapshots"):
-            CheckpointManager(tmp_path, 2, 2, keep_snapshots=0)
+
+
+def _clock_case_directory(directory: Path, case: dict) -> None:
+    """A checkpoint directory damaged the way *case* says.
+
+    Two sectors fed ``hours`` ticks through a checkpoint manager, one
+    hour optionally left out of the journal (a gap), then: an extra
+    segment re-journaling hours other segments hold (and possibly
+    more), a CRC-covered byte flipped mid-segment, a torn tail on the
+    newest segment, a corrupt newest snapshot, a deleted ``meta.json``.
+    """
+    ingestor = StreamIngestor(n_sectors=2, w_max=7)
+    shape = (ingestor.n_sectors, ingestor.n_kpis)
+
+    def tick(hour):
+        values = np.random.default_rng(hour).normal(size=shape)
+        return values, np.zeros(shape, dtype=bool), ingestor._default_calendar_row(hour)
+
+    manager = CheckpointManager.for_ingestor(
+        directory, ingestor, snapshot_every=case["snapshot_every"]
+    )
+    for hour in range(case["hours"]):
+        if hour != case["gap"]:
+            manager.record_tick(hour, *tick(hour))
+        ingestor.ingest_hour(*tick(hour))
+        manager.maybe_snapshot(ingestor)
+    manager.close()
+    if case["duplicate"] is not None:
+        start, length = case["duplicate"]
+        with TickJournal(directory / f"wal-{start:08d}.log", *shape) as journal:
+            for hour in range(start, start + length):
+                values, missing, calendar = tick(hour)
+                journal.append_block(
+                    hour, values[:, None, :], missing[:, None, :], calendar[None, :]
+                )
+    segments = sorted(directory.glob("wal-*.log"))
+    if case["flip"] is not None:
+        which, fraction = case["flip"]
+        segment = segments[which % len(segments)]
+        size = segment.stat().st_size
+        if size > 16:
+            offset = 16 + int(fraction * (size - 16))
+            with open(segment, "r+b") as handle:
+                handle.seek(offset)
+                byte = handle.read(1)[0]
+                handle.seek(offset)
+                handle.write(bytes([byte ^ 0x5A]))
+    if case["torn"]:
+        newest = segments[-1]
+        with open(newest, "r+b") as handle:
+            handle.truncate(max(0, newest.stat().st_size - case["torn"]))
+    snapshots = sorted(directory.glob("snapshot-*.npz"))
+    if case["corrupt_snapshot"] and snapshots:
+        flip_member_byte(snapshots[-1])
+    if case["drop_meta"]:
+        (directory / "meta.json").unlink()
+
+
+_CLOCK_CASES = st.fixed_dictionaries({
+    "hours": st.integers(0, 70),
+    "snapshot_every": st.sampled_from([12, 25, 10**6]),
+    "gap": st.one_of(st.none(), st.integers(0, 69)),
+    "duplicate": st.one_of(st.none(), st.tuples(st.integers(0, 70), st.integers(1, 12))),
+    "flip": st.one_of(st.none(), st.tuples(st.integers(0, 5), st.floats(0, 0.999))),
+    "torn": st.sampled_from([0, 0, 1, 7, 200, 433]),
+    "corrupt_snapshot": st.booleans(),
+    "drop_meta": st.booleans(),
+})
+
+
+class TestJournalClock:
+    """``journal_clock`` counts exactly what ``recover`` replays."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(case=_CLOCK_CASES)
+    def test_journal_clock_equals_recovered_hours(self, case):
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = Path(scratch)
+            _clock_case_directory(directory, case)
+            recovered = CheckpointManager.recover(directory)
+            expected = 0 if recovered.ingestor is None else recovered.ingestor.hours_seen
+            assert journal_clock(directory) == expected
 
 
 class TestGuardIdempotency:
