@@ -291,7 +291,7 @@ def run_fleet_bench(smoke: bool = False) -> dict:
         start = time.perf_counter()
         fleet = build_fleet(
             root / "supervised", config, 2,
-            supervise=SupervisorConfig(heartbeat_secs=0.5, slow_retries=2),
+            supervise=SupervisorConfig(heartbeat_secs=0.5),
             chaos=chaos,
             on_event=lambda record: supervision.append(
                 {"leg": "recovery", **record}

@@ -7,8 +7,8 @@ guarantees:
 * :mod:`repro.fleet.partition` — deterministic sector → shard
   assignment, persisted with the checkpoints, diffable into rebalance
   plans;
-* :mod:`repro.fleet.worker` — one shard's engine + WAL + dark tracker
-  (+ optional lifecycle controller), crash-consistent per tick;
+* :mod:`repro.fleet.worker` — one shard's engine + WAL + dark tracker,
+  crash-consistent per tick;
 * :mod:`repro.fleet.coordinator` — global validation, tick routing,
   and the deterministic merge (which the guarded single engine shares
   as a one-shard fleet), with the shards in-process (the serial
@@ -39,7 +39,6 @@ from repro.fleet.recovery import journal_clock, recover_fleet, reshard
 from repro.fleet.supervisor import FleetSupervisor, SupervisorConfig
 from repro.fleet.worker import (
     FleetConfig,
-    FleetLifecycleSpec,
     FleetProtocolError,
     ShardWorker,
     SimulatedKill,
@@ -49,7 +48,6 @@ from repro.fleet.worker import (
 __all__ = [
     "FleetConfig",
     "FleetCoordinator",
-    "FleetLifecycleSpec",
     "FleetProtocolError",
     "FleetSupervisor",
     "PARTITION_NAME",

@@ -142,18 +142,14 @@ class FleetCoordinator:
         config: FleetConfig,
         backend,
         clock: int = 0,
-        validator: TickValidator | None = None,
-        dead_letters: DeadLetterQueue | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.plan = plan
         self.config = config
         self.backend = backend
         self.clock = int(clock)
-        self.validator = validator or TickValidator(
-            n_sectors=config.n_sectors, n_kpis=config.n_kpis
-        )
-        self.dead_letters = dead_letters or DeadLetterQueue()
+        self.validator = TickValidator(n_sectors=config.n_sectors, n_kpis=config.n_kpis)
+        self.dead_letters = DeadLetterQueue()
         self.telemetry = ServeTelemetry()
         #: ``("mid_merge", hour)`` → raise :class:`SimulatedKill` after
         #: the shards applied the hour but before the merge/acknowledge.

@@ -26,10 +26,6 @@ When the requested shard count differs from the persisted plan,
    before it leaves the old plan in force and the reshard simply
    re-runs; a crash after it finds complete new-generation checkpoints.
    Only then is the old generation pruned (best effort).
-
-Reshard is refused for lifecycle fleets: per-shard controllers own
-versioned registries and drift state bound to their sector slice, and
-that state has no well-defined row-wise re-partition.
 """
 
 from __future__ import annotations
@@ -108,12 +104,6 @@ def reshard(
     n_shards: int,
 ) -> PartitionPlan:
     """Re-partition the fleet's persisted state onto *n_shards* shards."""
-    if config.lifecycle is not None:
-        raise ValueError(
-            "cannot reshard a lifecycle fleet: per-shard controllers hold "
-            "versioned registries and drift state that have no row-wise "
-            "re-partition; retire the fleet cleanly and retrain instead"
-        )
     ingestors = _recover_old_shards(directory, old_plan)
     clock = recovered_clock(directory, [i.hours_seen for i in ingestors])
     for shard, ingestor in enumerate(ingestors):

@@ -13,7 +13,7 @@ The liveness protocol per request:
 
 * the reply is awaited under a ``heartbeat_secs`` deadline; a worker
   that is *alive* but silent past it is **slow** — the deadline doubles
-  for up to ``slow_retries`` patience windows (each one a counted
+  for up to two patience windows (each one a counted
   ``heartbeat_timeout``) before the worker is declared **hung** and
   SIGKILLed onto the dead path;
 * a worker whose process exited (or whose pipe broke) is **dead**
@@ -88,6 +88,13 @@ __all__ = ["STATE_NAME", "FleetSupervisor", "SupervisorConfig"]
 #: written atomically on every supervision transition and at close.
 STATE_NAME = "supervisor.json"
 
+#: Doubled patience windows granted to a slow-but-alive worker before
+#: it is declared hung.
+_SLOW_RETRIES = 2
+
+#: Seed of the random rung of degraded-shard score fragments.
+_FALLBACK_SEED = 0
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -97,10 +104,8 @@ class SupervisorConfig:
     ----------
     heartbeat_secs:
         Base reply deadline per request.  Workers silent past it while
-        still alive get ``slow_retries`` exponentially doubled patience
-        windows before being declared hung.
-    slow_retries:
-        Patience windows granted to a slow-but-alive worker.
+        still alive get two exponentially doubled patience windows
+        before being declared hung.
     max_restarts:
         Consecutive-death restart budget per shard (reset by any
         successful response).  ``0`` degrades on the first death.
@@ -108,23 +113,17 @@ class SupervisorConfig:
         Consecutive deaths on the *same* request that quarantine it as
         a poison block instead of burning the whole budget.  Detection
         requires the budget to allow at least this many deliveries.
-    fallback_seed:
-        Seed for the random rung of degraded-shard score fragments.
     """
 
     heartbeat_secs: float = 5.0
-    slow_retries: int = 2
     max_restarts: int = 3
     poison_threshold: int = 2
-    fallback_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.heartbeat_secs <= 0:
             raise ValueError(
                 f"heartbeat_secs must be > 0, got {self.heartbeat_secs}"
             )
-        if self.slow_retries < 0:
-            raise ValueError(f"slow_retries must be >= 0, got {self.slow_retries}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
         if self.poison_threshold < 1:
@@ -412,7 +411,7 @@ class FleetSupervisor:
                     pass
                 return None
             if time.monotonic() >= deadline:
-                if retries >= self.supervise.slow_retries:
+                if retries >= _SLOW_RETRIES:
                     self._event(
                         "worker_hang",
                         shard=host.shard_id,
@@ -665,9 +664,7 @@ class FleetSupervisor:
         scores, level = fallback_scores(
             host.n_local,
             last_good=host.last_good.get(str(horizon)),
-            seed_key=(
-                self.supervise.fallback_seed, host.shard_id, t_day, horizon,
-            ),
+            seed_key=(_FALLBACK_SEED, host.shard_id, t_day, horizon),
         )
         self.telemetry.inc("degraded_fragments")
         self._event(

@@ -6,9 +6,7 @@ primitives the single-engine serve path composes — a
 :class:`~repro.serve.ingest.StreamIngestor` over its local sectors, a
 :class:`~repro.resilience.degrade.ResilientPredictionEngine`, its own
 :class:`~repro.resilience.checkpoint.CheckpointManager` (WAL + atomic
-snapshots) and :class:`~repro.resilience.validate.DarkSectorTracker`,
-and optionally a per-shard
-:class:`~repro.lifecycle.controller.LifecycleController`.
+snapshots) and :class:`~repro.resilience.validate.DarkSectorTracker`.
 
 Tick *validation* and dark-alert *masking* are global decisions (a
 tick is quarantined for the whole network or not at all, and top-k
@@ -24,8 +22,8 @@ Crash consistency per day chunk of a block — a tick is a one-hour
 block — (apply → journal → acknowledge):
 
 1. ``maybe_snapshot`` — snapshot boundaries land *between* chunks;
-2. apply — engine ingest, fragment computation, lifecycle day hook
-   (which commits its own ``lifecycle.json`` first, see DESIGN.md 3e),
+2. apply — engine ingest, fragment computation, day hooks (the guard's
+   lifecycle controller commits ``lifecycle.json`` first, DESIGN.md 3e),
    dark-tracker update;
 3. persist the response into ``last_events.json`` (atomic, only when
    the response is non-trivial — the empty ⇔ not-persisted invariant;
@@ -54,21 +52,16 @@ import numpy as np
 from repro.data.store import write_json_atomic
 from repro.data.tensor import HOURS_PER_DAY, HOURS_PER_WEEK
 from repro.fleet.partition import PartitionPlan
-from repro.lifecycle.controller import LifecycleController
-from repro.lifecycle.drift import DriftConfig
-from repro.lifecycle.promote import PromotionConfig
-from repro.lifecycle.retrain import RetrainConfig
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.degrade import ResilientPredictionEngine
 from repro.resilience.validate import DarkSectorTracker
 from repro.serve.ingest import StreamIngestor
-from repro.serve.registry import ModelKey, ModelRegistry
+from repro.serve.registry import ModelRegistry
 from repro.serve.service import ServeConfig
 
 __all__ = [
     "EVENTS_NAME",
     "FleetConfig",
-    "FleetLifecycleSpec",
     "FleetProtocolError",
     "ShardWorker",
     "SimulatedKill",
@@ -92,27 +85,6 @@ class SimulatedKill(RuntimeError):
 
 class FleetProtocolError(RuntimeError):
     """A shard was driven out of protocol (wrong hour, wrong shape)."""
-
-
-@dataclass(frozen=True)
-class FleetLifecycleSpec:
-    """Per-shard lifecycle wiring (drift monitor, retrainer, promoter).
-
-    When present each shard runs its own
-    :class:`~repro.lifecycle.controller.LifecycleController` against a
-    private versioned registry under its checkpoint directory, seeded
-    with the global champion.  Retraining then happens on shard-local
-    rings, so different shards may legitimately promote different
-    versions — the fleet stream is still deterministic and
-    crash-consistent for a fixed shard count, but no longer comparable
-    to a single-engine run (and resharding is refused, because shard
-    lifecycle state cannot be re-partitioned).
-    """
-
-    retrain: RetrainConfig
-    drift: DriftConfig | None = None
-    promotion: PromotionConfig | None = None
-    start_day: int | None = None
 
 
 @dataclass(frozen=True)
@@ -142,7 +114,6 @@ class FleetConfig:
     start_day_of_month: int = 1
     snapshot_every: int = 168
     dark_threshold_hours: int = DEFAULT_DARK_THRESHOLD
-    lifecycle: FleetLifecycleSpec | None = None
 
     @classmethod
     def for_dataset(cls, dataset, registry_root: str | Path, **overrides) -> "FleetConfig":
@@ -180,7 +151,6 @@ class ShardWorker:
         engine: ResilientPredictionEngine,
         checkpoint: CheckpointManager | None,
         dark: DarkSectorTracker,
-        controller: LifecycleController | None = None,
         events_path: Path | None = None,
         responses: dict | None = None,
     ) -> None:
@@ -201,10 +171,9 @@ class ShardWorker:
             )
         dark.backfill_from_ring(ingestor)
         self.dark = dark
-        self.controller = controller
         #: ``hook(tick) -> events`` run on each completed day after its
         #: forecasts (the guarded service shares its own hook list).
-        self.day_hooks = [] if controller is None else [controller.on_day]
+        self.day_hooks = []
         self._events_path = events_path
         self._responses: dict[int, dict] = dict(responses or {})
         #: ``(point, hour)`` → raise :class:`SimulatedKill` at that seam.
@@ -437,8 +406,6 @@ class ShardWorker:
             "hours_seen": self.ingestor.hours_seen,
             "dark_sectors": int(self.dark.dark_mask.sum()),
         }
-        if self.controller is not None:
-            snapshot["lifecycle"] = self.controller.stats()
         return snapshot
 
     def close(self) -> None:
@@ -479,10 +446,9 @@ def build_worker(
     checkpoint = CheckpointManager.for_ingestor(
         shard_dir, ingestor, snapshot_every=config.snapshot_every
     )
-    registry = _shard_registry(shard_dir, config)
     engine = ResilientPredictionEngine(
         ingestor,
-        registry,
+        ModelRegistry(config.registry_root),
         target=config.target,
         model=config.model,
         window=config.window,
@@ -490,18 +456,6 @@ def build_worker(
     dark = DarkSectorTracker(
         n_local, threshold_hours=config.dark_threshold_hours
     )
-    controller = None
-    if config.lifecycle is not None:
-        spec = config.lifecycle
-        controller = LifecycleController(
-            engine,
-            drift=spec.drift,
-            retrain=spec.retrain,
-            promotion=spec.promotion,
-            state_path=checkpoint.state_path("lifecycle.json"),
-            start_day=config.start_day if spec.start_day is None else spec.start_day,
-            n_jobs=1,
-        )
     events_path = shard_dir / EVENTS_NAME
     responses = load_responses(events_path) if resume else {}
     return ShardWorker(
@@ -512,7 +466,6 @@ def build_worker(
         engine=engine,
         checkpoint=checkpoint,
         dark=dark,
-        controller=controller,
         events_path=events_path,
         responses=responses,
     )
@@ -542,27 +495,3 @@ def _jsonable(response: dict) -> dict:
         "dark_mask": np.asarray(response["dark_mask"]).tolist(),
     }
 
-
-def _shard_registry(shard_dir: Path, config: FleetConfig) -> ModelRegistry:
-    """The registry a shard's engine reads models from.
-
-    Static-champion fleets share the global registry read-only — every
-    shard sees the same trained artifacts, which is what single-engine
-    parity requires.  Lifecycle fleets get a private registry under the
-    shard directory, seeded with the global champion for each serving
-    horizon, so per-shard retrains version independently.
-    """
-    if config.lifecycle is None:
-        return ModelRegistry(config.registry_root)
-    global_registry = ModelRegistry(config.registry_root)
-    shard_registry = ModelRegistry(shard_dir / "registry")
-    for horizon in config.horizons:
-        key = ModelKey(
-            target=config.target,
-            model=config.model,
-            horizon=int(horizon),
-            window=config.window,
-        )
-        if key not in shard_registry:
-            shard_registry.save(key, global_registry.get(key))
-    return shard_registry

@@ -54,6 +54,10 @@ from pathlib import Path
 
 __all__ = ["EventJournal"]
 
+#: Most-recent records kept in memory for lock-cheap replay; older
+#: ``Last-Event-ID`` values re-read the file.
+_CACHE_RECORDS = 4096
+
 
 class EventJournal:
     """Append-only event log with stable ids and per-hour idempotency.
@@ -63,17 +67,11 @@ class EventJournal:
     path:
         JSONL file to persist to.  ``None`` keeps the journal purely
         in memory (no durability — embedded/test use only); all records
-        are then retained regardless of *cache_records*.
-    cache_records:
-        Number of most-recent records kept in memory for lock-cheap
-        replay; older ``Last-Event-ID`` values re-read the file.
+        are then retained, not only the :data:`_CACHE_RECORDS` tail.
     """
 
-    def __init__(self, path: str | Path | None = None, cache_records: int = 4096) -> None:
-        if cache_records < 1:
-            raise ValueError(f"cache_records must be >= 1, got {cache_records}")
+    def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.cache_records = cache_records
         self._lock = threading.Lock()
         self._records: deque[dict] = deque()
         #: First event id still held in the in-memory tail (0 = all).
@@ -144,7 +142,7 @@ class EventJournal:
         # a memory-only journal keeps everything (it has no fallback).
         if self.path is None:
             return
-        while len(self._records) > self.cache_records:
+        while len(self._records) > _CACHE_RECORDS:
             evicted = self._records.popleft()
             self._cache_start_id = self._records[0]["first_id"] if self._records else (
                 evicted["first_id"] + len(evicted["events"])

@@ -61,6 +61,12 @@ __all__ = ["GatewayConfig", "HotSpotGateway", "GatewayThread"]
 
 _SHUTDOWN = object()
 
+#: Largest accepted request body; a bigger one gets ``413``.
+_MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: ``Retry-After`` seconds of a ``429`` backpressure rejection.
+_RETRY_AFTER_SECS = 1
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -70,16 +76,12 @@ class GatewayConfig:
     port: int = 0  #: 0 = ephemeral; the bound port is on the gateway
     queue_capacity: int = 256  #: max queued ticks before 429
     sse_buffer: int = 256  #: pending events per SSE subscriber
-    max_body_bytes: int = 32 * 1024 * 1024
-    retry_after_secs: int = 1
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.sse_buffer < 1:
             raise ValueError(f"sse_buffer must be >= 1, got {self.sse_buffer}")
-        if self.max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be >= 1, got {self.max_body_bytes}")
 
 
 class HotSpotGateway:
@@ -90,14 +92,13 @@ class HotSpotGateway:
         backend,
         journal: EventJournal | None = None,
         config: GatewayConfig | None = None,
-        telemetry: ServeTelemetry | None = None,
     ) -> None:
         self.backend = backend
         self.journal = journal if journal is not None else EventJournal()
         self.config = config or GatewayConfig()
         #: Gateway-local instruments (HTTP/queue/SSE); the backend's
         #: telemetry stays untouched so engine parity is unaffected.
-        self.telemetry = telemetry or ServeTelemetry()
+        self.telemetry = ServeTelemetry()
         self.hub = SseHub(telemetry=self.telemetry, buffer=self.config.sse_buffer)
         self.host: str | None = None
         self.port: int | None = None
@@ -218,9 +219,9 @@ class HotSpotGateway:
                     "error": "backpressure",
                     "queue_depth": self._queue.qsize(),
                     "queue_capacity": self.config.queue_capacity,
-                    "retry_after_secs": self.config.retry_after_secs,
+                    "retry_after_secs": _RETRY_AFTER_SECS,
                 },
-                extra_headers=[("Retry-After", str(self.config.retry_after_secs))],
+                extra_headers=[("Retry-After", str(_RETRY_AFTER_SECS))],
             )
         futures = []
         for op in ops:
@@ -293,14 +294,23 @@ class HotSpotGateway:
     async def _handle_client(self, reader, writer) -> None:
         try:
             while not self._stopping:
-                request = await _read_request(reader, self.config.max_body_bytes)
+                request = await _read_request(reader)
                 if request is None:
                     break
                 method, path, query, headers, body, version = request
-                if body is None:  # oversized
-                    writer.write(_assemble(*_json_response(
-                        "413 Payload Too Large", {"error": "payload-too-large"},
-                    )))
+                if body is None:  # refused and left unread: the connection ends
+                    length = headers["content-length"]
+                    if length.isdecimal():
+                        response = _json_response(
+                            "413 Payload Too Large", {"error": "payload-too-large"}
+                        )
+                    else:
+                        self.telemetry.inc("http_bad_requests")
+                        response = _json_response("400 Bad Request", {
+                            "error": "bad-request",
+                            "detail": f"bad Content-Length: {length!r}",
+                        })
+                    writer.write(_assemble(*response))
                     await writer.drain()
                     break
                 self.telemetry.inc("http_requests")
@@ -402,8 +412,9 @@ class HotSpotGateway:
 
 
 # ------------------------------------------------------------- http plumbing
-async def _read_request(reader, max_body: int):
-    """Parse one request; None on EOF, body=None when oversized."""
+async def _read_request(reader):
+    """Parse one request; None on EOF, body=None when ``Content-Length``
+    is not a decimal count or exceeds :data:`_MAX_BODY_BYTES`."""
     try:
         request_line = await reader.readline()
     except (ConnectionResetError, asyncio.IncompleteReadError):
@@ -421,12 +432,12 @@ async def _read_request(reader, max_body: int):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length") or 0)
+    length = headers.get("content-length") or "0"
     path, _, query_string = target.partition("?")
     query = urllib.parse.parse_qs(query_string)
-    if length > max_body:
+    if not length.isdecimal() or int(length) > _MAX_BODY_BYTES:
         return method, path, query, headers, None, version
-    body = await reader.readexactly(length) if length else b""
+    body = await reader.readexactly(int(length))
     return method, path, query, headers, body, version
 
 

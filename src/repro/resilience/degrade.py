@@ -19,7 +19,7 @@ and bumps ``degraded_predictions``; degraded scores are **never cached**
 (the `_compute_entry` seam returns ``cacheable=False``) so recovery is
 automatic.  Registry retries follow exponential backoff — after the
 ``n``-th consecutive failure the registry is left alone for
-``min(2**(n-1), max_backoff)`` fallback-served calls — and the first
+``min(2**(n-1), 8)`` fallback-served calls — and the first
 successful reload emits a ``recovered`` event and resets the ladder.
 """
 
@@ -34,6 +34,14 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = ["ResilientPredictionEngine", "fallback_scores"]
+
+#: Ceiling on the fallback-served calls between registry retries for a
+#: failing key.
+_MAX_BACKOFF = 8
+
+#: Seed of the Random forecast of last resort (fixed, so chaos replays
+#: are reproducible).
+_FALLBACK_SEED = 0
 
 
 def fallback_scores(
@@ -77,12 +85,6 @@ class ResilientPredictionEngine(PredictionEngine):
     ----------
     ingestor, registry, target, model, window, telemetry:
         As for :class:`~repro.serve.engine.PredictionEngine`.
-    max_backoff:
-        Ceiling on the number of fallback-served calls between registry
-        retries for a failing key.
-    fallback_seed:
-        Seed for the Random forecast of last resort (deterministic so
-        chaos replays are reproducible).
     """
 
     def __init__(
@@ -93,17 +95,11 @@ class ResilientPredictionEngine(PredictionEngine):
         model: str = "RF-F1",
         window: int = 7,
         telemetry: ServeTelemetry | None = None,
-        max_backoff: int = 8,
-        fallback_seed: int = 0,
     ) -> None:
         super().__init__(
             ingestor, registry, target=target, model=model, window=window,
             telemetry=telemetry,
         )
-        if max_backoff < 1:
-            raise ValueError(f"max_backoff must be >= 1, got {max_backoff}")
-        self.max_backoff = max_backoff
-        self.fallback_seed = fallback_seed
         self._persist = PersistModel()
         # (model, horizon, window) -> last successfully computed scores.
         self._last_good: dict[tuple[str, int, int], np.ndarray] = {}
@@ -138,7 +134,7 @@ class ResilientPredictionEngine(PredictionEngine):
         except Exception as error:  # noqa: BLE001 - any primary failure degrades
             failures = self._failures.get(key, 0) + 1
             self._failures[key] = failures
-            self._suppress[key] = min(2 ** (failures - 1), self.max_backoff)
+            self._suppress[key] = min(2 ** (failures - 1), _MAX_BACKOFF)
             reason = f"{type(error).__name__}: {error}"
             return self._fallback(key, t_day, horizon, window, reason), False
         if self._failures.pop(key, 0):
@@ -170,7 +166,7 @@ class ResilientPredictionEngine(PredictionEngine):
                 horizon,
                 window,
             ),
-            seed_key=(self.fallback_seed, t_day, horizon),
+            seed_key=(_FALLBACK_SEED, t_day, horizon),
         )
         self.telemetry.inc("degraded_predictions")
         self.telemetry.event(
@@ -196,6 +192,6 @@ class ResilientPredictionEngine(PredictionEngine):
         snapshot["degraded"] = {
             "failing_keys": len(self._failures),
             "last_good_entries": len(self._last_good),
-            "max_backoff": self.max_backoff,
+            "max_backoff": _MAX_BACKOFF,
         }
         return snapshot

@@ -56,11 +56,9 @@ class ResilientHotSpotService:
     ----------
     service:
         The wrapped alerting service (its engine supplies the ingestor,
-        telemetry, and forecast path).
-    validator:
-        Tick validator; defaults to one shaped for the ingestor.
-    dead_letters:
-        Quarantine queue; defaults to a 256-record ring.
+        telemetry, and forecast path).  Ticks are validated against
+        its ingestor's shape and quarantined into a bounded
+        :class:`~repro.resilience.validate.DeadLetterQueue`.
     dark_tracker:
         Dark-sector run tracker; defaults to the half-week threshold.
         The worker rebuilds its runs from the ingestor's ring, so a
@@ -74,24 +72,14 @@ class ResilientHotSpotService:
     def __init__(
         self,
         service: HotSpotService,
-        validator: TickValidator | None = None,
-        dead_letters: DeadLetterQueue | None = None,
         dark_tracker: DarkSectorTracker | None = None,
         checkpoint: CheckpointManager | None = None,
     ) -> None:
         self.service = service
         self.engine = service.engine
         ingestor = self.engine.ingestor
-        self.validator = validator or TickValidator.for_ingestor(ingestor)
-        if (self.validator.n_sectors, self.validator.n_kpis) != (
-            ingestor.n_sectors, ingestor.n_kpis
-        ):
-            raise ValueError(
-                f"validator is shaped ({self.validator.n_sectors}, "
-                f"{self.validator.n_kpis}), ingestor ({ingestor.n_sectors}, "
-                f"{ingestor.n_kpis})"
-            )
-        self.dead_letters = dead_letters or DeadLetterQueue()
+        self.validator = TickValidator(ingestor.n_sectors, ingestor.n_kpis)
+        self.dead_letters = DeadLetterQueue()
         self.dark = dark_tracker or DarkSectorTracker(ingestor.n_sectors)
         self.checkpoint = checkpoint
         # Imported here: the fleet package imports this one.

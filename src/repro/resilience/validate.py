@@ -66,6 +66,18 @@ QUARANTINE = "quarantine"
 #: weekend flag, holiday flag) — see repro.synth.calendar_info.
 _CALENDAR_WIDTH = 5
 
+#: NaN/inf budget: a tick is quarantined when more than this fraction
+#: of its entries is missing or non-finite — the Sec. II-C 50 %-missing
+#: rule applied to one tick.
+_MAX_BAD_FRACTION = 0.5
+
+#: Largest forward clock jump reconciled by synthesising all-missing gap
+#: hours; larger jumps point at a clock fault rather than lost hours.
+_MAX_GAP_HOURS = HOURS_PER_DAY
+
+#: Quarantined-tick records the dead-letter ring keeps.
+_DEAD_LETTER_CAPACITY = 256
+
 
 @dataclass
 class TickVerdict:
@@ -107,44 +119,14 @@ class TickVerdict:
 class TickValidator:
     """Check incoming hourly ticks against the ingestor's contract.
 
-    Parameters
-    ----------
-    n_sectors, n_kpis:
-        Expected payload shape.
-    max_bad_fraction:
-        NaN/inf budget: the tick is quarantined when more than this
-        fraction of its entries is missing or non-finite.  The default
-        of 0.5 mirrors the Sec. II-C per-week filtering threshold
-        applied at tick granularity.
-    max_gap_hours:
-        Largest forward clock jump that is reconciled by synthesising
-        all-missing gap hours; larger jumps are quarantined (they point
-        at a clock fault rather than lost hours).
-    check_calendar:
-        When True, a supplied calendar row must be a finite 5-vector
-        whose hour-of-day field matches the ring clock.
+    *n_sectors* and *n_kpis* are the expected payload shape.  The NaN/inf
+    budget (:data:`_MAX_BAD_FRACTION`) and the largest reconcilable gap
+    (:data:`_MAX_GAP_HOURS`) are fixed; a supplied calendar row must be
+    a finite 5-vector whose hour-of-day field matches the declared hour.
     """
 
     n_sectors: int
     n_kpis: int
-    max_bad_fraction: float = 0.5
-    max_gap_hours: int = HOURS_PER_DAY
-    check_calendar: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.max_bad_fraction <= 1.0:
-            raise ValueError(
-                f"max_bad_fraction must be in (0, 1], got {self.max_bad_fraction}"
-            )
-        if self.max_gap_hours < 0:
-            raise ValueError(f"max_gap_hours must be >= 0, got {self.max_gap_hours}")
-
-    @classmethod
-    def for_ingestor(cls, ingestor: StreamIngestor, **overrides) -> "TickValidator":
-        """A validator shaped for *ingestor*."""
-        return cls(
-            n_sectors=ingestor.n_sectors, n_kpis=ingestor.n_kpis, **overrides
-        )
 
     # ------------------------------------------------------------ validate
     def validate(
@@ -165,7 +147,8 @@ class TickValidator:
             quarantine reason, not an exception).
         hour:
             The hour the tick claims to be for; ``None`` trusts arrival
-            order (treated as the current clock).
+            order (treated as the current clock).  A value ``int()``
+            cannot convert quarantines as ``dtype``.
         clock:
             The ring-buffer clock (``ingestor.hours_seen``): the next
             hour the ingestor expects.
@@ -174,7 +157,10 @@ class TickValidator:
             for duplicate reconciliation; ``None`` disables it (all
             stale ticks quarantine).
         """
-        declared = clock if hour is None else int(hour)
+        try:
+            declared = clock if hour is None else int(hour)
+        except (TypeError, ValueError, OverflowError) as error:
+            return TickVerdict(QUARANTINE, "dtype", f"hour not an integer: {error}")
 
         # --- payload shape and dtype -----------------------------------
         try:
@@ -251,11 +237,11 @@ class TickValidator:
                 declared_hour=declared,
             )
         gap = declared - clock
-        if gap > self.max_gap_hours:
+        if gap > _MAX_GAP_HOURS:
             return TickVerdict(
                 QUARANTINE, "gap_too_large",
                 f"hour {declared} jumps {gap} h past the ring clock {clock} "
-                f"(max reconcilable gap {self.max_gap_hours} h)",
+                f"(max reconcilable gap {_MAX_GAP_HOURS} h)",
                 declared_hour=declared,
             )
         return TickVerdict(
@@ -298,23 +284,21 @@ class TickValidator:
         gives; summing sectors first keeps the reduction contiguous."""
         n_sectors, _, n_kpis = bad.shape
         shares = bad.sum(axis=0, dtype=np.uint32).sum(axis=1) / (n_sectors * n_kpis)
-        over = shares > self.max_bad_fraction
+        over = shares > _MAX_BAD_FRACTION
         if not over.any():
             return None
         return (
             f"{shares[over.argmax()]:.1%} of entries missing/non-finite "
-            f"(budget {self.max_bad_fraction:.1%})"
+            f"(budget {_MAX_BAD_FRACTION:.1%})"
         )
 
     def _calendar_fault(self, rows: np.ndarray, hours: np.ndarray) -> str | None:
         """Why ``(h, w)`` calendar *rows* declared for *hours* are
-        inconsistent, or ``None``.  With ``check_calendar`` they must be
-        finite and their hour-of-day field must truncate to the declared
-        one (``np.trunc`` equals ``int()`` on finite values)."""
+        inconsistent, or ``None``.  They must be finite and their
+        hour-of-day field must truncate to the declared one
+        (``np.trunc`` equals ``int()`` on finite values)."""
         if rows.shape[1] != _CALENDAR_WIDTH:
             return f"calendar row has {rows.shape[1]} elements, expected {_CALENDAR_WIDTH}"
-        if not self.check_calendar:
-            return None
         if not np.isfinite(rows).all():
             return "calendar row has non-finite entries"
         expected = hours % HOURS_PER_DAY
@@ -341,16 +325,13 @@ class DeadLetterQueue:
     """Bounded ring of quarantined-tick records.
 
     Each record is a JSON-able dict (``hour``, ``reason``, ``detail``
-    plus whatever context the caller adds).  When the ring is full the
-    oldest record is dropped and counted, so totals stay exact while
-    memory stays constant.
+    plus whatever context the caller adds).  When the ring is full — at
+    :data:`_DEAD_LETTER_CAPACITY` records — the oldest record is dropped
+    and counted, so totals stay exact while memory stays constant.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque[dict] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._items: deque[dict] = deque(maxlen=_DEAD_LETTER_CAPACITY)
         self.total = 0
         self.dropped = 0
 
@@ -359,7 +340,7 @@ class DeadLetterQueue:
     ) -> dict:
         """Quarantine one record; returns the stored dict."""
         record = {"hour": hour, "reason": reason, "detail": detail, **extra}
-        if len(self._items) == self.capacity:
+        if len(self._items) == _DEAD_LETTER_CAPACITY:
             self.dropped += 1
         self._items.append(record)
         self.total += 1
@@ -382,7 +363,7 @@ class DeadLetterQueue:
     def stats(self) -> dict:
         return {
             "buffered": len(self._items),
-            "capacity": self.capacity,
+            "capacity": _DEAD_LETTER_CAPACITY,
             "total": self.total,
             "dropped": self.dropped,
         }

@@ -466,13 +466,6 @@ class StreamIngestor:
             for hour in hours
         ]
 
-    def _trailing(self, hour: int, window: int) -> np.ndarray:
-        """Trailing mean of the hourly score ending at *hour* (Eq. 3)."""
-        if hour >= window:
-            lookback = self._cumsum[:, (hour - window) % self.capacity]
-            return (self._running_total - lookback) / window
-        return self._running_total / (hour + 1)
-
     def _trailing_block(
         self, hours: np.ndarray, cumsum: np.ndarray, window: int
     ) -> np.ndarray:
@@ -481,8 +474,7 @@ class StreamIngestor:
         *cumsum* holds the running totals of the block columns (already
         written to the ring, so intra-block lookbacks resolve); warm
         hours difference the ring lookback, cold hours (before one full
-        window has streamed) divide by the hours seen so far — the same
-        two branches as :meth:`_trailing`, element for element.
+        window has streamed) divide by the hours seen so far.
         """
         out = np.empty_like(cumsum)
         warm = hours >= window

@@ -41,6 +41,9 @@ from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = ["ModelKey", "ModelRegistry", "RegistryCorruptError", "train_and_register"]
 
+#: Deserialised models the registry keeps warm (LRU).
+_MAX_WARM = 8
+
 
 class RegistryCorruptError(RuntimeError):
     """A registry archive exists but cannot be deserialised.
@@ -299,17 +302,14 @@ class ModelRegistry:
     ----------
     root:
         Directory holding one ``.npz`` archive per registered model.
-    max_warm:
-        Maximum number of deserialised models kept in memory; the least
-        recently used model is evicted when the budget is exceeded.
-        Evicted models reload transparently from disk on next use.
+
+    At most :data:`_MAX_WARM` deserialised models stay in memory; the
+    least recently used one is evicted past that and reloads
+    transparently from disk on next use.
     """
 
-    def __init__(self, root: str | Path, max_warm: int = 8) -> None:
-        if max_warm < 1:
-            raise ValueError(f"max_warm must be >= 1, got {max_warm}")
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.max_warm = max_warm
         self._warm: OrderedDict[ModelKey, object] = OrderedDict()
         self.warm_hits = 0
         self.disk_loads = 0
@@ -403,7 +403,7 @@ class ModelRegistry:
     def _remember(self, key: ModelKey, model) -> None:
         self._warm[key] = model
         self._warm.move_to_end(key)
-        while len(self._warm) > self.max_warm:
+        while len(self._warm) > _MAX_WARM:
             self._warm.popitem(last=False)
             self.evictions += 1
 
@@ -505,7 +505,7 @@ class ModelRegistry:
         """Cache statistics snapshot for the telemetry layer."""
         return {
             "warm_models": len(self._warm),
-            "max_warm": self.max_warm,
+            "max_warm": _MAX_WARM,
             "warm_hits": self.warm_hits,
             "disk_loads": self.disk_loads,
             "evictions": self.evictions,

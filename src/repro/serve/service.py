@@ -3,16 +3,11 @@
 :class:`HotSpotService` wraps a :class:`~repro.serve.engine.PredictionEngine`
 with operator-facing behaviour: every time a day of KPIs completes, it
 refreshes the configured ``(model, horizon)`` forecasts and emits alert
-events for the sectors most likely to run hot.  Two drivers are
-provided:
-
-* the *programmatic* driver — call :meth:`ingest_hour` from your own
-  loop and collect the returned events (this is what the CLI's replay
-  mode does);
-* the *JSONL* driver — :meth:`run_jsonl` reads one JSON object per line
-  from an input stream (``{"op": "tick", ...}``, ``{"op": "predict"}``,
-  ``{"op": "stats"}``, ``{"op": "stop"}``) and writes event objects to
-  an output stream, so the service can sit behind a pipe or socket.
+events for the sectors most likely to run hot; call :meth:`ingest_hour`
+or :meth:`ingest_block` from your own loop and collect the events.
+:func:`run_jsonl` is the JSON-lines protocol (``tick``, ``predict``,
+``stats``, ``stop`` ops in, event objects out) that puts the guarded
+service or the fleet behind a pipe or socket.
 
 Alert policy (:func:`build_alert`, shared with the fleet merge): per
 refresh, sectors are ranked by forecast score; the top ``top_k`` are
@@ -183,15 +178,6 @@ class HotSpotService:
         """Engine + registry + telemetry snapshot."""
         return self.engine.stats()
 
-    # ----------------------------------------------------------------- jsonl
-    def run_jsonl(self, lines: Iterable[str], out: IO[str]) -> int:
-        """Drive the service from a JSON-lines stream (see :func:`run_jsonl`)."""
-        return run_jsonl(lines, out, self.engine, self._ingest_tick)
-
-    def _ingest_tick(self, values, missing, calendar_row, hour=None) -> list[dict]:
-        """JSONL tick handler: plain ingest (the declared hour is unused)."""
-        return self.ingest_hour(values, missing, calendar_row)
-
 
 def build_alert(
     t_day: int, horizon: int, scores: np.ndarray, model: str, policy
@@ -224,14 +210,15 @@ def run_jsonl(
     target,
     tick_handler: "Callable[..., list[dict]]",
 ) -> int:
-    """The JSONL serving protocol, shared by the engine and the fleet.
+    """The JSONL serving protocol of the guarded service and the fleet.
 
     *target* answers the read operations: it exposes ``predict(horizon,
     model=, window=)``, ``t_day``, ``stats()`` and ``telemetry`` (a
     :class:`~repro.serve.engine.PredictionEngine` or a
     :class:`~repro.fleet.coordinator.FleetCoordinator`).  Ticks go to
-    ``tick_handler(values, missing, calendar, hour)``.  Supported
-    operations (one JSON object per input line):
+    ``tick_handler(values, missing, calendar, hour)`` as received, so
+    admission quarantines a malformed payload.  Supported operations
+    (one JSON object per input line):
 
     * ``{"op": "tick", "values": [[...]], "missing": ..., "calendar": ...,
       "hour": ...}`` — apply one hour; emits the tick's events.
@@ -303,18 +290,10 @@ def run_jsonl(
 
 
 def _decode_tick(request: dict) -> tuple:
-    """``(values, missing, calendar, hour)`` arrays of a ``tick`` request."""
-    values = np.asarray(request["values"], dtype=np.float64)
-    missing = request.get("missing")
-    if missing is not None:
-        missing = np.asarray(missing, dtype=bool)
-    calendar = request.get("calendar")
-    if calendar is not None:
-        calendar = np.asarray(calendar, dtype=np.float64)
-    hour = request.get("hour")
-    if hour is not None:
-        hour = int(hour)
-    return values, missing, calendar, hour
+    """``(values, missing, calendar, hour)`` of a ``tick`` request, as
+    received: admission coerces them, and quarantines what does not
+    coerce."""
+    return request["values"], request.get("missing"), request.get("calendar"), request.get("hour")
 
 
 def _emit_error(out: IO[str], target, line_no: int, op, reason: str, error) -> None:

@@ -101,6 +101,44 @@ def tick_lines(dataset, start: int, stop: int) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+#: Malformed ``tick`` payloads (see :func:`malformed_tick`) and the
+#: quarantine reason admission gives each.
+MALFORMED_TICKS = {
+    "string_in_values": "dtype",
+    "ragged_values": "dtype",
+    "hour_word": "dtype",
+    "hour_nan": "dtype",
+    "hour_overflow": "dtype",
+    "calendar_word": "calendar",
+}
+
+
+def malformed_tick(dataset, hour: int, case: str) -> bytes:
+    """The JSONL ``tick`` line for *hour*, broken as :data:`MALFORMED_TICKS`
+    key *case* says."""
+    kpis = dataset.kpis
+    tick = {
+        "op": "tick",
+        "hour": hour,
+        "values": kpis.values[:, hour, :].tolist(),
+        "calendar": dataset.calendar[hour].tolist(),
+    }
+    if case == "string_in_values":
+        tick["values"][0][0] = "x"
+    elif case == "ragged_values":
+        tick["values"][0].pop()
+    elif case == "hour_word":
+        tick["hour"] = "soon"
+    elif case == "hour_nan":
+        tick["hour"] = float("nan")  # serialised as the JSON token NaN
+    elif case == "hour_overflow":
+        tick["hour"] = "HOUR"
+    elif case == "calendar_word":
+        tick["calendar"][1] = "monday"
+    line = json.dumps(tick).replace('"HOUR"', "1e400")  # json.loads reads inf
+    return (line + "\n").encode("utf-8")
+
+
 def http(url: str, data: bytes | None = None, timeout: float = 120.0):
     """(status, headers, body) for a GET/POST; HTTP errors returned, not raised."""
     request = urllib.request.Request(

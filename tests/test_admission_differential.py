@@ -11,6 +11,7 @@ any divergence is a bug in the apply or merge paths.
 
 from __future__ import annotations
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -35,6 +36,7 @@ from repro.serve import (
     StreamIngestor,
     train_and_register,
 )
+from tests._gateway_env import MALFORMED_TICKS, malformed_tick
 
 HORIZONS = (1, 2)
 START_DAY = 2
@@ -169,3 +171,24 @@ def test_stacks_and_drive_modes_emit_one_stream(env, script):
     reference = streams["guarded", 1]
     for key, lines in streams.items():
         assert lines == reference, f"{key} diverges from the per-tick guarded stream"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TICKS))
+@pytest.mark.parametrize("stack", ["guarded", "fleet"])
+def test_malformed_jsonl_tick_quarantines(env, tmp_path, stack, case):
+    """A payload admission cannot coerce is a quarantine on both stacks'
+    JSONL driver, not an error line, and leaves the clock alone."""
+    front = _guarded(env) if stack == "guarded" else _fleet(env, tmp_path / "fleet")
+    try:
+        for values, missing, row, hour in _ticks(env, ["ok"] * 2 + ["drop"] * (HOURS - 2)):
+            front.submit_tick(values, missing, row, hour=hour)
+        out = io.StringIO()
+        line = malformed_tick(env.dataset, 2, case).decode("utf-8")
+        assert front.run_jsonl([line], out) == 1
+        (event,) = [json.loads(text) for text in out.getvalue().splitlines()]
+        assert (event["event"], event["reason"]) == ("quarantine", MALFORMED_TICKS[case])
+        assert front.clock == 2
+        assert front.dead_letters.total == 1
+    finally:
+        if stack == "fleet":
+            front.close()

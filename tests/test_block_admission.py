@@ -85,11 +85,9 @@ def blocks(draw):
     missing = rng.random(values.shape) < 0.02
     values[rng.random(values.shape) < 0.02] = np.nan
     rows = np.array([default_calendar_row(clock + j) for j in range(n_hours)])
-    budget_at = draw(st.integers(1, SIZE))
+    budget_at = SIZE // 2  # the validator's fixed 0.5 bad-entry budget
     case = SimpleNamespace(
-        values=values, missing=missing, rows=rows, clock=clock,
-        first_hour=clock, max_bad_fraction=budget_at / SIZE,
-        check_calendar=draw(st.booleans()),
+        values=values, missing=missing, rows=rows, clock=clock, first_hour=clock,
     )
     fault = draw(st.sampled_from(FAULTS))
     j = draw(st.integers(0, n_hours - 1))
@@ -132,10 +130,7 @@ def blocks(draw):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(case=blocks(), drop_rows=st.booleans())
 def test_block_decision_equals_per_hour_verdicts(case, drop_rows):
-    validator = TickValidator(
-        N_SECTORS, N_KPIS,
-        max_bad_fraction=case.max_bad_fraction, check_calendar=case.check_calendar,
-    )
+    validator = TickValidator(N_SECTORS, N_KPIS)
     rows = None if drop_rows else case.rows
     expected = probe_block_reference(
         validator, case.values, case.missing, rows, case.first_hour, case.clock,
@@ -168,7 +163,7 @@ def test_clean_block_applies_and_faulty_block_replays():
 def test_budget_boundary_is_inclusive(bad, action):
     """``validate`` quarantines only a share strictly over the budget;
     the block check shares that predicate (21/42 is exactly 0.5)."""
-    validator = TickValidator(N_SECTORS, N_KPIS, max_bad_fraction=0.5)
+    validator = TickValidator(N_SECTORS, N_KPIS)
     values = np.ones((N_SECTORS, 2, N_KPIS))
     column = np.ones(SIZE)
     column[:bad] = np.nan

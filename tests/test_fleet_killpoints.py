@@ -23,14 +23,12 @@ from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sec
 from repro.core.experiment import SweepRunner
 from repro.fleet import (
     FleetConfig,
-    FleetLifecycleSpec,
     SimulatedKill,
     build_fleet,
     journal_clock,
     recover_fleet,
 )
 from repro.imputation import ForwardFillImputer
-from repro.lifecycle import DriftConfig, RetrainConfig
 from repro.resilience import CheckpointManager
 from repro.serve import ModelRegistry, train_and_register
 from tests.test_resilience_checkpoint import flip_member_byte
@@ -200,61 +198,3 @@ def test_journal_clock_matches_recover_on_corrupt_snapshot(env, tmp_path):
     assert recovered.snapshot_hour == 0
     assert journal_clock(shard_dir) == recovered.ingestor.hours_seen
 
-
-def _lifecycle_config(env):
-    return _config(
-        env,
-        model="Tree",
-        horizons=(1,),
-        lifecycle=FleetLifecycleSpec(
-            retrain=RetrainConfig(
-                model="Tree",
-                target="hot",
-                horizon=1,
-                window=3,
-                n_estimators=3,
-                n_training_days=2,
-                base_seed=0,
-                cadence_days=4,
-                min_days_between=1,
-            ),
-            # Small drift windows so the shard rings (8 days) hold them.
-            drift=DriftConfig(reference_days=4, current_days=2),
-        ),
-    )
-
-
-def test_lifecycle_fleet_is_deterministic_and_recoverable(env, tmp_path):
-    """Per-shard lifecycle: same stream twice, same stream after a
-    crash, and reshard is refused (shard lifecycle state cannot be
-    re-partitioned)."""
-    runs = []
-    for leg in ("a", "b"):
-        fleet = build_fleet(tmp_path / leg, _lifecycle_config(env), 2)
-        lines: list[str] = []
-        try:
-            _drive(fleet, 0, END_HOUR, lines, env)
-        finally:
-            fleet.close()
-        runs.append(lines)
-    assert runs[0] == runs[1]
-    kinds = {
-        (json.loads(line).get("type") or json.loads(line).get("event"))
-        for line in runs[0]
-    }
-    assert "retrain" in kinds, f"no lifecycle activity in {sorted(kinds)}"
-
-    fleet = build_fleet(tmp_path / "kill", _lifecycle_config(env), 2)
-    lines = []
-    fleet.backend.workers[0].kill_at = ("mid_journal", KILL_HOUR)
-    with pytest.raises(SimulatedKill):
-        _drive(fleet, 0, END_HOUR, lines, env)
-    resumed = recover_fleet(tmp_path / "kill", _lifecycle_config(env))
-    try:
-        _drive(resumed, resumed.clock, END_HOUR, lines, env)
-    finally:
-        resumed.close()
-    assert lines == runs[0]
-
-    with pytest.raises(ValueError, match="reshard"):
-        recover_fleet(tmp_path / "kill", _lifecycle_config(env), n_shards=3)

@@ -178,7 +178,7 @@ def test_worker_fault_at_seam_recovers_bitwise(
         ProcessFault(shard, seam, KILL_HOUR, action=action, hang_secs=60.0),
     )
     supervise = (
-        SupervisorConfig(heartbeat_secs=0.5, slow_retries=2)
+        SupervisorConfig(heartbeat_secs=0.5)
         if action == "hang"
         else SupervisorConfig()
     )
@@ -387,8 +387,6 @@ def test_supervisor_config_validation():
         SupervisorConfig(max_restarts=-1)
     with pytest.raises(ValueError, match="poison_threshold"):
         SupervisorConfig(poison_threshold=0)
-    with pytest.raises(ValueError, match="slow_retries"):
-        SupervisorConfig(slow_retries=-1)
     with pytest.raises(ValueError, match="seam"):
         ProcessFault(0, "mid_orbit", 10)
     with pytest.raises(ValueError, match="action"):

@@ -71,13 +71,13 @@ class TestReplay:
         journal.close()
 
     def test_replay_falls_back_to_file_past_cache(self, tmp_path):
-        journal = EventJournal(tmp_path / "events.jsonl", cache_records=2)
-        for hour in range(6):
+        journal = EventJournal(tmp_path / "events.jsonl")
+        for hour in range(4097):
             journal.record_hour(hour, _events(f"h{hour}"))
-        # Cache holds the last 2 records only; replaying from the start
-        # must still return everything, in order, from disk.
-        assert [i for i, _ in journal.replay(-1)] == list(range(6))
-        assert [e["tag"] for _, e in journal.replay(-1)] == [f"h{h}" for h in range(6)]
+        # Cache holds the last 4096 records only; replaying from the
+        # start must still return everything, in order, from disk.
+        assert [i for i, _ in journal.replay(-1)] == list(range(4097))
+        assert [e["tag"] for _, e in journal.replay(-1)] == [f"h{h}" for h in range(4097)]
         journal.close()
 
     def test_memory_only_journal(self):
@@ -161,7 +161,3 @@ class TestRecovery:
         assert records == [
             {"hour": 0, "first_id": 0, "events": _events("a", "b")}
         ]
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_records"):
-            EventJournal(tmp_path / "e.jsonl", cache_records=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -17,9 +18,11 @@ from repro.gateway import (
 
 from tests._gateway_env import (
     END_HOUR,
+    MALFORMED_TICKS,
     build_env,
     build_guarded,
     http,
+    malformed_tick,
     post_ticks,
     tick_lines,
 )
@@ -46,6 +49,21 @@ def _base(gateway) -> str:
     return f"http://{gateway.host}:{gateway.port}"
 
 
+def _post_headers_only(gateway, length: str) -> tuple[bytes, bytes]:
+    """``(head, body)`` of the reply to a ``POST /ticks`` that declares
+    ``Content-Length: <length>`` and sends no body."""
+    with socket.create_connection((gateway.host, gateway.port), timeout=30) as sock:
+        sock.sendall(
+            f"POST /ticks HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n"
+            .encode("latin-1")
+        )
+        reply = b""
+        while chunk := sock.recv(65536):  # the server closes after replying
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body
+
+
 class TestIngest:
     def test_post_ticks_applies_and_acknowledges(self, env, gateway):
         status, _, body = http(
@@ -69,6 +87,32 @@ class TestIngest:
         status, _, body = http(_base(gateway) + "/ticks", data=b"{not json\n")
         assert status == 400
         assert json.loads(body)["error"] == "bad-request"
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_rejected_with_400(self, gateway, length):
+        head, body = _post_headers_only(gateway, length)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "bad-request"
+        assert gateway.telemetry.counter("http_bad_requests") == 1
+
+    def test_oversized_body_rejected_with_413(self, gateway):
+        head, body = _post_headers_only(gateway, str(32 * 1024 * 1024 + 1))
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert json.loads(body)["error"] == "payload-too-large"
+        assert gateway.telemetry.counter("http_bad_requests") == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TICKS))
+    def test_malformed_tick_payload_quarantines(self, env, gateway, case):
+        post_ticks(_base(gateway), env.dataset, 0, 2)
+        status, _, body = http(
+            _base(gateway) + "/ticks", data=malformed_tick(env.dataset, 2, case)
+        )
+        assert status == 200
+        reply = json.loads(body)
+        (event,) = reply["results"][0]["events"]
+        assert (event["event"], event["reason"]) == ("quarantine", MALFORMED_TICKS[case])
+        assert reply["clock"] == 2
+        assert gateway.telemetry.counter("ingest_errors") == 0
 
     def test_unsupported_op_rejected(self, gateway):
         status, _, body = http(

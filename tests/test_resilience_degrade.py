@@ -8,6 +8,7 @@ import pytest
 from repro.core.baselines import AverageModel, PersistModel
 from repro.core.experiment import SweepRunner
 from repro.resilience import FlakyRegistry, ResilientPredictionEngine
+from repro.resilience.degrade import _FALLBACK_SEED
 from repro.serve import ModelRegistry, StreamIngestor, train_and_register
 from repro.serve.telemetry import ServeTelemetry
 
@@ -92,7 +93,7 @@ class TestFallbackLadder:
 
         monkeypatch.setattr(engine._persist, "forecast", broken_forecast)
         scores = engine.predict(1)
-        rng = np.random.default_rng([engine.fallback_seed, engine.t_day, 1])
+        rng = np.random.default_rng([_FALLBACK_SEED, engine.t_day, 1])
         np.testing.assert_array_equal(scores, rng.random(engine.ingestor.n_sectors))
         (event,) = engine.telemetry.events("degraded")
         assert event["fallback"] == "random"
@@ -121,12 +122,13 @@ class TestBackoffAndRecovery:
         flaky = FlakyRegistry(ModelRegistry(registry_root))
         flaky.fail_next(1000)
         engine = make_engine(scored_dataset, flaky)
-        engine.max_backoff = 4
-        for _ in range(30):
+        for _ in range(56):
             engine.predict(1)
-        # 1 + 2 + 4 + 4 + ... suppressed calls between retries: with the
-        # cap at 4 the steady state retries every 5th call.
-        assert flaky.failures_injected >= 6
+        # 1 + 2 + 4 + 8 + 8 + ... suppressed calls between retries: with
+        # the cap at 8 the retries land on calls 1, 3, 6, 11, 20, 29, 38,
+        # 47 and 56 (uncapped doubling would stop at 37).
+        assert flaky.failures_injected == 9
+        assert engine.stats()["degraded"]["max_backoff"] == 8
 
     def test_first_success_emits_recovered_and_recaches(
         self, scored_dataset, registry_root
@@ -158,8 +160,4 @@ class TestBackoffAndRecovery:
         engine.predict(1)
         degraded = engine.stats()["degraded"]
         assert degraded["failing_keys"] == 1
-        assert degraded["max_backoff"] == engine.max_backoff
-        with pytest.raises(ValueError, match="max_backoff"):
-            ResilientPredictionEngine(
-                engine.ingestor, engine.registry, window=WINDOW, max_backoff=0
-            )
+        assert degraded["max_backoff"] == 8

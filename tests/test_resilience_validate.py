@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.tensor import HOURS_PER_DAY
 from repro.resilience import DarkSectorTracker, DeadLetterQueue, TickValidator
 from repro.resilience.validate import ACCEPT, QUARANTINE, RECONCILE
 
@@ -105,20 +106,14 @@ class TestValidatorQuarantine:
         )
         assert (verdict.action, verdict.reason) == (QUARANTINE, "calendar")
 
-    def test_calendar_check_disabled(self):
-        lax = TickValidator(
-            n_sectors=N_SECTORS, n_kpis=N_KPIS, check_calendar=False
-        )
-        verdict = lax.validate(
-            good_values(), calendar_row=calendar_row(7), hour=8, clock=8
-        )
-        assert verdict.action == ACCEPT
-
     def test_gap_too_large(self, validator):
-        verdict = validator.validate(
-            good_values(), hour=validator.max_gap_hours + 1, clock=0
-        )
+        verdict = validator.validate(good_values(), hour=HOURS_PER_DAY + 1, clock=0)
         assert (verdict.action, verdict.reason) == (QUARANTINE, "gap_too_large")
+
+    @pytest.mark.parametrize("hour", ["soon", float("nan"), float("inf"), [3]])
+    def test_hour_not_an_integer_quarantines(self, validator, hour):
+        verdict = validator.validate(good_values(), hour=hour, clock=0)
+        assert (verdict.action, verdict.reason) == (QUARANTINE, "dtype")
 
     def test_late_without_ring_lookup(self, validator):
         verdict = validator.validate(good_values(), hour=3, clock=10)
@@ -158,44 +153,46 @@ class TestDuplicateReconciliation:
 
 
 class TestValidatorConfig:
-    def test_bad_fraction_bounds(self):
-        with pytest.raises(ValueError, match="max_bad_fraction"):
-            TickValidator(n_sectors=1, n_kpis=1, max_bad_fraction=0.0)
-        with pytest.raises(ValueError, match="max_bad_fraction"):
-            TickValidator(n_sectors=1, n_kpis=1, max_bad_fraction=1.5)
+    """The admission budget is fixed: 50 % bad entries, a 24-hour gap."""
 
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError, match="max_gap_hours"):
-            TickValidator(n_sectors=1, n_kpis=1, max_gap_hours=-1)
+    def test_bad_fraction_bounds(self, validator):
+        values = good_values()
+        values.flat[:6] = np.nan  # 6/12 is exactly the 50 % budget
+        assert validator.validate(values, clock=0).action == ACCEPT
+        values.flat[6] = np.inf  # 7/12 is over it
+        verdict = validator.validate(values, clock=0)
+        assert (verdict.action, verdict.reason) == (QUARANTINE, "bad_value_budget")
+
+    def test_negative_gap_rejected(self, validator):
+        verdict = validator.validate(good_values(), hour=9, clock=10)
+        assert (verdict.action, verdict.reason) == (QUARANTINE, "late")
+        verdict = validator.validate(good_values(), hour=10 + HOURS_PER_DAY, clock=10)
+        assert (verdict.action, verdict.gap_hours) == (ACCEPT, HOURS_PER_DAY)
 
 
 class TestDeadLetterQueue:
     def test_bounded_with_exact_totals(self):
-        queue = DeadLetterQueue(capacity=3)
-        for i in range(5):
+        queue = DeadLetterQueue()
+        for i in range(257):
             queue.push("shape", hour=i)
-        assert len(queue) == 3
-        assert queue.total == 5
-        assert queue.dropped == 2
-        assert [r["hour"] for r in queue.items()] == [2, 3, 4]
+        assert len(queue) == 256
+        assert queue.total == 257
+        assert queue.dropped == 1
+        assert [r["hour"] for r in queue.items()] == list(range(1, 257))
 
     def test_counts_by_reason_and_stats(self):
-        queue = DeadLetterQueue(capacity=8)
+        queue = DeadLetterQueue()
         queue.push("shape", hour=0)
         queue.push("calendar", hour=1)
         queue.push("shape", hour=2, detail="oops")
         assert queue.counts_by_reason() == {"shape": 2, "calendar": 1}
         assert queue.stats() == {
-            "buffered": 3, "capacity": 8, "total": 3, "dropped": 0,
+            "buffered": 3, "capacity": 256, "total": 3, "dropped": 0,
         }
 
     def test_push_returns_record(self):
         record = DeadLetterQueue().push("late", hour=9, detail="d", op="tick")
         assert record == {"hour": 9, "reason": "late", "detail": "d", "op": "tick"}
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            DeadLetterQueue(capacity=0)
 
 
 class TestDarkSectorTracker:

@@ -13,6 +13,7 @@ from repro.cli import main as cli_main
 from repro.core.experiment import SweepRunner
 from repro.core.features import build_feature_tensor
 from repro.data.tensor import HOURS_PER_DAY
+from repro.resilience import ResilientHotSpotService
 from repro.serve import (
     HotSpotService,
     ModelRegistry,
@@ -227,8 +228,8 @@ class TestJsonlProtocol:
     @pytest.fixture()
     def service(self, scored_dataset, registry):
         engine = make_engine(scored_dataset, registry)
-        return HotSpotService(
-            engine, ServeConfig(horizons=(1,), start_day=TRAIN_DAY, top_k=3)
+        return ResilientHotSpotService(
+            HotSpotService(engine, ServeConfig(horizons=(1,), start_day=TRAIN_DAY, top_k=3))
         )
 
     def run(self, service, requests):
@@ -273,7 +274,7 @@ class TestJsonlProtocol:
             "{broken",                                # malformed_json
             json.dumps([1, 2, 3]),                    # not_an_object
             json.dumps({"op": "teleport"}),           # unknown_op
-            json.dumps({"op": "tick", "values": [[1]]}),  # operation_failed
+            json.dumps({"op": "tick"}),               # operation_failed
         ]
         service.run_jsonl(lines, out)
         events = [json.loads(line) for line in out.getvalue().splitlines()]

@@ -110,15 +110,15 @@ class TestRegistry:
         assert ModelRegistry(tmp_path).keys() == [key]
 
     def test_warm_lru_eviction(self, runner, tmp_path):
-        registry = ModelRegistry(tmp_path, max_warm=2)
+        registry = ModelRegistry(tmp_path)
         model = runner.train_cell("Average", T_DAY, 1, 7)
-        keys = [ModelKey("hot", "Average", h, 7) for h in (1, 2, 3)]
+        keys = [ModelKey("hot", "Average", h, 7) for h in range(1, 10)]
         for key in keys:
             registry.save(key, model)
         stats = registry.stats()
-        assert stats["warm_models"] == 2
+        assert stats["warm_models"] == stats["max_warm"] == 8
         assert stats["evictions"] == 1
-        assert stats["saves"] == 3
+        assert stats["saves"] == 9
         # keys[0] was evicted: getting it is a disk load, not a warm hit.
         registry.get(keys[0])
         assert registry.stats()["disk_loads"] == 1
@@ -133,10 +133,6 @@ class TestRegistry:
         assert registry.stats()["warm_models"] == 0
         registry.get(key)
         assert registry.stats()["disk_loads"] == 1
-
-    def test_max_warm_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="max_warm"):
-            ModelRegistry(tmp_path, max_warm=0)
 
 
 class TestTrainAndRegister:
