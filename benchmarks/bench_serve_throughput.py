@@ -121,9 +121,7 @@ def legacy_path(registry: ModelRegistry, params):
     """
     saved_predict = forest_mod.RandomForestClassifier.predict_proba
     saved_design = PredictionEngine._design
-    forest_mod.RandomForestClassifier.predict_proba = (
-        lambda self, X, n_jobs=None: predict_proba_legacy(self, X)
-    )
+    forest_mod.RandomForestClassifier.predict_proba = predict_proba_legacy
     PredictionEngine._design = lambda self, model, t_day, window: None
     saved_views = []
     for horizon in params["horizons"]:

@@ -26,7 +26,8 @@ sharded over sector partitions — ``--shards N`` engines with their own
 WALs behind one coordinator, in-process or, with ``--supervise``, each
 in its own forked and restartable host process — emitting a merged
 stream bitwise identical to the single engine's.  ``--jobs`` fans
-training and forest work out over worker processes, never shards.
+training and sweeps out over worker processes, never shards; serving
+predicts serially in every process.
 ``gateway`` puts any of those stacks behind an HTTP/SSE surface —
 ``POST /ticks`` ingest with backpressure, ``GET /alerts`` SSE with
 ``Last-Event-ID`` resume, Prometheus ``/metrics``, and an operator
@@ -744,8 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (1 = serial, 0 = all cores); results are "
-        "identical for any value",
+        help="worker processes for training and sweeps (1 = serial, 0 = all "
+        "cores); results are identical for any value, and serving predicts "
+        "serially in every process",
     )
 
     ana = sub.add_parser("analyze", parents=[common], help="Sec. III dynamics summaries")

@@ -65,10 +65,10 @@ class HotSpotForecaster:
     random_state:
         Seed or Generator for the underlying learner.
     n_jobs:
-        Worker processes for forest fitting/prediction (forwarded to
+        Worker processes for forest fitting (forwarded to
         :class:`~repro.ml.forest.RandomForestClassifier`; ignored by the
         single tree and the sequential boosting stages).  The fitted
-        model is identical for any value.
+        model is identical for any value, and prediction is serial.
 
     Attributes
     ----------

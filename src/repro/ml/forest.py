@@ -8,12 +8,14 @@ trees stopped only when a node's weight drops below 0.02 % of the total.
 Predictions average the member class probabilities (bagging), and feature
 importances average the members' normalised Gini importances.
 
-Members are independent once their randomness is fixed, so fitting and
-prediction optionally fan out over worker processes (``n_jobs``): the
-bootstrap resamples and per-tree seeds are pre-drawn in tree order
-(:func:`repro.ml.rng.spawn_seeds`), which makes the parallel result
-bitwise identical to the serial one for any worker count.  See
-:mod:`repro.parallel.forest` for the execution layer.
+Members are independent once their randomness is fixed, so fitting
+optionally fans out over worker processes (``n_jobs``): the bootstrap
+resamples and per-tree seeds are pre-drawn in tree order
+(:func:`repro.ml.rng.spawn_seeds`), which makes the parallel fit bitwise
+identical to the serial one for any worker count.  See
+:mod:`repro.parallel.forest` for the execution layer.  Prediction is
+serial in every process: one walk of the packed kernel
+(:mod:`repro.ml.packed`), whatever ``n_jobs`` says.
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ class RandomForestClassifier:
     random_state:
         Seed or Generator; member trees get independent child streams.
     n_jobs:
-        Worker processes for fitting and prediction: 1 (default) stays
-        serial, 0/None uses every core, negative counts back from the
-        core count.  Results are identical for every value; the forest
-        silently falls back to serial when process pools or shared
-        memory are unavailable.
+        Worker processes for fitting: 1 (default) stays serial, 0/None
+        uses every core, negative counts back from the core count.  The
+        fit is identical for every value; it silently falls back to
+        serial when process pools or shared memory are unavailable.
+        Prediction ignores it and always walks the packed kernel serially.
 
     Attributes
     ----------
@@ -267,36 +269,14 @@ class RandomForestClassifier:
             self._packed_ = cached
         return cached
 
-    def predict_proba(self, X: np.ndarray, n_jobs: int | None = None) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Bagged class probabilities: the mean over member trees.
 
-        The default path walks the packed struct-of-arrays kernel
-        (:meth:`packed`) — one vectorized node-index walk over all
-        ``(n_samples × n_trees)`` lanes — and is bitwise identical to
-        the legacy per-tree loop, the parity oracle in
-        ``tests/oracles.py``.
-
-        *n_jobs* overrides the constructor's worker count for this call;
-        row blocks are distributed across processes, each walking the
-        same packed kernel for its rows, so the result is identical to
-        the serial path.
+        Walks the packed struct-of-arrays kernel (:meth:`packed`) — one
+        vectorized node-index walk over all ``(n_samples × n_trees)``
+        lanes — and is bitwise identical to the legacy per-tree loop,
+        the parity oracle in ``tests/oracles.py``.
         """
-        self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        jobs = self.n_jobs if n_jobs is None else n_jobs
-        from repro.parallel.pool import effective_jobs
-
-        if effective_jobs(jobs, X.shape[0]) > 1:
-            from repro.parallel.forest import (
-                ForestParallelUnavailable,
-                predict_proba_parallel,
-            )
-
-            try:
-                return predict_proba_parallel(self, X, jobs)
-            except ForestParallelUnavailable:
-                pass  # degrade to the serial packed walk below
-
         return self.packed().predict_proba(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -19,16 +19,16 @@ iterations collapses from ``n_trees × max_depth`` to ``max_depth``.
 
 Bitwise parity contract: split comparisons are exact float64
 comparisons on identical values, so every lane reaches exactly the leaf
-the legacy walk reaches; the final reduction deliberately accumulates
-the leaf probabilities **in tree order** (a short loop of ``n_trees``
-array adds) instead of a NumPy pairwise sum over a tree axis, so the
-floating-point addition order — and therefore every output bit —
-matches the legacy per-tree loop.
-
-The packed buffers are six plain ndarrays, which makes the kernel
-shm-shareable: :meth:`arrays`/:meth:`from_arrays` round-trip through a
-:class:`repro.parallel.shm.SharedArrayBundle` so row-parallel predict
-workers attach views instead of unpickling every member tree.
+the legacy walk reaches.  The final reduction gathers the leaf
+probabilities into a C-contiguous ``(n_trees, n_samples, n_classes)``
+array and adds it with ``np.add.reduce`` over axis 0.  A reduce over
+the outer axis adds whole ``(n_samples, n_classes)`` planes one after
+another, **in tree order**, so the floating-point addition order — and
+therefore every output bit — matches the legacy per-tree loop.  A
+pairwise ``np.sum`` over a contiguous tree axis would not.  The one
+exception is a single-class forest, where NumPy lays the gather out
+with the tree axis innermost and does sum pairwise; every leaf there
+is exactly 1.0, so any addition order gives the same bits.
 """
 
 from __future__ import annotations
@@ -71,17 +71,6 @@ class PackedForest:
         "n_features",
         "n_estimators",
         "_children",
-    )
-
-    #: Bundle keys for :meth:`arrays`/:meth:`from_arrays` shm transport.
-    ARRAY_NAMES = (
-        "feature",
-        "threshold",
-        "left",
-        "right",
-        "proba",
-        "roots",
-        "classes",
     )
 
     def __init__(
@@ -193,31 +182,10 @@ class PackedForest:
             active = active[keep]
             feat_active = feat_stepped[keep]
 
-        # Accumulate leaf probabilities in tree order — T cheap array
-        # adds — so the float addition order matches the legacy loop
-        # exactly (a pairwise np.sum over the tree axis would not).
+        # Sum leaf probabilities in tree order: a reduce over the outer
+        # axis of the C-contiguous (T, n, C) gather adds one tree plane
+        # at a time, so the float addition order matches the legacy loop
+        # exactly (single-class leaves are all 1.0, exact in any order).
         leaf = node.reshape(n_samples, n_trees)
-        total = np.zeros((n_samples, self.classes.size))
-        proba = self.proba
-        for k in range(n_trees):
-            total += proba[leaf[:, k]]
-        return total / self.n_estimators
+        return np.add.reduce(self.proba[leaf.T], axis=0) / self.n_estimators
 
-    # --------------------------------------------------------- transport
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The packed buffers keyed for shared-memory transport."""
-        return {name: getattr(self, name) for name in self.ARRAY_NAMES}
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: dict[str, np.ndarray],
-        n_features: int,
-        n_estimators: int,
-    ) -> "PackedForest":
-        """Rebuild a kernel around existing buffers (e.g. shm views)."""
-        return cls(
-            n_features=n_features,
-            n_estimators=n_estimators,
-            **{name: arrays[name] for name in cls.ARRAY_NAMES},
-        )

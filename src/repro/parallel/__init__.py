@@ -10,9 +10,10 @@ consumed sequentially; this package supplies the execution layer:
   chunking, and an ordered chunked map over a process pool;
 * :mod:`repro.parallel.sweep` — the parallel
   :meth:`~repro.core.experiment.SweepRunner.run` backend;
-* :mod:`repro.parallel.forest` — parallel member-tree fitting and
-  row-parallel prediction for
-  :class:`~repro.ml.forest.RandomForestClassifier`.
+* :mod:`repro.parallel.forest` — parallel member-tree fitting for
+  :class:`~repro.ml.forest.RandomForestClassifier`.  Prediction stays
+  serial in every process: the packed walk beats a pool at every
+  serving size.
 
 The determinism contract (see DESIGN.md): CRC32 cell seeds and
 pre-spawned RNG streams make every result bitwise identical to the

@@ -1,4 +1,4 @@
-"""Process-parallel random-forest fitting and prediction.
+"""Process-parallel random-forest fitting.
 
 A bagged forest is a set of independent trees, but the *serial* fit
 draws its randomness from two sequential streams: one bootstrap stream
@@ -11,14 +11,10 @@ uses exactly the data and RNG stream the serial loop would have used,
 and the parent reassembles members, importances, and OOB votes in tree
 order, so reductions see the same floating-point addition order too.
 
-Prediction parallelises over **row chunks** instead of trees: each
-worker walks the forest's packed struct-of-arrays kernel
-(:class:`repro.ml.packed.PackedForest`) for its rows and computes the
-full bagged average, which keeps per-row summation order identical to
-the serial path — concatenating row blocks is exact, re-associating
-tree sums would not be.  The packed buffers travel through the same
-shared-memory bundle as the design matrix, so workers attach views
-instead of unpickling every member tree.
+Prediction has no parallel path: the serial packed walk
+(:class:`repro.ml.packed.PackedForest`) is faster than a pool at every
+serving size, so a forest predicts serially in every process whatever
+its ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -39,11 +35,11 @@ from repro.parallel.shm import (
     SharedMemoryUnavailable,
 )
 
-__all__ = ["fit_trees_parallel", "predict_proba_parallel", "ForestParallelUnavailable"]
+__all__ = ["fit_trees_parallel", "ForestParallelUnavailable"]
 
 
 class ForestParallelUnavailable(RuntimeError):
-    """Parallel forest execution cannot run here; use the serial path."""
+    """Parallel forest fitting cannot run here; use the serial path."""
 
 
 # ------------------------------------------------------------------- fit
@@ -137,69 +133,3 @@ def fit_trees_parallel(
 
     states = dict(flatten(chunk_results))
     return [DecisionTreeClassifier.from_state(states[k]) for k in range(n_trees)]
-
-
-# --------------------------------------------------------------- predict
-_PREDICT_BUNDLE: SharedArrayBundle | None = None
-_PREDICT_PACKED = None
-
-
-def _init_predict_worker(specs: dict[str, SharedArraySpec], payload: dict) -> None:
-    global _PREDICT_BUNDLE, _PREDICT_PACKED
-    from repro.ml.packed import PackedForest
-
-    _PREDICT_BUNDLE = SharedArrayBundle.attach(specs)
-    _PREDICT_PACKED = PackedForest.from_arrays(
-        {name: _PREDICT_BUNDLE[name] for name in PackedForest.ARRAY_NAMES},
-        n_features=payload["n_features"],
-        n_estimators=payload["n_estimators"],
-    )
-
-
-def _predict_row_chunk(bounds: list[tuple[int, int]]) -> list[np.ndarray]:
-    X = _PREDICT_BUNDLE["X"]
-    return [
-        _PREDICT_PACKED.predict_proba(X[start:stop]) for start, stop in bounds
-    ]
-
-
-def predict_proba_parallel(forest, X: np.ndarray, n_jobs: int) -> np.ndarray:
-    """Bagged class probabilities for *X*, row-parallel across a pool.
-
-    Each worker walks the packed kernel's complete tree-order average
-    for its row block, so every row's floating-point summation order
-    matches the serial path exactly; blocks concatenate back in order.
-    """
-    n_rows = X.shape[0]
-    jobs = effective_jobs(n_jobs, n_rows)
-    if jobs == 1 or n_rows < 2 * jobs:
-        raise ForestParallelUnavailable("too little work; predict serially")
-
-    packed = forest.packed()
-    arrays = {"X": np.ascontiguousarray(X)}
-    arrays.update(packed.arrays())
-    try:
-        bundle = SharedArrayBundle.create(arrays)
-    except SharedMemoryUnavailable as error:
-        raise ForestParallelUnavailable(str(error)) from error
-
-    payload = {
-        "n_features": packed.n_features,
-        "n_estimators": packed.n_estimators,
-    }
-    bound_chunks = [
-        [(chunk[0], chunk[-1] + 1)]
-        for chunk in partition(list(range(n_rows)), n_chunks=jobs)
-    ]
-    with bundle:
-        try:
-            chunk_results = ordered_chunk_map(
-                _predict_row_chunk,
-                bound_chunks,
-                jobs,
-                initializer=_init_predict_worker,
-                initargs=(bundle.specs(), payload),
-            )
-        except PoolUnavailable as error:
-            raise ForestParallelUnavailable(str(error)) from error
-    return np.concatenate(flatten(chunk_results), axis=0)

@@ -3,8 +3,9 @@
 ``serve``, ``fleet`` and ``gateway`` build their stacks from the same
 flags.  These tests pin that contract from the outside:
 
-* the merged JSONL stream of ``serve`` (per-hour and day blocks) and
-  ``fleet`` (serial and supervised) is byte-identical on one world;
+* the merged JSONL stream of ``serve`` (per-hour and day blocks, and
+  with ``--jobs 2``) and ``fleet`` (serial and supervised) is
+  byte-identical on one world;
 * ``fleet --resume`` after a ``--max-days`` run continues that stream;
 * ``gateway`` stands up its fleet and lifecycle stacks, names the
   backend in its ``listening`` line, and drains on SIGTERM;
@@ -86,12 +87,13 @@ def test_reference_stream_alerts(reference):
     "command",
     [
         ["serve", "--registry", "r-serve-24", "--batch-hours", "24"],
+        ["serve", "--registry", "r-serve-jobs2", "--jobs", "2"],
         ["fleet", "--registry", "r-fleet", "--checkpoint-dir", "f-serial",
          "--shards", "2", "--batch-hours", "24"],
         ["fleet", "--registry", "r-sup", "--checkpoint-dir", "f-sup",
          "--shards", "2", "--supervise"],
     ],
-    ids=["serve-batch24", "fleet-serial-batch24", "fleet-supervised"],
+    ids=["serve-batch24", "serve-jobs2", "fleet-serial-batch24", "fleet-supervised"],
 )
 def test_stacks_emit_identical_stdout(world, reference, capsys, command):
     assert _run(world, capsys, *command) == reference

@@ -118,20 +118,28 @@ class TestParallelForest:
         serial.fit(X, y)
         parallel.fit(X, y)
         assert np.array_equal(serial.feature_importances_, parallel.feature_importances_)
-        assert np.array_equal(
-            serial.predict_proba(X), parallel.predict_proba(X, n_jobs=1)
-        )
+        assert np.array_equal(serial.predict_proba(X), parallel.predict_proba(X))
         for tree_s, tree_p in zip(serial.estimators_, parallel.estimators_):
             assert np.array_equal(tree_s._feature, tree_p._feature)
             assert np.array_equal(tree_s._threshold, tree_p._threshold)
             assert np.array_equal(tree_s._proba, tree_p._proba)
 
-    def test_predict_proba_parallel_matches(self, data):
+    def test_n_jobs_does_not_reach_predict(self, data, monkeypatch):
         X, y = data
-        forest = RandomForestClassifier(n_estimators=6, random_state=1, n_jobs=1)
+        serial = RandomForestClassifier(n_estimators=6, random_state=1).fit(X, y)
+        forest = RandomForestClassifier(n_estimators=6, random_state=1, n_jobs=2)
         forest.fit(X, y)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("predict must not start a pool")
+
+        monkeypatch.setattr("repro.parallel.forest.ordered_chunk_map", no_pool)
+        monkeypatch.setattr(
+            "repro.parallel.forest.SharedArrayBundle.create", no_pool
+        )
+        proba = forest.predict_proba(X)
         assert np.array_equal(
-            forest.predict_proba(X, n_jobs=1), forest.predict_proba(X, n_jobs=4)
+            proba.view(np.uint64), serial.predict_proba(X).view(np.uint64)
         )
 
     def test_oob_matches_serial(self, data):
