@@ -5,7 +5,8 @@ Every bench regenerates one of the paper's tables or figures as text.
 ``benchmarks/results/<name>.txt``; the conftest's terminal-summary hook
 then prints every stored block at the end of the pytest run, so the
 tables are visible in the tee'd bench output even with stdout capture
-on.
+on.  Smoke-sized runs pass ``persist=False``: the tracked tables hold
+full runs only.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ def peak_rss_mb() -> float | None:
     return round(peak / 1024.0, 1)
 
 
-def report(name: str, text: str) -> None:
-    """Store a rendered table/figure block under *name* and persist it."""
+def report(name: str, text: str, persist: bool = True) -> None:
+    """Store a rendered table/figure block under *name*; with *persist*,
+    also write it to ``results/<name>.txt``."""
     _REPORTS[name] = text
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    if persist:
+        _RESULTS_DIR.mkdir(exist_ok=True)
+        (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print(f"\n[{name}]\n{text}")
 
 

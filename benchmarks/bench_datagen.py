@@ -13,9 +13,11 @@ numbers the rest of the bench suite builds on:
 * **generation throughput and peak RSS per tier** — the streaming path
   must stay O(one chunk): at paper scale peak RSS is asserted to be
   below the in-RAM K-tensor size;
-* **an out-of-core replay leg** — ``bench_fleet_replay --tier`` is run
-  as a subprocess against a memory-mapped world and its throughput and
-  peak RSS are folded into the summary.
+* **an out-of-core replay leg** — a memory-mapped tier world is
+  opened for the first time (building its mmap cache) and replayed
+  through a 2-shard fleet in a fresh process that generated nothing, so
+  its peak RSS is the serving path's alone; at paper scale it is
+  asserted to be below the in-RAM K-tensor size.
 
 Dual-mode:
 
@@ -33,15 +35,30 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _reporting import format_table, report
+from _reporting import format_table, peak_rss_mb, report
+
+from repro.synth import SIZE_TIERS, TelemetryGenerator
 
 REPO_ROOT = Path(__file__).parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_datagen.json"
-FLEET_BENCH = Path(__file__).parent / "bench_fleet_replay.py"
+
+#: The replay leg serves the cheapest model: it measures the mmap read
+#: path and its RSS, not the forest.
+MODEL = "Average"
+WINDOW = 7
+HORIZONS = (1,)
+TOP_K = 5
+REPLAY_SHARDS = 2
+
+#: Default replay span: one window of ring warm-up plus a few
+#: prediction days — the mmap read path end to end, CI-sized even at
+#: paper scale.
+REPLAY_HOURS = (WINDOW + 3) * 24
 
 #: Pinned manifest content hashes of the named tiers (with missingness,
 #: the tier's default chunking — but the hash is chunking-independent).
@@ -70,37 +87,41 @@ def _subprocess_env() -> dict:
     return env
 
 
-def _generate_in_subprocess(tier: str, world_dir: Path) -> dict:
-    """Generate *tier* chunked in a child process; return its metrics.
+def _in_subprocess(function: str, *args: str) -> dict:
+    """Call this module's *function* in a fresh interpreter; return its result.
 
-    A child process per generation keeps the peak-RSS reading honest
-    (``ru_maxrss`` is a process-lifetime high-water mark) and is itself
-    the cross-process determinism fixture.
+    ``ru_maxrss`` is a process-lifetime high-water mark, so every
+    measured step gets a process of its own; the generation children
+    are also the cross-process determinism fixture.
     """
     code = (
-        "import json, sys, time\n"
-        "sys.path.insert(0, sys.argv[3])\n"
-        "from _reporting import peak_rss_mb\n"
-        "from repro.synth import SIZE_TIERS, TelemetryGenerator\n"
-        "tier = SIZE_TIERS[sys.argv[1]]\n"
-        "start = time.perf_counter()\n"
-        "_, manifest = TelemetryGenerator(tier.config()).generate_chunked(\n"
-        "    sys.argv[2], chunk_weeks=tier.chunk_weeks,\n"
-        "    generator_meta={'tier': tier.name})\n"
-        "print(json.dumps({\n"
-        "    'content_hash': manifest['content_hash'],\n"
-        "    'n_sectors': manifest['n_sectors'],\n"
-        "    'n_hours': manifest['n_hours'],\n"
-        "    'n_chunks': len(manifest['chunks']),\n"
-        "    'seconds': round(time.perf_counter() - start, 2),\n"
-        "    'peak_rss_mb': peak_rss_mb(),\n"
-        "}))\n"
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import bench_datagen\n"
+        "print(json.dumps(getattr(bench_datagen, sys.argv[2])(*sys.argv[3:])))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, tier, str(world_dir), str(FLEET_BENCH.parent)],
+        [sys.executable, "-c", code, str(Path(__file__).parent), function, *args],
         capture_output=True, text=True, env=_subprocess_env(), check=True,
     )
     return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def generate_tier(tier_name: str, world_dir: str) -> dict:
+    """Child body: generate *tier_name* chunked into *world_dir*."""
+    tier = SIZE_TIERS[tier_name]
+    start = time.perf_counter()
+    _, manifest = TelemetryGenerator(tier.config()).generate_chunked(
+        world_dir, chunk_weeks=tier.chunk_weeks, generator_meta={"tier": tier.name}
+    )
+    return {
+        "content_hash": manifest["content_hash"],
+        "n_sectors": manifest["n_sectors"],
+        "n_hours": manifest["n_hours"],
+        "n_chunks": len(manifest["chunks"]),
+        "seconds": round(time.perf_counter() - start, 2),
+        "peak_rss_mb": peak_rss_mb(),
+    }
 
 
 def _tensor_mb(n_sectors: int, n_hours: int, n_kpis: int = 21) -> float:
@@ -112,7 +133,7 @@ def _run_tier(tier: str, work_dir: Path, determinism_runs: int) -> dict:
     runs = []
     for index in range(max(determinism_runs, 1)):
         world_dir = work_dir / f"{tier}-run{index}"
-        runs.append(_generate_in_subprocess(tier, world_dir))
+        runs.append(_in_subprocess("generate_tier", tier, str(world_dir)))
     first = runs[0]
     hashes = {run["content_hash"] for run in runs}
     expected = EXPECTED_SHA256.get(tier)
@@ -152,25 +173,113 @@ def _run_tier(tier: str, work_dir: Path, determinism_runs: int) -> dict:
     return summary
 
 
-def _run_replay_leg(tier: str, work_dir: Path, hours: int | None) -> dict:
-    """Out-of-core fleet replay over a memory-mapped tier world.
+def prepare_replay_world(tier_name: str, world_dir: str) -> dict:
+    """Child body: generate the replay world into *world_dir* if missing.
 
-    Subprocess for the same RSS-isolation reason as generation; the
-    replay world is generated by the bench itself (``with_missing=False``
-    — the serving engine requires imputed windows).
+    Replay worlds are generated ``with_missing=False``: the serving
+    engine requires imputed windows (the batch pipeline rejects
+    incomplete tensors the same way), and streaming imputation is out
+    of scope here.
     """
-    out = work_dir / f"replay-{tier}.json"
-    cmd = [
-        sys.executable, str(FLEET_BENCH),
-        "--tier", tier,
-        "--world-dir", str(work_dir / f"{tier}-replay-world"),
-        "--out", str(out),
-    ]
-    if hours is not None:
-        cmd += ["--hours", str(hours)]
-    subprocess.run(cmd, capture_output=True, text=True,
-                   env=_subprocess_env(), check=True)
-    return json.loads(out.read_text(encoding="utf-8"))
+    tier = SIZE_TIERS[tier_name]
+    world_dir = Path(world_dir)
+    generate_seconds = None
+    if not (world_dir / "manifest.json").exists():
+        start = time.perf_counter()
+        TelemetryGenerator(tier.config()).generate_chunked(
+            world_dir, chunk_weeks=tier.chunk_weeks, with_missing=False,
+            generator_meta={"tier": tier.name},
+        )
+        generate_seconds = round(time.perf_counter() - start, 2)
+    return {"generated_here": generate_seconds is not None,
+            "generate_seconds": generate_seconds}
+
+
+def _companion_registry(registry_root: Path) -> None:
+    """Register the served model, trained on a small in-RAM world.
+
+    Model inputs are per-sector features, so the training world's
+    sector count is independent of the served one.
+    """
+    from repro import GeneratorConfig, attach_scores, filter_sectors
+    from repro.core.experiment import SweepRunner
+    from repro.imputation import ForwardFillImputer
+    from repro.serve import ModelRegistry, train_and_register
+
+    dataset = TelemetryGenerator(GeneratorConfig(n_towers=10, n_weeks=4, seed=7)).generate()
+    dataset, __ = filter_sectors(dataset)
+    dataset.kpis = ForwardFillImputer().fit_transform(dataset.kpis)
+    runner = SweepRunner(
+        attach_scores(dataset), target="hot", n_estimators=3, n_training_days=3, seed=0
+    )
+    train_and_register(
+        runner, ModelRegistry(registry_root), (MODEL,),
+        dataset.score_daily.shape[1] // 2, HORIZONS, (WINDOW,), overwrite=True,
+    )
+
+
+def replay_world(tier_name: str, world_dir: str, hours: str) -> dict:
+    """Child body: replay a memory-mapped tier world through the fleet.
+
+    The world is served via ``open_dataset_mmap`` without ever
+    materialising the full K tensor.  This child makes the world's
+    first open, which builds the hour-major mmap cache, so its peak RSS
+    covers what serving a fresh chunked world costs: cache build plus
+    replay, with generation left to the preparing child.
+    """
+    from repro.data.chunked import open_dataset_mmap
+    from repro.fleet import FleetConfig, build_fleet
+
+    world = open_dataset_mmap(world_dir)
+    assert world.kpis.is_memory_mapped, "tier world must be served from mmap"
+    end_hour = min(int(hours), world.kpis.n_hours)
+    kpis = world.kpis
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _companion_registry(root / "registry")
+        config = FleetConfig.for_dataset(
+            world, root / "registry", model=MODEL, window=WINDOW,
+            horizons=HORIZONS, start_day=WINDOW, top_k=TOP_K, w_max=WINDOW,
+        )
+        fleet = build_fleet(root / "fleet", config, REPLAY_SHARDS)
+        try:
+            start = time.perf_counter()
+            for hour in range(end_hour):
+                events = fleet.submit_tick(
+                    kpis.values[:, hour, :], kpis.missing[:, hour, :],
+                    world.calendar[hour], hour=hour,
+                )
+                lines.extend(json.dumps(event) for event in events)
+            seconds = time.perf_counter() - start
+        finally:
+            fleet.close()
+
+    in_ram_mb = round(kpis.nbytes / 2**20, 1)
+    rss_mb = peak_rss_mb()
+    return {
+        "bench": "fleet_replay_tier",
+        "tier": tier_name,
+        "world_dir": str(world_dir),
+        "n_sectors": world.n_sectors,
+        "world_hours": kpis.n_hours,
+        "stream_hours": end_hour,
+        "shards": REPLAY_SHARDS,
+        "event_lines": len(lines),
+        "seconds": round(seconds, 4),
+        "ticks_per_second": round(end_hour / seconds, 1) if seconds else None,
+        "in_ram_tensor_mb": in_ram_mb,
+        "peak_rss_mb": rss_mb,
+        "rss_below_in_ram": None if rss_mb is None else bool(rss_mb < in_ram_mb),
+    }
+
+
+def _run_replay_leg(tier: str, work_dir: Path, hours: int | None) -> dict:
+    """Generate the replay world in one child, open and replay it in another."""
+    world_dir = str(work_dir / f"{tier}-replay-world")
+    prepared = _in_subprocess("prepare_replay_world", tier, world_dir)
+    replay = _in_subprocess("replay_world", tier, world_dir, str(hours or REPLAY_HOURS))
+    return {**replay, **prepared}
 
 
 def run_bench(
@@ -255,7 +364,7 @@ def test_datagen_smoke(benchmark):
         run_bench, kwargs={"tiers": ("small",), "replay_hours": 240},
         rounds=1, iterations=1,
     )
-    report("datagen", _render(summary))
+    report("datagen", _render(summary), persist=False)
     assert all(t["cross_process_deterministic"] for t in summary["tiers"])
     assert all(t["hash_ok"] is not False for t in summary["tiers"])
 
@@ -281,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--replay-hours", type=int, default=None,
-        help="replay span in hours (default: bench_fleet_replay's)",
+        help=f"replay span in hours (default {REPLAY_HOURS})",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT,

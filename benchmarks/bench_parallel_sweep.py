@@ -9,8 +9,8 @@ Dual-mode:
 
 * standalone — ``python benchmarks/bench_parallel_sweep.py [--smoke]``
   writes ``BENCH_parallel_sweep.json`` (timing summary for the perf
-  trajectory) next to the repo root and a text table under
-  ``benchmarks/results/``;
+  trajectory) next to the repo root and, for a full run, a text table
+  under ``benchmarks/results/``;
 * under pytest — a ``--smoke``-sized run wired into the bench suite.
 """
 
@@ -151,7 +151,7 @@ def _render(summary: dict) -> str:
 def test_parallel_sweep_smoke(benchmark):
     """Bench-suite entry: smoke-sized serial vs 2-worker comparison."""
     summary = benchmark.pedantic(run_bench, kwargs={"smoke": True}, rounds=1, iterations=1)
-    report("parallel_sweep", _render(summary))
+    report("parallel_sweep", _render(summary), persist=False)
     assert all(entry["rows_equal_serial"] for entry in summary["parallel"])
 
 
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         smoke=args.smoke,
         job_counts=None if args.jobs is None else tuple(args.jobs),
     )
-    report("parallel_sweep", _render(summary))
+    report("parallel_sweep", _render(summary), persist=not args.smoke)
     args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

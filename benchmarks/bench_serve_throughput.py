@@ -16,17 +16,20 @@ throughput is only reported after parity is asserted.  A packed-vs-
 legacy kernel micro-benchmark (same design matrix, bitwise-compared) is
 included so kernel regressions are visible without the serving noise.
 
-Regression gate (CI): fails when any parity flag is false, or when the
-packed-vs-legacy serve speedup drops below 80% of the committed
-``BENCH_serve_throughput.json`` baseline for the same mode (>20%
-throughput drop).  The speedup ratio is used instead of absolute
-ticks/s so the gate is stable across differently-sized CI hosts.
+Regression gate: fails when any parity flag is false or the packed
+serve path is slower than legacy.  A full run is also held to 80% of
+the packed-vs-legacy serve speedup in the committed
+``BENCH_serve_throughput.json`` (a full-mode baseline); the speedup
+ratio, not absolute ticks/s, so the floor holds across host sizes.  CI
+runs ``--smoke``, which has no committed baseline, so CI checks parity
+on every leg and packed faster than legacy.  Smoke speedups spread too
+widely for a floor: ten runs on one 2-vCPU host ranged 7.71-19.59x.
 
 Dual-mode:
 
 * standalone — ``python benchmarks/bench_serve_throughput.py [--smoke]``
-  writes ``BENCH_serve_throughput.json`` at the repo root and a text
-  summary under ``benchmarks/results/``;
+  writes ``BENCH_serve_throughput.json`` at the repo root and, for a
+  full run, a text summary under ``benchmarks/results/``;
 * under pytest — a ``--smoke``-sized run wired into the bench suite.
 """
 
@@ -46,7 +49,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from _reporting import format_table, peak_rss_mb, report
+from _reporting import format_table, report
 from tests.oracles import percentile_features_reference, predict_proba_legacy
 
 import repro.ml.forest as forest_mod
@@ -390,79 +393,16 @@ def run_bench(smoke: bool = False) -> dict:
     }
 
 
-# ---------------------------------------------------------------- tier leg
-def run_tier_leg(tier_name: str, world_dir: Path, hours: int | None = None) -> dict:
-    """Opt-in out-of-core leg: serve a memory-mapped tier world.
-
-    Separate from :func:`run_bench` and from the regression gate — the
-    gate compares packed vs legacy on the in-RAM worlds; this leg
-    measures the mmap read path (columnar micro-batches straight off
-    ``open_dataset_mmap`` views) and its peak RSS at tier scale.
-    """
-    from repro.data.chunked import open_dataset_mmap
-    from repro.synth import SIZE_TIERS
-
-    tier = SIZE_TIERS[tier_name]
-    world_dir = Path(world_dir)
-    if not (world_dir / "manifest.json").exists():
-        # with_missing=False: the serving engine requires imputed
-        # windows; see run_tier_bench in bench_fleet_replay.
-        TelemetryGenerator(tier.config()).generate_chunked(
-            world_dir, chunk_weeks=tier.chunk_weeks, with_missing=False,
-            generator_meta={"tier": tier.name},
-        )
-    world = open_dataset_mmap(world_dir)
-    params = SMOKE
-    end_hour = min(hours or (params["window"] + 3) * 24, world.kpis.n_hours)
-
-    companion = _build_dataset(params["n_towers"], params["n_weeks"])
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        _train(companion, root / "registry", params)
-        registry = ModelRegistry(root / "registry")
-        service = _make_service(world, registry, params["window"], params)
-        lines, seconds = _drive_service(service, world, end_hour, BATCH_HOURS)
-
-    in_ram_mb = round(world.kpis.nbytes / 2**20, 1)
-    rss_mb = peak_rss_mb()
-    return {
-        "bench": "serve_throughput_tier",
-        "tier": tier.name,
-        "world_dir": str(world_dir),
-        "n_sectors": world.n_sectors,
-        "world_hours": world.kpis.n_hours,
-        "stream_hours": end_hour,
-        "batch_hours": BATCH_HOURS,
-        "event_lines": len(lines),
-        "seconds": round(seconds, 4),
-        "ticks_per_second": round(end_hour / seconds, 1) if seconds else None,
-        "in_ram_tensor_mb": in_ram_mb,
-        "peak_rss_mb": rss_mb,
-        "rss_below_in_ram": None if rss_mb is None else bool(rss_mb < in_ram_mb),
-    }
-
-
-def _render_tier(summary: dict) -> str:
-    return (
-        f"Serve throughput, tier '{summary['tier']}' served from mmap "
-        f"({summary['world_dir']}):\n"
-        f"  {summary['n_sectors']} sectors, replayed {summary['stream_hours']} h "
-        f"in {summary['batch_hours']}-hour micro-batches: "
-        f"{summary['seconds']:.2f}s ({summary['ticks_per_second']} ticks/s)\n"
-        f"  peak RSS {summary['peak_rss_mb']} MB vs "
-        f"{summary['in_ram_tensor_mb']} MB in-RAM tensor "
-        f"(below: {summary['rss_below_in_ram']})"
-    )
-
-
 # ------------------------------------------------------------------- gate
 def regression_gate(summary: dict, baseline_path: Path = DEFAULT_OUT) -> list[str]:
     """Failure reasons, empty when the gate passes.
 
-    Fails on ``parity=false`` anywhere, or when the packed-vs-legacy
-    serve speedup drops below 80% of the committed baseline for the
-    same mode (i.e. a >20% relative throughput regression).  Ratios,
-    not absolute ticks/s, so slow CI hosts don't trip the gate.
+    Fails on ``parity=false`` anywhere, when packed serving is slower
+    than legacy, or when the packed-vs-legacy serve speedup drops below
+    80% of a baseline of the same mode (a >20% relative throughput
+    regression).  Ratios, not absolute ticks/s, so slow hosts don't
+    trip the gate.  The committed baseline is a full run, so a smoke
+    summary meets only the first two clauses.
     """
     reasons = []
     if not summary["parity_all"]:
@@ -525,7 +465,7 @@ def _render(summary: dict) -> str:
 def test_serve_throughput_smoke(benchmark):
     """Bench-suite entry: smoke-sized hot-path replay with the gate."""
     summary = benchmark.pedantic(run_bench, kwargs={"smoke": True}, rounds=1, iterations=1)
-    report("serve_throughput", _render(summary))
+    report("serve_throughput", _render(summary), persist=False)
     assert summary["parity_all"]
     assert not regression_gate(summary)
 
@@ -540,38 +480,10 @@ def main(argv: list[str] | None = None) -> int:
         "--out", type=Path, default=DEFAULT_OUT,
         help=f"JSON summary path (default {DEFAULT_OUT})",
     )
-    parser.add_argument(
-        "--tier", default=None,
-        help="opt-in out-of-core leg: serve a named size tier "
-        "(small/paper/national) from a memory-mapped chunked store; "
-        "runs instead of the gate bench and writes its own summary",
-    )
-    parser.add_argument(
-        "--world-dir", type=Path, default=None,
-        help="chunked store of the --tier world (generated when missing)",
-    )
-    parser.add_argument(
-        "--hours", type=int, default=None,
-        help="replay span of the --tier leg",
-    )
     args = parser.parse_args(argv)
 
-    if args.tier is not None:
-        if args.world_dir is None:
-            parser.error("--tier requires --world-dir")
-        summary = run_tier_leg(args.tier, args.world_dir, hours=args.hours)
-        report("serve_throughput_tier", _render_tier(summary))
-        out = (
-            args.out
-            if args.out != DEFAULT_OUT
-            else DEFAULT_OUT.with_name("BENCH_serve_throughput_tier.json")
-        )
-        out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {out}")
-        return 0
-
     summary = run_bench(smoke=args.smoke)
-    report("serve_throughput", _render(summary))
+    report("serve_throughput", _render(summary), persist=not args.smoke)
     failures = regression_gate(summary)
     summary["regression_gate"] = {"passed": not failures, "reasons": failures}
     args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")

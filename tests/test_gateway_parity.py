@@ -96,6 +96,47 @@ class TestLiveParity:
         assert [i for i, _ in frames] == list(range(len(offline)))
         assert [data for _, data in frames] == offline
 
+    def test_concurrent_readers_each_see_offline_stream_bitwise(
+        self, env, offline, tmp_path
+    ):
+        """Four subscribers from ``Last-Event-ID: -1`` at once, over a
+        durable journal: each replays the journal, then tails the live
+        fan-out, and each receives the whole offline stream.  The second
+        half is posted only once all four are subscribed, so every
+        reader takes both paths."""
+        gateway = HotSpotGateway(
+            ResilientBackend(build_guarded(env, tmp_path / "ckpt")),
+            EventJournal(tmp_path / "ckpt" / "gateway_events.jsonl"),
+            GatewayConfig(port=0),
+        )
+        streams: dict[int, list] = {}
+        with GatewayThread(gateway):
+            base = f"http://{gateway.host}:{gateway.port}"
+            post_ticks(base, env.dataset, 0, 180)
+            readers = [
+                threading.Thread(
+                    target=lambda slot=slot: streams.__setitem__(
+                        slot,
+                        sse_collect(gateway.host, gateway.port, -1, expect=len(offline)),
+                    )
+                )
+                for slot in range(4)
+            ]
+            for reader in readers:
+                reader.start()
+            deadline = time.monotonic() + 30
+            while gateway.hub.subscriber_count < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert gateway.hub.subscriber_count == 4
+            post_ticks(base, env.dataset, 180, END_HOUR)
+            for reader in readers:
+                reader.join(timeout=120)
+            assert not any(reader.is_alive() for reader in readers)
+        assert sorted(streams) == [0, 1, 2, 3]
+        for frames in streams.values():
+            assert [i for i, _ in frames] == list(range(len(offline)))
+            assert [data for _, data in frames] == offline
+
     def test_last_event_id_resume_is_an_exact_suffix(self, env, offline, tmp_path):
         gateway = HotSpotGateway(
             ResilientBackend(build_guarded(env)),
