@@ -5,8 +5,9 @@ Every bench regenerates one of the paper's tables or figures as text.
 ``benchmarks/results/<name>.txt``; the conftest's terminal-summary hook
 then prints every stored block at the end of the pytest run, so the
 tables are visible in the tee'd bench output even with stdout capture
-on.  Smoke-sized runs pass ``persist=False``: the tracked tables hold
-full runs only.
+on.  Smoke-sized runs pass ``persist=False`` and write their JSON
+summaries and event logs to untracked ``*_smoke`` paths
+(:func:`smoke_path`): the tracked files hold full runs only.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def report(name: str, text: str, persist: bool = True) -> None:
         _RESULTS_DIR.mkdir(exist_ok=True)
         (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print(f"\n[{name}]\n{text}")
+
+
+def smoke_path(path: Path, smoke: bool) -> Path:
+    """*path* for a full run; its untracked ``<stem>_smoke`` sibling for
+    a smoke run."""
+    return path.with_name(f"{path.stem}_smoke{path.suffix}") if smoke else path
 
 
 def collected_reports() -> dict[str, str]:

@@ -17,7 +17,9 @@ Dual-mode:
 * standalone — ``python benchmarks/bench_chaos_replay.py [--smoke]``
   writes ``BENCH_chaos_replay.json`` next to the repo root, a text
   summary under ``benchmarks/results/``, and the full chaos event log
-  as ``benchmarks/results/chaos_events.jsonl`` (the CI artifact);
+  as ``benchmarks/results/chaos_events.jsonl``.  A ``--smoke`` run
+  writes no text summary, and its JSON and event logs go to the
+  untracked ``_smoke`` siblings (the CI artifact);
 * under pytest — a ``--smoke``-sized run wired into the bench suite.
 
 ``--fleet`` runs the **supervised-fleet chaos leg** instead (PR 8): a
@@ -28,7 +30,8 @@ fault-free run; a second, budget-exhausted pass must degrade the shard
 through the fallback ladder and rejoin.  Its restart/degrade stats are
 folded into ``BENCH_chaos_replay.json`` under ``"fleet"`` and the
 supervision event log lands in
-``benchmarks/results/fleet_supervisor_events.jsonl``.
+``benchmarks/results/fleet_supervisor_events.jsonl`` (the ``_smoke``
+siblings of both with ``--smoke``).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _reporting import format_table, report
+from _reporting import format_table, report, smoke_path
 
 from repro import (
     GeneratorConfig,
@@ -182,8 +185,9 @@ def run_bench(smoke: bool = False, registry_root: Path | None = None) -> dict:
 
     _check_contract(chaos, config, end_hour, guard)
 
-    EVENT_LOG.parent.mkdir(exist_ok=True)
-    with open(EVENT_LOG, "w", encoding="utf-8") as handle:
+    event_log = smoke_path(EVENT_LOG, smoke)
+    event_log.parent.mkdir(exist_ok=True)
+    with open(event_log, "w", encoding="utf-8") as handle:
         for fault in chaos.injected:
             handle.write(json.dumps({"record": "injected", **fault}) + "\n")
         for event in chaos.events:
@@ -202,7 +206,7 @@ def run_bench(smoke: bool = False, registry_root: Path | None = None) -> dict:
         ),
         "registry_failures_injected": flaky.failures_injected,
         "contract_holds": True,
-        "event_log": str(EVENT_LOG),
+        "event_log": str(event_log),
         **summary,
     }
 
@@ -337,8 +341,9 @@ def run_fleet_bench(smoke: bool = False) -> dict:
             ):
                 supervision.append({"leg": "degraded", "in_stream": True, **event})
 
-    FLEET_EVENT_LOG.parent.mkdir(exist_ok=True)
-    with open(FLEET_EVENT_LOG, "w", encoding="utf-8") as handle:
+    event_log = smoke_path(FLEET_EVENT_LOG, smoke)
+    event_log.parent.mkdir(exist_ok=True)
+    with open(event_log, "w", encoding="utf-8") as handle:
         for record in supervision:
             handle.write(json.dumps(record) + "\n")
 
@@ -359,7 +364,7 @@ def run_fleet_bench(smoke: bool = False) -> dict:
         "spooled_ticks": degraded["spooled_ticks"],
         "supervision_events": len(supervision),
         "contract_holds": True,
-        "event_log": str(FLEET_EVENT_LOG),
+        "event_log": str(event_log),
     }
 
 
@@ -410,7 +415,7 @@ def test_chaos_replay_smoke(benchmark):
     summary = benchmark.pedantic(
         run_bench, kwargs={"smoke": True}, rounds=1, iterations=1
     )
-    report("chaos_replay", _render(summary))
+    report("chaos_replay", _render(summary), persist=False)
     assert summary["unhandled_exceptions"] == 0
     assert summary["contract_holds"]
 
@@ -427,30 +432,32 @@ def main(argv: list[str] | None = None) -> int:
         "its stats fold into the same JSON summary under 'fleet'",
     )
     parser.add_argument(
-        "--out", type=Path, default=DEFAULT_OUT,
-        help=f"JSON summary path (default {DEFAULT_OUT})",
+        "--out", type=Path, default=None,
+        help=f"JSON summary path (default {DEFAULT_OUT}, or its _smoke "
+        "sibling with --smoke)",
     )
     args = parser.parse_args(argv)
+    out = args.out or smoke_path(DEFAULT_OUT, args.smoke)
 
     if args.fleet:
         summary = run_fleet_bench(smoke=args.smoke)
-        report("chaos_replay_fleet", _render_fleet(summary))
+        report("chaos_replay_fleet", _render_fleet(summary), persist=not args.smoke)
         merged = (
-            json.loads(args.out.read_text(encoding="utf-8"))
-            if args.out.exists()
+            json.loads(out.read_text(encoding="utf-8"))
+            if out.exists()
             else {"bench": "chaos_replay"}
         )
         merged["fleet"] = summary
-        args.out.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        out.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {out}")
         if not summary.get("skipped"):
             print(f"wrote {summary['event_log']}")
         return 0
 
     summary = run_bench(smoke=args.smoke)
-    report("chaos_replay", _render(summary))
-    args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    report("chaos_replay", _render(summary), persist=not args.smoke)
+    out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
     print(f"wrote {summary['event_log']}")
     return 0
 

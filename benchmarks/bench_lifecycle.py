@@ -19,7 +19,9 @@ Dual-mode:
 * standalone — ``python benchmarks/bench_lifecycle.py [--smoke]``
   writes ``BENCH_lifecycle.json`` next to the repo root, a text summary
   under ``benchmarks/results/``, and the full lifecycle event log as
-  ``benchmarks/results/lifecycle_events.jsonl`` (the CI artifact);
+  ``benchmarks/results/lifecycle_events.jsonl``.  A ``--smoke`` run
+  writes no text summary, and its JSON and event log go to the
+  untracked ``_smoke`` siblings (the CI artifact);
 * under pytest — a ``--smoke``-sized run wired into the bench suite.
 """
 
@@ -33,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _reporting import format_table, report
+from _reporting import format_table, report, smoke_path
 
 from repro import GeneratorConfig, attach_scores, filter_sectors
 from repro.core.experiment import SweepRunner
@@ -174,8 +176,9 @@ def run_bench(
         stats = controller.stats()
         n_sectors = engine.ingestor.n_sectors
 
-    EVENT_LOG.parent.mkdir(exist_ok=True)
-    with open(EVENT_LOG, "w", encoding="utf-8") as handle:
+    event_log = smoke_path(EVENT_LOG, smoke)
+    event_log.parent.mkdir(exist_ok=True)
+    with open(event_log, "w", encoding="utf-8") as handle:
         for event in events:
             handle.write(json.dumps(event) + "\n")
 
@@ -202,7 +205,7 @@ def run_bench(
             kind: len(_events_of(events, kind)) for kind in kinds
         },
         "contract_holds": True,
-        "event_log": str(EVENT_LOG),
+        "event_log": str(event_log),
     }
 
 
@@ -234,7 +237,7 @@ def test_lifecycle_smoke(benchmark):
     summary = benchmark.pedantic(
         run_bench, kwargs={"smoke": True}, rounds=1, iterations=1
     )
-    report("lifecycle", _render(summary))
+    report("lifecycle", _render(summary), persist=False)
     assert summary["contract_holds"]
     assert summary["champion_version"] >= 1
 
@@ -250,15 +253,17 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for challenger fits (bitwise-identical output)",
     )
     parser.add_argument(
-        "--out", type=Path, default=DEFAULT_OUT,
-        help=f"JSON summary path (default {DEFAULT_OUT})",
+        "--out", type=Path, default=None,
+        help=f"JSON summary path (default {DEFAULT_OUT}, or its _smoke "
+        "sibling with --smoke)",
     )
     args = parser.parse_args(argv)
+    out = args.out or smoke_path(DEFAULT_OUT, args.smoke)
 
     summary = run_bench(smoke=args.smoke, n_jobs=args.jobs)
-    report("lifecycle", _render(summary))
-    args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    report("lifecycle", _render(summary), persist=not args.smoke)
+    out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
     print(f"wrote {summary['event_log']}")
     return 0
 

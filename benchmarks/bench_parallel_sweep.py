@@ -9,8 +9,9 @@ Dual-mode:
 
 * standalone — ``python benchmarks/bench_parallel_sweep.py [--smoke]``
   writes ``BENCH_parallel_sweep.json`` (timing summary for the perf
-  trajectory) next to the repo root and, for a full run, a text table
-  under ``benchmarks/results/``;
+  trajectory) next to the repo root and a text table under
+  ``benchmarks/results/``; a ``--smoke`` run writes only the untracked
+  ``BENCH_parallel_sweep_smoke.json``;
 * under pytest — a ``--smoke``-sized run wired into the bench suite.
 """
 
@@ -26,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from _reporting import format_table, report
+from _reporting import format_table, report, smoke_path
 
 from repro import (
     GeneratorConfig,
@@ -166,18 +167,20 @@ def main(argv: list[str] | None = None) -> int:
         help="worker counts to benchmark (default: 2 4 <all cores>)",
     )
     parser.add_argument(
-        "--out", type=Path, default=DEFAULT_OUT,
-        help=f"JSON summary path (default {DEFAULT_OUT})",
+        "--out", type=Path, default=None,
+        help=f"JSON summary path (default {DEFAULT_OUT}, or its _smoke "
+        "sibling with --smoke)",
     )
     args = parser.parse_args(argv)
+    out = args.out or smoke_path(DEFAULT_OUT, args.smoke)
 
     summary = run_bench(
         smoke=args.smoke,
         job_counts=None if args.jobs is None else tuple(args.jobs),
     )
     report("parallel_sweep", _render(summary), persist=not args.smoke)
-    args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
     return 0
 
 

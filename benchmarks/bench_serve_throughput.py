@@ -28,8 +28,9 @@ widely for a floor: ten runs on one 2-vCPU host ranged 7.71-19.59x.
 Dual-mode:
 
 * standalone — ``python benchmarks/bench_serve_throughput.py [--smoke]``
-  writes ``BENCH_serve_throughput.json`` at the repo root and, for a
-  full run, a text summary under ``benchmarks/results/``;
+  writes ``BENCH_serve_throughput.json`` at the repo root and a text
+  summary under ``benchmarks/results/``; a ``--smoke`` run writes only
+  the untracked ``BENCH_serve_throughput_smoke.json``;
 * under pytest — a ``--smoke``-sized run wired into the bench suite.
 """
 
@@ -49,7 +50,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from _reporting import format_table, report
+from _reporting import format_table, report, smoke_path
 from tests.oracles import percentile_features_reference, predict_proba_legacy
 
 import repro.ml.forest as forest_mod
@@ -477,17 +478,19 @@ def main(argv: list[str] | None = None) -> int:
         help="short stream, small forest (CI-sized)",
     )
     parser.add_argument(
-        "--out", type=Path, default=DEFAULT_OUT,
-        help=f"JSON summary path (default {DEFAULT_OUT})",
+        "--out", type=Path, default=None,
+        help=f"JSON summary path (default {DEFAULT_OUT}, or its _smoke "
+        "sibling with --smoke)",
     )
     args = parser.parse_args(argv)
+    out = args.out or smoke_path(DEFAULT_OUT, args.smoke)
 
     summary = run_bench(smoke=args.smoke)
     report("serve_throughput", _render(summary), persist=not args.smoke)
     failures = regression_gate(summary)
     summary["regression_gate"] = {"passed": not failures, "reasons": failures}
-    args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
     if failures:
         for reason in failures:
             print(f"GATE FAILURE: {reason}", file=sys.stderr)

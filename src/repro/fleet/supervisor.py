@@ -9,7 +9,19 @@ shard's request is self-contained, so the supervisor can re-send it
 verbatim to a respawned worker — the price is a pickle per request, the
 prize is restartability.
 
-The liveness protocol per request:
+Every backend call is one **request round** in two phases, so the
+shards work at the same time:
+
+* **send** — each live shard gets its request in shard order; a
+  degraded shard first attempts its rejoin (below);
+* **gather** — in shard order, each reply is awaited under the
+  liveness rules below.  A shard's deadline starts when the gather
+  reaches it, so it gets at least the full window after every earlier
+  shard's reply, never less than if the shards ran one at a time.
+
+Responses are merged in shard order and in-stream events ride on their
+own shard's response, so the merged stream does not depend on which
+shard finished first.  The liveness rules for one reply:
 
 * the reply is awaited under a ``heartbeat_secs`` deadline; a worker
   that is *alive* but silent past it is **slow** — the deadline doubles
@@ -46,11 +58,11 @@ Two conditions end the restart loop:
   (:func:`~repro.resilience.degrade.fallback_scores`: last good
   fragment → seeded random; the Persist rung needs ring state, which
   died with the worker), and the shard's sectors are dark-masked so
-  merged alerts never claim knowledge of them.  Every request first
-  attempts a rejoin; when the respawn recovers through the spooled WAL
-  to the fleet clock, the next successful response emits
-  ``shard_recovered`` and the stream is back on the baseline — bitwise,
-  because the spool holds the true validated rows.
+  merged alerts never claim knowledge of them.  Every tick block's
+  send phase first attempts a rejoin; when the respawn recovers
+  through the spooled WAL to the fleet clock, the next successful
+  response emits ``shard_recovered`` and the stream is back on the
+  baseline — bitwise, because the spool holds the true validated rows.
 """
 
 from __future__ import annotations
@@ -212,6 +224,26 @@ class _ShardHost:
         self.wal_corrupted = False  # chaos tail corruption already applied
 
 
+def _request_key(request: tuple) -> tuple:
+    """Identity of a request for death counting: op plus hour or horizon.
+
+    A tick block is keyed by its first hour and length, so a re-driven
+    block counts against the same key.
+    """
+    if request[0] == "tick_block":
+        return ("tick_block", request[1], int(request[2].shape[1]))
+    return tuple(request[:2])
+
+
+def _quarantined(request: tuple) -> tuple:
+    """A poisoned tick block re-driven as all-missing (gap-fill rows)."""
+    op, first_hour, values, missing, calendar_rows, released = request
+    return (
+        op, first_hour, np.full_like(values, np.nan), np.ones_like(missing),
+        calendar_rows, released,
+    )
+
+
 def _key_label(key: tuple) -> dict:
     """Human/JSON-facing identity of an in-flight request key.
 
@@ -307,68 +339,85 @@ class FleetSupervisor:
     def submit_block(
         self, first_hour, values, missing, calendar_rows, released_before=None
     ) -> list[list[dict]]:
-        responses = []
-        for host in self.hosts:
-            ids = self.plan.sectors_of(host.shard_id)
-            responses.append(
-                self._drive_block(
-                    host,
-                    int(first_hour),
-                    values[ids, :, :],
-                    missing[ids, :, :],
-                    calendar_rows,
-                    released_before,
-                )
+        first_hour = int(first_hour)
+        requests = [
+            (
+                "tick_block", first_hour, values[ids], missing[ids],
+                calendar_rows, released_before,
             )
-        return responses
-
-    def _drive_block(
-        self, host, first_hour, values, missing, calendar_rows, released_before
-    ):
-        if host.degraded and not self._try_rejoin(host, first_hour):
-            return self._degraded_block(
-                host, first_hour, values, missing, calendar_rows
+            for ids in map(self.plan.sectors_of, range(self.plan.n_shards))
+        ]
+        return [
+            self._degraded_block(host, *request[1:5])
+            if payload is None
+            else self._success(host, payload)
+            for (host, payload), request in zip(
+                self._round(requests, rejoin_hour=first_hour), requests
             )
-        request = (
-            "tick_block", first_hour, values, missing, calendar_rows,
-            released_before,
-        )
-        key = ("tick_block", first_hour, int(values.shape[1]))
-
-        def substitute():
-            return (
-                "tick_block",
-                first_hour,
-                np.full_like(values, np.nan),
-                np.ones_like(missing),
-                calendar_rows,
-                released_before,
-            )
-
-        payload = self._exchange(host, request, key, substitute)
-        if payload is None:
-            return self._degraded_block(
-                host, first_hour, values, missing, calendar_rows
-            )
-        return self._success(host, payload)
+        ]
 
     # ------------------------------------------------------- liveness core
-    def _exchange(self, host, request, key, substitute=None):
-        """Send *request* and supervise the reply.
+    def _round(self, requests, rejoin_hour=None, tolerate_errors=False):
+        """One request round over every shard: send all, then gather.
+
+        *requests* holds one request tuple per shard.  **Send:** each
+        live shard gets its request in shard order; a degraded shard is
+        skipped, or, given *rejoin_hour*, first attempts its rejoin.
+        **Gather:** yields ``(host, payload)`` in shard order, each reply
+        supervised by :meth:`_collect`; *payload* is ``None`` for a
+        skipped or degraded shard.  The caller's per-shard work runs
+        between yields, so supervision events keep shard order.
+
+        Every sent request has its reply read before the round ends.  An
+        ``err`` reply yields ``None`` under *tolerate_errors*; otherwise
+        the round stops yielding, drains the remaining replies and
+        raises the first error.
+        """
+        delivered = []  # per shard: None when skipped, else whether sent
+        for host, request in zip(self.hosts, requests):
+            # A rejoin runs before the block is spooled: a respawn that
+            # recovers through the spooled WAL to exactly *rejoin_hour*
+            # then serves the request live.
+            live = not host.degraded or (
+                rejoin_hour is not None
+                and self._respawn(host, expect_hours=rejoin_hour)
+            )
+            delivered.append(self._send(host, request) if live else None)
+        error = None
+        for host, request, sent in zip(self.hosts, requests, delivered):
+            payload = None
+            if sent is not None:
+                try:
+                    payload = self._collect(host, request, sent)
+                except RuntimeError as exc:
+                    if not tolerate_errors:
+                        error = error or exc
+            if error is None:
+                yield host, payload
+        if error is not None:
+            raise error
+
+    def _send(self, host, request) -> bool:
+        """Write *request* to *host*'s pipe; ``False`` when it is dead."""
+        if host.conn is None:
+            return False
+        try:
+            host.conn.send(request)
+        except (BrokenPipeError, OSError):
+            return False
+        return True
+
+    def _collect(self, host, request, sent: bool):
+        """Supervise the reply to *request*, already *sent* or not.
 
         Returns the payload, or ``None`` once the shard is degraded.
         Worker deaths respawn-and-resend within the budget; repeated
-        deaths on the same *key* quarantine it via *substitute*.
+        deaths on the same request quarantine it (a tick block is
+        re-driven as all-missing, any other request re-sent as is).
         """
+        key = _request_key(request)
         while True:
-            reply = None
-            if host.conn is not None:
-                try:
-                    host.conn.send(request)
-                except (BrokenPipeError, OSError):
-                    reply = None
-                else:
-                    reply = self._await(host)
+            reply = self._await(host) if sent else None
             if reply is not None:
                 kind, payload = reply
                 if kind == "ok":
@@ -381,10 +430,11 @@ class FleetSupervisor:
             action = self._handle_death(host, key)
             if action == "degrade":
                 return None
-            if action == "poison" and substitute is not None:
-                request = substitute()
+            if action == "poison" and key[0] == "tick_block":
+                request = _quarantined(request)
                 key = (*key, "quarantined")
             # "retry" (and "poison") loop back and re-send.
+            sent = self._send(host, request)
 
     def _await(self, host):
         """Wait for one reply under the heartbeat/patience protocol.
@@ -555,15 +605,6 @@ class FleetSupervisor:
         self._write_state()
         return True
 
-    def _try_rejoin(self, host, expect_hour: int) -> bool:
-        """Degraded shard: attempt a restart up to the fleet clock.
-
-        Must run *before* the current request is spooled — a successful
-        rejoin recovers through the spooled WAL to exactly *expect_hour*
-        and then serves the current request live.
-        """
-        return self._respawn(host, expect_hours=expect_hour)
-
     def _success(self, host, payload):
         host.consecutive_deaths = 0
         host.death_key = None
@@ -678,70 +719,43 @@ class FleetSupervisor:
 
     # ------------------------------------------------------------- queries
     def ring(self, hour: int) -> list:
-        payloads = []
-        for host in self.hosts:
-            payload = None
-            if not host.degraded:
-                payload = self._exchange(
-                    host, ("ring", int(hour)), ("ring", int(hour))
-                )
-            payloads.append(payload)
-        return payloads
+        request = ("ring", int(hour))
+        return [payload for _, payload in self._round([request] * len(self.hosts))]
 
     def predict(self, horizon, model=None, window=None) -> list[np.ndarray]:
         t_day = -1 if self._coordinator is None else self._coordinator.t_day
-        fragments = []
-        for host in self.hosts:
-            fragment = None
-            if not host.degraded:
-                fragment = self._exchange(
-                    host,
-                    ("predict", int(horizon), model, window),
-                    ("predict", int(horizon)),
-                )
-            if fragment is None:
-                fragment = self._fallback_fragment(host, int(t_day), int(horizon))
-            fragments.append(np.asarray(fragment, dtype=np.float64))
-        return fragments
+        request = ("predict", int(horizon), model, window)
+        return [
+            np.asarray(
+                self._fallback_fragment(host, int(t_day), int(horizon))
+                if fragment is None
+                else fragment,
+                dtype=np.float64,
+            )
+            for host, fragment in self._round([request] * len(self.hosts))
+        ]
 
     def shard_hours(self) -> list[int]:
         return [host.hours for host in self.hosts]
 
     def stats(self) -> list[dict]:
-        snapshots = []
-        for host in self.hosts:
-            snap = None
-            if not host.degraded:
-                try:
-                    snap = self._exchange(host, ("stats",), ("stats",))
-                except RuntimeError:
-                    snap = None
-            if snap is None:
-                snap = {
-                    "shard": {
-                        "shard_id": host.shard_id,
-                        "n_sectors": host.n_local,
-                        "degraded": True,
-                    }
-                }
-            snapshots.append(snap)
-        return snapshots
+        rounds = self._round([("stats",)] * len(self.hosts), tolerate_errors=True)
+        return [
+            {"shard": {"shard_id": host.shard_id, "n_sectors": host.n_local, "degraded": True}}
+            if snap is None
+            else snap
+            for host, snap in rounds
+        ]
 
     def telemetries(self) -> list[ServeTelemetry]:
         # The supervisor's own counters merge into the fleet snapshot
         # alongside whatever per-shard telemetry is still reachable
         # (worker telemetry is process state — it dies with the worker).
-        merged = [self.telemetry]
-        for host in self.hosts:
-            if host.degraded:
-                continue
-            try:
-                telemetry = self._exchange(host, ("telemetry",), ("telemetry",))
-            except RuntimeError:
-                telemetry = None
-            if telemetry is not None:
-                merged.append(telemetry)
-        return merged
+        rounds = self._round([("telemetry",)] * len(self.hosts), tolerate_errors=True)
+        return [
+            self.telemetry,
+            *(telemetry for _, telemetry in rounds if telemetry is not None),
+        ]
 
     @property
     def degraded_shards(self) -> list[int]:

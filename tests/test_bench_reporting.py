@@ -65,6 +65,21 @@ class TestReportStore:
         assert _reporting.collected_reports() == {"smoke_block": "tiny"}
         assert "smoke_block" in capsys.readouterr().out
 
+    def test_smoke_path_is_an_ignored_sibling(self):
+        root = Path(__file__).parent.parent
+        full = root / "BENCH_chaos_replay.json"
+        log = root / "benchmarks" / "results" / "chaos_events.jsonl"
+        assert _reporting.smoke_path(full, smoke=False) == full
+        assert _reporting.smoke_path(full, smoke=True) == (
+            root / "BENCH_chaos_replay_smoke.json"
+        )
+        assert _reporting.smoke_path(log, smoke=True) == (
+            root / "benchmarks" / "results" / "chaos_events_smoke.jsonl"
+        )
+        ignored = (root / ".gitignore").read_text(encoding="utf-8").splitlines()
+        assert "BENCH_*_smoke.json" in ignored
+        assert "benchmarks/results/*_smoke.jsonl" in ignored
+
 
 _GATE_SPEC = importlib.util.spec_from_file_location(
     "bench_serve_throughput",

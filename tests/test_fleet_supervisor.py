@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -207,6 +208,87 @@ def test_worker_fault_at_seam_recovers_bitwise(
         assert "worker_hang" in kinds
     else:
         assert "worker_death" in kinds
+
+
+@needs_fork
+@pytest.mark.parametrize("seam", ["mid_apply", "mid_journal", "post_journal"])
+def test_both_shards_killed_in_one_request_recover_bitwise(
+    env, baseline, tmp_path, seam
+):
+    """Both shards SIGKILLed while serving the same request: the gather
+    restarts each in shard order and the stream stays bitwise."""
+    chaos = _chaos(
+        tmp_path,
+        ProcessFault(0, seam, KILL_HOUR),
+        ProcessFault(1, seam, KILL_HOUR),
+    )
+    out_events: list[dict] = []
+    fleet = _supervised(
+        tmp_path / "run", env, chaos=chaos, out_events=out_events
+    )
+    lines: list[str] = []
+    try:
+        _drive(fleet, 0, END_HOUR, lines, env)
+        stats = fleet.stats()
+        assert fleet.backend.degraded_shards == []
+    finally:
+        fleet.close()
+    assert lines == baseline
+    restarts = stats["fleet"]["supervisor"]["restarts_by_shard"]
+    assert restarts["0"] >= 1 and restarts["1"] >= 1
+    deaths = [event["shard"] for event in out_events if event["event"] == "worker_death"]
+    assert sorted(set(deaths)) == [0, 1]
+
+
+@needs_fork
+def test_shards_apply_concurrently(env, baseline, tmp_path):
+    """The shards serve one request at the same time: both hang 1 s at
+    the same hour, and that hour returns in well under the 2 s it takes
+    one shard after the other — with no heartbeat deadline missed."""
+    chaos = _chaos(
+        tmp_path,
+        ProcessFault(0, "mid_apply", KILL_HOUR, action="hang", hang_secs=1.0),
+        ProcessFault(1, "mid_apply", KILL_HOUR, action="hang", hang_secs=1.0),
+    )
+    out_events: list[dict] = []
+    fleet = _supervised(
+        tmp_path / "run", env, chaos=chaos,
+        supervise=SupervisorConfig(heartbeat_secs=5.0), out_events=out_events,
+    )
+    lines: list[str] = []
+    try:
+        _drive(fleet, 0, KILL_HOUR, lines, env)
+        start = time.perf_counter()
+        _drive(fleet, KILL_HOUR, KILL_HOUR + 1, lines, env)
+        seconds = time.perf_counter() - start
+        _drive(fleet, KILL_HOUR + 1, END_HOUR, lines, env)
+        stats = fleet.stats()
+    finally:
+        fleet.close()
+    assert seconds >= 1.0  # the hang fired
+    assert seconds < 1.8
+    assert lines == baseline
+    assert stats["fleet"]["supervisor"]["heartbeat_timeouts"] == 0
+    assert not [e for e in out_events if e["event"] == "heartbeat_timeout"]
+
+
+@needs_fork
+def test_error_reply_leaves_no_stale_reply(env, baseline, tmp_path):
+    """Both shards refuse a request (no complete day to forecast yet):
+    the round raises the first shard's error, but only after reading
+    every reply — the next round gets its own answers, not stale ones."""
+    fleet = _supervised(tmp_path, env)
+    lines: list[str] = []
+    try:
+        with pytest.raises(RuntimeError, match="shard host 0 failed"):
+            fleet.backend.predict(1)
+        shards = fleet.backend.stats()
+        _drive(fleet, 0, END_HOUR, lines, env)
+    finally:
+        fleet.close()
+    assert [snap["shard"]["shard_id"] for snap in shards] == [0, 1]
+    assert not any(snap["shard"].get("degraded") for snap in shards)
+    assert lines == baseline
 
 
 @needs_fork
