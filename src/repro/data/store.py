@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -65,6 +67,26 @@ class CorruptStoreError(RuntimeError):
     (and the CLI) can tell "the file is broken" apart from "the file is
     absent" (:class:`FileNotFoundError`) and report it in one line.
     """
+
+
+#: What reading a damaged npz archive raises: zip structure
+#: (``BadZipFile``, including a member's CRC-32 mismatch, and
+#: ``NotImplementedError`` for a garbled compression method), the deflate
+#: stream (``zlib.error``), the ``.npy`` header (``ValueError``,
+#: ``TypeError`` for a garbled dtype, ``tokenize.TokenError``), a short
+#: read (``EOFError``) and a missing member (``KeyError``).  The dataset
+#: store and the model registry map these onto their corrupt-archive
+#: errors.
+ARCHIVE_DECODE_ERRORS = (
+    zipfile.BadZipFile,
+    NotImplementedError,
+    zlib.error,
+    ValueError,
+    TypeError,
+    tokenize.TokenError,
+    EOFError,
+    KeyError,
+)
 
 
 @contextmanager
@@ -214,7 +236,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 calendar=archive["calendar"],
                 **optional,
             )
-    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as error:
+    except ARCHIVE_DECODE_ERRORS as error:
         raise CorruptStoreError(
             f"dataset archive '{path}' is corrupt or truncated ({error}); "
             "regenerate it with 'hotspot-repro generate' or save_dataset()"

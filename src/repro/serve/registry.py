@@ -2,11 +2,21 @@
 
 Trained forecasters are flat-array machines (the CART trees store their
 nodes in numpy arrays), so persistence follows the same conventions as
-:mod:`repro.data.store`: one compressed ``.npz`` archive per model, with
-array entries for every tree plus a small ``meta_json`` payload.  A
-reloaded model reproduces the in-memory model's predictions *exactly* —
-prediction only touches the flattened node arrays, and float64/int64
-round-trip bitwise through npz.
+:mod:`repro.data.store`: one compressed ``.npz`` archive per model with
+a small ``meta_json`` payload.  An ensemble (forest, boosting model or a
+single tree) is stored as member tables: one concatenated array per
+node field plus per-member node counts, classes and importances, so an
+archive holds about a dozen members whatever the tree count.  Loading
+slices the tables back into member trees (views, no copies) and packs a
+forest for the predict kernel.  Archives of older builds, with seven
+arrays per tree, still load through the same path.  A reloaded model
+reproduces the in-memory model's predictions *exactly* — prediction
+only touches the flattened node arrays, and float64/int64 round-trip
+bitwise through npz.
+
+Registry loads sit on the serving path at every cold start: the first
+forecast of a service, a gateway or a fleet shard (also after a
+restart), and every lifecycle promotion.
 
 :class:`ModelRegistry` adds the serving niceties on top: lazy loading on
 first use, a warm-model LRU so a long-running service keeps only the
@@ -33,11 +43,11 @@ from repro.core.baselines import (
     TrendModel,
 )
 from repro.core.forecaster import HotSpotForecaster
-from repro.data.store import _atomic_replace, write_json_atomic
+from repro.data.store import ARCHIVE_DECODE_ERRORS, _atomic_replace, write_json_atomic
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.regression_tree import RegressionTree
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import _LEAF, DecisionTreeClassifier
 
 __all__ = ["ModelKey", "ModelRegistry", "RegistryCorruptError", "train_and_register"]
 
@@ -141,44 +151,174 @@ class ModelKey:
         )
 
 
-# --------------------------------------------------------------- tree (de)ser
-# The npz layout predates DecisionTreeClassifier.to_state and must stay
-# byte-compatible with existing registries, so the state keys are mapped
-# onto the archive's "<prefix><key>" names rather than stored wholesale
-# (to_state's scalar n_features entry lives in the model meta instead).
-def _pack_classifier_tree(tree: DecisionTreeClassifier, prefix: str, arrays: dict) -> None:
-    state = tree.to_state()
-    for key in ("feature", "threshold", "left", "right", "proba", "classes", "importances"):
-        arrays[f"{prefix}{key}"] = state[key]
+# ----------------------------------------------------------- member tables
+# An ensemble is stored as one table per node field, not as one set of
+# arrays per tree.  Every member's nodes are concatenated into
+# ``members__<field>``, and ``members__node_count`` gives each member's
+# share, so the number of archive members stays the same whatever
+# ``n_estimators`` is.  Opening an npz member costs about 100 µs while a
+# member tree holds only ~2 KB of nodes, so with arrays per tree the
+# member overhead, not the data, would set the load time.  A single
+# CART tree is stored as a one-member table.
+_NODE_FIELDS = ("feature", "threshold", "left", "right")
 
 
-def _unpack_classifier_tree(archive, prefix: str, n_features: int) -> DecisionTreeClassifier:
-    state = {
-        key: archive[f"{prefix}{key}"]
-        for key in ("feature", "threshold", "left", "right", "proba", "classes", "importances")
+def _tree_state(tree) -> dict[str, np.ndarray]:
+    """Node arrays and importances of a classifier tree or a boosting stage."""
+    if isinstance(tree, DecisionTreeClassifier):
+        return tree.to_state()
+    return {
+        "feature": tree._feature,
+        "threshold": tree._threshold,
+        "left": tree._left,
+        "right": tree._right,
+        "value": tree._value,
+        "importances": tree.feature_importances_,
     }
-    state["n_features"] = n_features
-    return DecisionTreeClassifier.from_state(state)
 
 
-def _pack_regression_tree(tree: RegressionTree, prefix: str, arrays: dict) -> None:
-    arrays[f"{prefix}feature"] = tree._feature
-    arrays[f"{prefix}threshold"] = tree._threshold
-    arrays[f"{prefix}left"] = tree._left
-    arrays[f"{prefix}right"] = tree._right
-    arrays[f"{prefix}value"] = tree._value
-    arrays[f"{prefix}importances"] = tree.feature_importances_
+def _member_tables(states: list[dict], leaf: str) -> dict[str, np.ndarray]:
+    """Concatenate member states into the ``members__*`` tables.
+
+    *leaf* is the per-node payload: ``"proba"`` (classifier trees, one
+    row per node over the member's own classes, stored flattened) or
+    ``"value"`` (boosting stages).
+    """
+    tables = {
+        "members__node_count": np.array(
+            [state["feature"].size for state in states], dtype=np.int64
+        ),
+        "members__importances": np.stack([state["importances"] for state in states]),
+        f"members__{leaf}": np.concatenate([np.ravel(state[leaf]) for state in states]),
+    }
+    for field in _NODE_FIELDS:
+        tables[f"members__{field}"] = np.concatenate([state[field] for state in states])
+    if leaf == "proba":
+        tables["members__class_count"] = np.array(
+            [state["classes"].size for state in states], dtype=np.int64
+        )
+        tables["members__classes"] = np.concatenate([state["classes"] for state in states])
+    return tables
 
 
-def _unpack_regression_tree(archive, prefix: str, n_features: int) -> RegressionTree:
+def _read_tables(archive, meta: dict, leaf: str) -> dict[str, np.ndarray]:
+    """The member tables of *archive*.
+
+    Archives written before the table layout hold seven arrays per tree
+    under ``tree__*`` or ``est{i:03d}__*``; those are gathered into the
+    same tables, so every archive goes through one unpack path.
+    """
+    if "members__node_count" in archive.files:
+        return {name: archive[name] for name in archive.files if name.startswith("members__")}
+    if meta["inner"] == "tree":
+        prefixes = ["tree__"]
+    else:
+        prefixes = [f"est{i:03d}__" for i in range(int(meta["n_members"]))]
+    keys = [*_NODE_FIELDS, leaf, "importances"] + (["classes"] if leaf == "proba" else [])
+    states = [{key: archive[f"{prefix}{key}"] for key in keys} for prefix in prefixes]
+    return _member_tables(states, leaf)
+
+
+def _expect_shape(tables: dict, name: str, shape: tuple) -> None:
+    if tables[name].shape != shape:
+        raise ValueError(
+            f"{name} has shape {tables[name].shape}, but the member counts "
+            f"call for {shape}"
+        )
+
+
+def _member_counts(tables: dict, name: str, n_members: int) -> np.ndarray:
+    counts = tables[name]
+    if counts.dtype != np.int64 or counts.shape != (n_members,) or (counts < 1).any():
+        raise ValueError(
+            f"{name} (dtype {counts.dtype}, shape {counts.shape}) does not give "
+            f"{n_members} positive member counts"
+        )
+    return counts
+
+
+def _cut(column: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """Consecutive slices (views) of *column*, one per entry of *lengths*."""
+    ends = np.cumsum(lengths).tolist()
+    return [column[start:end] for start, end in zip([0, *ends[:-1]], ends)]
+
+
+def _check_trees(tables: dict, node_count: np.ndarray) -> None:
+    """Raise :class:`ValueError` unless each member's nodes form one tree.
+
+    Every node of a member but its root (local index 0) must be the
+    child of exactly one internal node of the same member.  A node
+    count that shifts a member boundary breaks this even when the counts
+    still sum to the table length.
+    """
+    feature = tables["members__feature"]
+    internal = feature != _LEAF
+    starts = np.cumsum(node_count) - node_count
+    start = np.tile(np.repeat(starts, node_count)[internal], 2)
+    size = np.tile(np.repeat(node_count, node_count)[internal], 2)
+    child = np.concatenate(
+        [tables["members__left"][internal], tables["members__right"][internal]]
+    )
+    if ((child < 1) | (child >= size)).any():
+        raise ValueError("a member's child index points outside its node block")
+    expected = np.ones(feature.size, dtype=np.int64)
+    expected[starts] = 0
+    if not np.array_equal(np.bincount(child + start, minlength=feature.size), expected):
+        raise ValueError("the member node counts do not split the tables into trees")
+
+
+def _split_members(
+    tables: dict, leaf: str, n_members: int, n_features: int
+) -> list[dict[str, np.ndarray]]:
+    """Slice the member tables back into per-member states.
+
+    Every slice is a view into its table; nothing is copied.  Raises
+    :class:`ValueError` when a count or the importances matrix disagrees
+    with the tables, so a damaged archive never slices into wrong trees.
+    """
+    node_count = _member_counts(tables, "members__node_count", n_members)
+    n_nodes = int(node_count.sum())
+    for field in _NODE_FIELDS:
+        _expect_shape(tables, f"members__{field}", (n_nodes,))
+    _expect_shape(tables, "members__importances", (n_members, n_features))
+    _check_trees(tables, node_count)
+    columns = {field: _cut(tables[f"members__{field}"], node_count) for field in _NODE_FIELDS}
+    columns["importances"] = list(tables["members__importances"])
+    if leaf == "proba":
+        class_count = _member_counts(tables, "members__class_count", n_members)
+        _expect_shape(tables, "members__classes", (int(class_count.sum()),))
+        cells = node_count * class_count
+        _expect_shape(tables, "members__proba", (int(cells.sum()),))
+        columns["classes"] = _cut(tables["members__classes"], class_count)
+        columns["proba"] = [
+            block.reshape(rows, width)
+            for block, rows, width in zip(
+                _cut(tables["members__proba"], cells),
+                node_count.tolist(),
+                class_count.tolist(),
+            )
+        ]
+    else:
+        _expect_shape(tables, "members__value", (n_nodes,))
+        columns["value"] = _cut(tables["members__value"], node_count)
+    return [
+        {key: parts[i] for key, parts in columns.items()} for i in range(n_members)
+    ]
+
+
+def _classifier_tree(state: dict, n_features: int) -> DecisionTreeClassifier:
+    return DecisionTreeClassifier.from_state({**state, "n_features": n_features})
+
+
+def _regression_tree(state: dict, n_features: int) -> RegressionTree:
     tree = RegressionTree()
     tree._n_features = n_features
-    tree._feature = archive[f"{prefix}feature"]
-    tree._threshold = archive[f"{prefix}threshold"]
-    tree._left = archive[f"{prefix}left"]
-    tree._right = archive[f"{prefix}right"]
-    tree._value = archive[f"{prefix}value"]
-    tree.feature_importances_ = archive[f"{prefix}importances"]
+    tree._feature = state["feature"]
+    tree._threshold = state["threshold"]
+    tree._left = state["left"]
+    tree._right = state["right"]
+    tree._value = state["value"]
+    tree.feature_importances_ = state["importances"]
     tree.n_nodes_ = int(tree._feature.size)
     return tree
 
@@ -216,28 +356,25 @@ def _dump_model(model) -> tuple[dict, dict]:
 
     if isinstance(fitted, DecisionTreeClassifier):
         meta["inner"] = "tree"
-        meta["n_features"] = int(fitted._n_features)
-        _pack_classifier_tree(fitted, "tree__", arrays)
+        members = [fitted]
     elif isinstance(fitted, RandomForestClassifier):
         meta["inner"] = "forest"
-        meta["n_members"] = len(fitted.estimators_)
-        meta["n_features"] = int(fitted.estimators_[0]._n_features)
+        members = fitted.estimators_
         arrays["forest__classes"] = fitted.classes_
         arrays["forest__importances"] = np.asarray(fitted.feature_importances_)
-        for i, member in enumerate(fitted.estimators_):
-            _pack_classifier_tree(member, f"est{i:03d}__", arrays)
     elif isinstance(fitted, GradientBoostingClassifier):
         meta["inner"] = "boosting"
-        meta["n_members"] = len(fitted.estimators_)
-        meta["n_features"] = int(fitted.estimators_[0]._n_features)
+        members = fitted.estimators_
         meta["initial"] = float(fitted._initial)
         meta["learning_rate"] = float(fitted.learning_rate)
         arrays["boost__classes"] = fitted.classes_
         arrays["boost__importances"] = np.asarray(fitted.feature_importances_)
-        for i, stage in enumerate(fitted.estimators_):
-            _pack_regression_tree(stage, f"est{i:03d}__", arrays)
     else:
         raise TypeError(f"cannot persist inner model {type(fitted).__name__}")
+    meta["n_members"] = len(members)
+    meta["n_features"] = int(members[0]._n_features)
+    leaf = "value" if meta["inner"] == "boosting" else "proba"
+    arrays.update(_member_tables([_tree_state(member) for member in members], leaf))
     return meta, arrays
 
 
@@ -261,37 +398,35 @@ def _load_model(meta: dict, archive):
     if inner is None:
         forecaster._model = None
         return forecaster
+    if inner not in ("tree", "forest", "boosting"):
+        raise ValueError(f"unknown inner model kind {inner!r} in registry entry")
     n_features = int(meta["n_features"])
+    # Archives of older builds carry no n_members for a single tree.
+    n_members = int(meta.get("n_members", 1))
+    leaf = "value" if inner == "boosting" else "proba"
+    states = _split_members(_read_tables(archive, meta, leaf), leaf, n_members, n_features)
     if inner == "tree":
-        forecaster._model = _unpack_classifier_tree(archive, "tree__", n_features)
+        forecaster._model = _classifier_tree(states[0], n_features)
     elif inner == "forest":
-        forest = RandomForestClassifier(n_estimators=int(meta["n_members"]))
+        forest = RandomForestClassifier(n_estimators=n_members)
         forest.classes_ = archive["forest__classes"]
         forest.feature_importances_ = archive["forest__importances"]
-        forest.estimators_ = [
-            _unpack_classifier_tree(archive, f"est{i:03d}__", n_features)
-            for i in range(int(meta["n_members"]))
-        ]
+        forest.estimators_ = [_classifier_tree(state, n_features) for state in states]
         # Pack eagerly: loaded forests go straight into the warm LRU /
         # serving engines, so every forecast_window hits the packed
         # kernel without a first-call packing stall.
         forest.packed()
         forecaster._model = forest
-    elif inner == "boosting":
+    else:
         boosting = GradientBoostingClassifier(
-            n_estimators=int(meta["n_members"]),
+            n_estimators=n_members,
             learning_rate=float(meta["learning_rate"]),
         )
         boosting.classes_ = archive["boost__classes"]
         boosting._initial = float(meta["initial"])
         boosting.feature_importances_ = archive["boost__importances"]
-        boosting.estimators_ = [
-            _unpack_regression_tree(archive, f"est{i:03d}__", n_features)
-            for i in range(int(meta["n_members"]))
-        ]
+        boosting.estimators_ = [_regression_tree(state, n_features) for state in states]
         forecaster._model = boosting
-    else:
-        raise ValueError(f"unknown inner model kind {inner!r} in registry entry")
     return forecaster
 
 
@@ -377,14 +512,7 @@ class ModelRegistry:
             with np.load(path) as archive:
                 meta = json.loads(bytes(archive["meta_json"]).decode("utf-8"))
                 return _load_model(meta, archive)
-        except (
-            zipfile.BadZipFile,
-            ValueError,  # includes json.JSONDecodeError and npz parse errors
-            KeyError,
-            EOFError,
-            UnicodeDecodeError,
-            TypeError,
-        ) as error:
+        except ARCHIVE_DECODE_ERRORS as error:
             raise RegistryCorruptError(
                 f"corrupt registry entry for {key} at '{path}': {error}"
             ) from error

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import GeneratorConfig, TelemetryGenerator
 from repro.data.dataset import Dataset, SectorGeography
 from repro.data.store import (
     CorruptStoreError,
@@ -185,6 +186,32 @@ class TestCorruptStores:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(CorruptStoreError, match="corrupt or truncated"):
             load_dataset(path)
+
+    def test_single_byte_flips_load_equal_or_raise_corrupt(self, tmp_path):
+        dataset = TelemetryGenerator(GeneratorConfig(n_towers=2, n_weeks=1, seed=3)).generate()
+        path = save_dataset(dataset, tmp_path / "data.npz")
+        blob = path.read_bytes()
+        rng = np.random.default_rng(24)
+        corrupt = 0
+        for _ in range(200):
+            damaged = bytearray(blob)
+            damaged[int(rng.integers(len(blob)))] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(damaged))
+            try:
+                loaded = load_dataset(path)
+            except CorruptStoreError:
+                corrupt += 1
+                continue
+            np.testing.assert_array_equal(loaded.kpis.values, dataset.kpis.values)
+            np.testing.assert_array_equal(loaded.kpis.missing, dataset.kpis.missing)
+            assert loaded.kpis.kpi_names == dataset.kpis.kpi_names
+            assert loaded.time_axis == dataset.time_axis
+            np.testing.assert_array_equal(loaded.calendar, dataset.calendar)
+            for name in ("positions_km", "tower_ids", "land_use"):
+                np.testing.assert_array_equal(
+                    getattr(loaded.geography, name), getattr(dataset.geography, name)
+                )
+        assert corrupt > 0
 
     def test_garbage_npz_is_corrupt(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.baselines import BaselineModel
 from repro.core.experiment import ALL_MODEL_NAMES, BASELINE_NAMES, SweepRunner
 from repro.core.features import build_feature_tensor
-from repro.serve import ModelKey, ModelRegistry, train_and_register
+from repro.serve import ModelKey, ModelRegistry, RegistryCorruptError, train_and_register
 
 T_DAY, HORIZON, WINDOW = 100, 3, 7
+
+#: Archives in the per-tree layout (seven arrays per tree), written by
+#: ``ModelRegistry.save`` before the member-table layout (commit 7918b7e)
+#: from the ``runner`` fixture's Tree, RF-F1, GBT and Average cells at
+#: (T_DAY, HORIZON, WINDOW).
+LEGACY_REGISTRY = Path(__file__).parent / "data" / "legacy_registry"
+
+_PACKED_ARRAYS = ("feature", "threshold", "left", "right", "proba", "roots", "classes")
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +33,35 @@ def runner(scored_dataset):
 @pytest.fixture(scope="module")
 def features(scored_dataset):
     return build_feature_tensor(scored_dataset)
+
+
+def assert_same_forecasts(trained, reloaded, scored_dataset, features):
+    if isinstance(trained, BaselineModel):
+        args = (
+            scored_dataset.score_daily,
+            scored_dataset.labels_daily,
+            T_DAY,
+            HORIZON,
+            WINDOW,
+        )
+        np.testing.assert_array_equal(trained.forecast(*args), reloaded.forecast(*args))
+    else:
+        np.testing.assert_array_equal(
+            trained.forecast(features, T_DAY, WINDOW),
+            reloaded.forecast(features, T_DAY, WINDOW),
+        )
+
+
+def assert_same_packing(trained_forest, reloaded_forest):
+    expected, found = trained_forest.packed(), reloaded_forest.packed()
+    for name in _PACKED_ARRAYS:
+        a, b = getattr(expected, name), getattr(found, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (found.n_features, found.n_estimators) == (
+        expected.n_features,
+        expected.n_estimators,
+    )
 
 
 class TestModelKey:
@@ -50,22 +89,8 @@ class TestExactRoundTrip:
         trained = runner.train_cell(model_name, T_DAY, HORIZON, WINDOW)
         registry.save(key, trained)
         reloaded = registry.load(key)
-        if model_name in BASELINE_NAMES:
-            args = (
-                scored_dataset.score_daily,
-                scored_dataset.labels_daily,
-                T_DAY,
-                HORIZON,
-                WINDOW,
-            )
-            np.testing.assert_array_equal(
-                trained.forecast(*args), reloaded.forecast(*args)
-            )
-        else:
-            np.testing.assert_array_equal(
-                trained.forecast(features, T_DAY, WINDOW),
-                reloaded.forecast(features, T_DAY, WINDOW),
-            )
+        assert isinstance(reloaded, BaselineModel) == (model_name in BASELINE_NAMES)
+        assert_same_forecasts(trained, reloaded, scored_dataset, features)
 
     def test_reloaded_forecaster_matches_on_other_days(
         self, runner, features, tmp_path
@@ -89,6 +114,103 @@ class TestExactRoundTrip:
         reloaded = registry.load(key)
         assert isinstance(reloaded, BaselineModel)
         assert reloaded.random_state == trained.random_state
+
+
+class TestArchiveLayout:
+    """Member tables: one array per node field, not seven per tree."""
+
+    KEY = ModelKey("hot", "RF-F1", HORIZON, WINDOW)
+
+    def test_member_count_does_not_grow_with_trees(self, scored_dataset, tmp_path):
+        n_files = []
+        for n_trees in (3, 30):
+            runner = SweepRunner(
+                scored_dataset, target="hot", n_estimators=n_trees, n_training_days=3, seed=13
+            )
+            model = runner.train_cell("RF-F1", T_DAY, HORIZON, WINDOW)
+            assert len(model._model.estimators_) == n_trees
+            path = ModelRegistry(tmp_path / str(n_trees)).save(self.KEY, model)
+            with np.load(path) as archive:
+                n_files.append(len(archive.files))
+        assert n_files[0] == n_files[1]
+
+    @pytest.mark.parametrize("model_name", ["Tree", "RF-F1", "GBT", "Average"])
+    def test_old_archive_loads_bitwise(
+        self, model_name, runner, features, scored_dataset
+    ):
+        key = ModelKey("hot", model_name, HORIZON, WINDOW)
+        with np.load(LEGACY_REGISTRY / key.filename) as archive:
+            assert not any(name.startswith("members__") for name in archive.files)
+        reloaded = ModelRegistry(LEGACY_REGISTRY).load(key)
+        trained = runner.train_cell(model_name, T_DAY, HORIZON, WINDOW)
+        assert type(reloaded) is type(trained)
+        assert_same_forecasts(trained, reloaded, scored_dataset, features)
+        if model_name == "RF-F1":
+            assert_same_packing(trained._model, reloaded._model)
+
+    def test_new_archive_packs_like_the_trained_forest(self, runner, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        trained = runner.train_cell("RF-F1", T_DAY, HORIZON, WINDOW)
+        registry.save(self.KEY, trained)
+        assert_same_packing(trained._model, registry.load(self.KEY)._model)
+
+    @staticmethod
+    def _reverse_node_counts(arrays):
+        counts = arrays["members__node_count"]
+        assert not np.array_equal(counts, counts[::-1])
+        arrays["members__node_count"] = counts[::-1].copy()
+
+    @staticmethod
+    def _shift_one_node(arrays):
+        arrays["members__node_count"][:2] += (1, -1)
+
+    @staticmethod
+    def _short_node_count(arrays):
+        arrays["members__node_count"][0] -= 1
+
+    @staticmethod
+    def _extra_class(arrays):
+        arrays["members__class_count"][0] += 1
+
+    @staticmethod
+    def _missing_importances_row(arrays):
+        arrays["members__importances"] = arrays["members__importances"][:-1]
+
+    @pytest.mark.parametrize(
+        "tamper",
+        ["_reverse_node_counts", "_shift_one_node", "_short_node_count",
+         "_extra_class", "_missing_importances_row"],
+    )
+    def test_counts_disagreeing_with_tables_raise_corrupt(self, tamper, runner, tmp_path):
+        """A well-formed archive whose counts do not fit its tables never
+        slices into wrong trees."""
+        registry = ModelRegistry(tmp_path)
+        path = registry.save(self.KEY, runner.train_cell("RF-F1", T_DAY, HORIZON, WINDOW))
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        getattr(self, tamper)(arrays)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(RegistryCorruptError, match="corrupt registry entry"):
+            registry.load(self.KEY)
+
+    def test_single_byte_flips_load_equal_or_raise_corrupt(self, runner, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        trained = runner.train_cell("RF-F1", T_DAY, HORIZON, WINDOW)
+        path = registry.save(self.KEY, trained)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(24)
+        corrupt = 0
+        for _ in range(300):
+            damaged = bytearray(blob)
+            damaged[int(rng.integers(len(blob)))] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(damaged))
+            try:
+                reloaded = registry.load(self.KEY)
+            except RegistryCorruptError:
+                corrupt += 1
+                continue
+            assert_same_packing(trained._model, reloaded._model)
+        assert corrupt > 0
 
 
 class TestRegistry:
@@ -180,8 +302,6 @@ class TestCrashSafety:
         assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_entry_raises_registry_corrupt(self, runner, tmp_path):
-        from repro.serve import RegistryCorruptError
-
         registry, key = self.save_one(runner, tmp_path)
         registry.path_for(key).write_bytes(b"this is not an npz archive")
         registry.evict_all()
@@ -280,8 +400,6 @@ class TestVersionedEntries:
         assert registry.history(history[0][0]) == history
 
     def test_latest_empty_and_corrupt_sidecar(self, runner, tmp_path):
-        from repro.serve import RegistryCorruptError
-
         registry = ModelRegistry(tmp_path)
         assert registry.latest(self.KEY) is None
         model = runner.train_cell("RF-F1", T_DAY, HORIZON, WINDOW)
