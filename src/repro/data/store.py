@@ -249,11 +249,15 @@ def write_json_atomic(path: str | Path, payload: dict, sync: bool = False) -> Pa
     Readers see either the previous contents or the new ones, never a
     torn file — the property the checkpoint metadata, model provenance
     sidecars, and lifecycle state journal all rely on.  *sync* is
-    :func:`_atomic_replace`'s fsync-before-rename flag.
+    :func:`_atomic_replace`'s fsync-before-rename flag.  The document
+    is compact (no indentation) and encoded in one call to the C
+    encoder, then written at once: ``json.dump`` with ``indent`` would
+    run the pure-Python encoder and write it piece by piece.
     """
     path = Path(path)
+    text = json.dumps(payload, sort_keys=True)
     with _atomic_replace(path, text=True, sync=sync) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write(text)
     return path
 
 

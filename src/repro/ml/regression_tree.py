@@ -207,10 +207,42 @@ class RegressionTree:
                 best = (int(chunk[col]), float(threshold), best_gain)
         return best
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf values for every row of X."""
+    def to_state(self) -> dict[str, np.ndarray]:
+        """Flat-array snapshot of a fitted tree: node arrays, leaf values
+        and importances, every entry an int64/float64 array, so the
+        :meth:`from_state` round trip is exact."""
+        self._check_fitted()
+        return {
+            "feature": self._feature,
+            "threshold": self._threshold,
+            "left": self._left,
+            "right": self._right,
+            "value": self._value,
+            "importances": self.feature_importances_,
+            "n_features": np.int64(self._n_features),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict[str, np.ndarray]) -> "RegressionTree":
+        """Rebuild a fitted tree from a :meth:`to_state` snapshot."""
+        tree = cls()
+        tree._n_features = int(state["n_features"])
+        tree._feature = np.asarray(state["feature"])
+        tree._threshold = np.asarray(state["threshold"])
+        tree._left = np.asarray(state["left"])
+        tree._right = np.asarray(state["right"])
+        tree._value = np.asarray(state["value"])
+        tree.feature_importances_ = np.asarray(state["importances"])
+        tree.n_nodes_ = int(tree._feature.size)
+        return tree
+
+    def _check_fitted(self) -> None:
         if not hasattr(self, "_value"):
             raise RuntimeError("tree is not fitted; call fit() first")
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf values for every row of X."""
+        self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self._n_features:
             raise ValueError(f"X must be (n, {self._n_features}), got {X.shape}")

@@ -283,6 +283,10 @@ class TickValidator:
         over its size in float64, which is what ``bad[:, j, :].mean()``
         gives; summing sectors first keeps the reduction contiguous."""
         n_sectors, _, n_kpis = bad.shape
+        # No hour can be over budget when the whole mask is within one
+        # hour's budget: the common case, at the price of one count.
+        if np.count_nonzero(bad) <= _MAX_BAD_FRACTION * n_sectors * n_kpis:
+            return None
         shares = bad.sum(axis=0, dtype=np.uint32).sum(axis=1) / (n_sectors * n_kpis)
         over = shares > _MAX_BAD_FRACTION
         if not over.any():
@@ -407,10 +411,17 @@ class DarkSectorTracker:
             raise ValueError(
                 f"mask covers {missing.shape[0]} sectors, tracker has {self.n_sectors}"
             )
-        fully_missing = missing.all(axis=1)
-        was_dark = self.dark_mask
-        self._run = np.where(fully_missing, self._run + 1, 0)
-        newly_dark = np.nonzero(~was_dark & self.dark_mask)[0]
+        # No sector is fully missing when fewer entries than one sector's
+        # are: one count instead of a row reduction, the common case.
+        fully_missing = (
+            np.count_nonzero(missing) >= missing.shape[1] and missing.all(axis=1)
+        )
+        # A run grows by one or resets to zero, so a sector crosses into
+        # darkness exactly when its run reaches the threshold.
+        run = self._run
+        run += 1
+        run *= fully_missing
+        newly_dark = np.flatnonzero(run == self.threshold_hours)
         self.went_dark_total += int(newly_dark.size)
         return newly_dark
 

@@ -9,8 +9,10 @@ batch pipeline computes is maintained incrementally.
 batch pipeline *bitwise*:
 
 * hourly scores equal :func:`repro.core.scoring.hourly_score` because
-  the per-tick computation applies the identical thresholding/weighted
-  sum over the same contiguous KPI axis;
+  the per-tick computation applies the identical thresholding, and with
+  integral weights (the defaults) every order of the weighted sum is
+  exact; other weights reduce the same KPI axis, which matches where
+  both sides reduce it contiguously;
 * daily/weekly scores equal :func:`repro.core.scoring.integrate_score`
   because each completed period is averaged from a contiguous 24- or
   168-element accumulator — the same reduction the batch reshape-mean
@@ -35,12 +37,14 @@ ingests a contiguous ``(n_sectors, n_hours, n_kpis)`` block in a
 handful of array operations — Eq. 1 scoring over the whole block, one
 ``np.cumsum`` extending the running total (the same left-to-right
 accumulation order as the per-hour path, see the parity contract),
-gathered Eq. 3 trailing means, and per-day-segment accumulator writes —
-and is *bitwise identical* to calling :meth:`~StreamIngestor.ingest_hour`
+Eq. 3 trailing means, and per-day-segment accumulator writes — and is
+*bitwise identical* to calling :meth:`~StreamIngestor.ingest_hour`
 once per hour.  ``ingest_hour`` is in fact implemented as the
-block-size-1 case.  The ring itself is the persistent Eq. 5 feature
-ring (the assembled channel columns per slot, written incrementally),
-so :meth:`~StreamIngestor.feature_window` is a single gather instead of
+block-size-1 case.  A chunk never crosses the ring's end, so ring
+writes and lookbacks are basic slices rather than index-array
+gathers.  The ring itself is the persistent Eq. 5 feature ring (the
+assembled channel columns per slot, written incrementally), so
+:meth:`~StreamIngestor.feature_window` is a single read instead of
 a six-array concatenation per forecast; the per-channel rings
 (``values``, ``calendar``, ``score_hourly``, the trailing channels) are
 column views into it.
@@ -210,6 +214,13 @@ class StreamIngestor:
         self._thresholds = np.asarray(config.thresholds, dtype=np.float64)
         self._weight_sum = config.weight_sum
         self._threshold = config.hotspot_threshold
+        # Integral weights make every partial sum of Eq. 1 an exact
+        # float64 integer, so any summation order (a BLAS dot product
+        # included) gives the bits of the batch pipeline's sum.
+        self._exact_weights = (
+            all(float(w).is_integer() for w in config.weights)
+            and self._weight_sum < 2.0**53
+        )
 
         n, cap, l = n_sectors, self.capacity, n_kpis
         # Ring-buffered hourly state (slot = hour % capacity).  The Eq. 5
@@ -373,11 +384,15 @@ class StreamIngestor:
 
         # Chunk so no ring write of this block lands on a cumsum slot a
         # later hour of the same chunk still needs for its weekly
-        # trailing lookback (capacity >= 168 + 24 guarantees progress).
+        # trailing lookback (capacity >= 168 + 24 guarantees progress),
+        # and so no chunk crosses the ring's end: every chunk's slots are
+        # one basic slice.
         ticks: list[IngestTick] = []
-        chunk = self.capacity - HOURS_PER_WEEK
-        for start in range(0, n_hours, chunk):
-            stop = min(start + chunk, n_hours)
+        longest = self.capacity - HOURS_PER_WEEK
+        start = 0
+        while start < n_hours:
+            to_end = self.capacity - self.hours_seen % self.capacity
+            stop = min(start + longest, start + to_end, n_hours)
             ticks.extend(
                 self._ingest_chunk(
                     values[:, start:stop, :],
@@ -385,6 +400,7 @@ class StreamIngestor:
                     None if calendar_rows is None else calendar_rows[start:stop],
                 )
             )
+            start = stop
         return ticks
 
     def _ingest_chunk(
@@ -393,44 +409,50 @@ class StreamIngestor:
         missing: np.ndarray,
         calendar_rows: np.ndarray | None,
     ) -> list[IngestTick]:
-        """One capacity-bounded chunk of :meth:`ingest_block`."""
+        """One chunk of :meth:`ingest_block`: at most ``capacity - 168``
+        hours that do not cross the ring's end."""
         n_hours = values.shape[1]
         first = self.hours_seen
-        hours = np.arange(first, first + n_hours)
-        slots = hours % self.capacity
+        slot = first % self.capacity
+        ring = slice(slot, slot + n_hours)
         n_kpis = self.n_kpis
         if calendar_rows is None:
             calendar_rows = np.stack(
-                [self._default_calendar_row(int(hour)) for hour in hours]
+                [self._default_calendar_row(h) for h in range(first, first + n_hours)]
             )
 
-        # Eq. 1 over the whole block: the same contiguous KPI-axis
-        # reduction as the per-hour path, column by column.
-        tripped = values > self._thresholds[None, None, :]
+        # Eq. 1 over the whole block: an exact dot product for integral
+        # weights (see _exact_weights), else the batch pipeline's
+        # KPI-axis sum.
+        tripped = values > self._thresholds
         tripped &= ~missing
-        score = (tripped * self._weights[None, None, :]).sum(axis=2) / self._weight_sum
+        if self._exact_weights:
+            weighted = np.dot(tripped.reshape(-1, n_kpis), self._weights)
+            weighted = weighted.reshape(self.n_sectors, n_hours)
+        else:
+            weighted = (tripped * self._weights).sum(axis=2)
+        score = weighted / self._weight_sum
 
         features = self._features
-        features[:, slots, :n_kpis] = values
-        features[:, slots, n_kpis : n_kpis + 5] = calendar_rows[None, :, :]
-        features[:, slots, n_kpis + 5] = score
-        self.missing[:, slots, :] = missing
-        self.labels_hourly[:, slots] = (score > self._threshold).astype(np.int8)
+        features[:, ring, :n_kpis] = values
+        features[:, ring, n_kpis : n_kpis + 5] = calendar_rows
+        self.missing[:, ring] = missing
+        self.labels_hourly[:, ring] = score > self._threshold
 
-        # Extend the running cumulative sum: np.cumsum accumulates
-        # left-to-right, exactly the per-hour `running_total += score`
-        # addition order, so Eq. 3 trailing means match bitwise.
-        cumsum = np.cumsum(
-            np.concatenate([self._running_total[:, None], score], axis=1), axis=1
-        )[:, 1:]
-        self._cumsum[:, slots] = cumsum
+        # Extend the running cumulative sum in place: np.cumsum
+        # accumulates left-to-right, exactly the per-hour
+        # `running_total += score` addition order, so Eq. 3 trailing
+        # means match bitwise.
+        seeded = score.copy()
+        seeded[:, 0] += self._running_total
+        cumsum = np.cumsum(seeded, axis=1, out=self._cumsum[:, ring])
         self._running_total = cumsum[:, -1].copy()
 
-        trail_daily = self._trailing_block(hours, cumsum, HOURS_PER_DAY)
-        trail_weekly = self._trailing_block(hours, cumsum, HOURS_PER_WEEK)
-        features[:, slots, n_kpis + 6] = trail_daily
-        features[:, slots, n_kpis + 7] = trail_weekly
-        features[:, slots, n_kpis + 8] = trail_daily > self._threshold
+        trail_daily = self._trailing_block(first, cumsum, HOURS_PER_DAY)
+        features[:, ring, n_kpis + 5] = score
+        features[:, ring, n_kpis + 6] = trail_daily
+        features[:, ring, n_kpis + 7] = self._trailing_block(first, cumsum, HOURS_PER_WEEK)
+        features[:, ring, n_kpis + 8] = trail_daily > self._threshold
 
         # Per-period accumulators, one contiguous segment per day (a
         # day segment never straddles a week boundary: 168 % 24 == 0).
@@ -457,34 +479,43 @@ class StreamIngestor:
 
         return [
             IngestTick(
-                hour=int(hour),
-                day=int(hour) // HOURS_PER_DAY,
-                day_completed=(int(hour) + 1) % HOURS_PER_DAY == 0,
-                week_completed=(int(hour) + 1) % HOURS_PER_WEEK == 0,
-                t_day=(int(hour) + 1) // HOURS_PER_DAY - 1,
+                hour=hour,
+                day=hour // HOURS_PER_DAY,
+                day_completed=(hour + 1) % HOURS_PER_DAY == 0,
+                week_completed=(hour + 1) % HOURS_PER_WEEK == 0,
+                t_day=(hour + 1) // HOURS_PER_DAY - 1,
             )
-            for hour in hours
+            for hour in range(first, first + n_hours)
         ]
 
-    def _trailing_block(
-        self, hours: np.ndarray, cumsum: np.ndarray, window: int
-    ) -> np.ndarray:
-        """Eq. 3 trailing means for a just-written block of *hours*.
+    def _trailing_block(self, first: int, cumsum: np.ndarray, window: int) -> np.ndarray:
+        """Eq. 3 trailing means for a just-written chunk from hour *first*.
 
-        *cumsum* holds the running totals of the block columns (already
-        written to the ring, so intra-block lookbacks resolve); warm
-        hours difference the ring lookback, cold hours (before one full
-        window has streamed) divide by the hours seen so far.
+        *cumsum* holds the running totals of the chunk's hours (already
+        written to the ring, so intra-chunk lookbacks resolve).  Cold
+        hours, before one full window has streamed, divide by the hours
+        seen so far; warm hours difference the ring lookback, one slice
+        unless the lookback range crosses the ring's end.
         """
+        n_hours = cumsum.shape[1]
+        cold = min(max(window - first, 0), n_hours)
+        if not cold:
+            lookback = self._cumsum[:, self._ring_span(first - window, n_hours)]
+            return (cumsum - lookback) / window
         out = np.empty_like(cumsum)
-        warm = hours >= window
-        if warm.any():
-            lookback = self._cumsum[:, (hours[warm] - window) % self.capacity]
-            out[:, warm] = (cumsum[:, warm] - lookback) / window
-        if not warm.all():
-            cold = ~warm
-            out[:, cold] = cumsum[:, cold] / (hours[cold] + 1)
+        out[:, :cold] = cumsum[:, :cold] / np.arange(first + 1, first + cold + 1)
+        if cold < n_hours:
+            lookback = self._cumsum[:, self._ring_span(0, n_hours - cold)]
+            out[:, cold:] = (cumsum[:, cold:] - lookback) / window
         return out
+
+    def _ring_span(self, lo_hour: int, n_hours: int) -> slice | np.ndarray:
+        """Ring slots of hours ``[lo_hour, lo_hour + n_hours)``: one basic
+        slice, or an index array when the range crosses the ring's end."""
+        slot = lo_hour % self.capacity
+        if slot + n_hours <= self.capacity:
+            return slice(slot, slot + n_hours)
+        return np.arange(lo_hour, lo_hour + n_hours) % self.capacity
 
     def _default_calendar_row(self, hour: int) -> np.ndarray:
         """Best-effort calendar row when the caller supplies none."""
@@ -532,8 +563,9 @@ class StreamIngestor:
         )
 
     # ------------------------------------------------------------- windows
-    def _ring_slots(self, lo_hour: int, hi_hour: int) -> np.ndarray:
-        """Ring slots for global hours ``[lo_hour, hi_hour)``, validated."""
+    def _ring_slots(self, lo_hour: int, hi_hour: int) -> slice | np.ndarray:
+        """Ring slots for global hours ``[lo_hour, hi_hour)``, validated
+        (see :meth:`_ring_span`)."""
         if not 0 <= lo_hour < hi_hour:
             raise ValueError(f"invalid hour range [{lo_hour}, {hi_hour})")
         if hi_hour > self.hours_seen:
@@ -546,19 +578,20 @@ class StreamIngestor:
                 f"hour {lo_hour} already evicted from the {self.capacity}-hour ring; "
                 "increase w_max/capacity_hours"
             )
-        return np.arange(lo_hour, hi_hour) % self.capacity
+        return self._ring_span(lo_hour, hi_hour - lo_hour)
 
     def hourly_window(self, lo_hour: int, hi_hour: int) -> dict[str, np.ndarray]:
-        """Raw ring contents for hours ``[lo_hour, hi_hour)`` (testing/debug)."""
+        """Copies of the ring contents for hours ``[lo_hour, hi_hour)``
+        (testing/debug)."""
         slots = self._ring_slots(lo_hour, hi_hour)
         return {
-            "values": self.values[:, slots, :],
-            "missing": self.missing[:, slots, :],
-            "calendar": self.calendar[slots],
-            "score_hourly": self.score_hourly[:, slots],
-            "labels_hourly": self.labels_hourly[:, slots],
-            "trail_daily": self.trail_daily[:, slots],
-            "trail_weekly": self.trail_weekly[:, slots],
+            "values": self.values[:, slots, :].copy(),
+            "missing": self.missing[:, slots, :].copy(),
+            "calendar": self.calendar[slots].copy(),
+            "score_hourly": self.score_hourly[:, slots].copy(),
+            "labels_hourly": self.labels_hourly[:, slots].copy(),
+            "trail_daily": self.trail_daily[:, slots].copy(),
+            "trail_weekly": self.trail_weekly[:, slots].copy(),
         }
 
     def feature_window(self, t_day: int, window: int) -> np.ndarray:
@@ -566,7 +599,8 @@ class StreamIngestor:
 
         Bitwise equal to ``build_feature_tensor(dataset).window(t_day,
         window)`` when the same hours were replayed with the dataset's
-        calendar rows.  Shape ``(n, 24 * window, n_kpis + 9)``.
+        calendar rows.  Shape ``(n, 24 * window, n_kpis + 9)``; a copy,
+        which the caller may keep.
         """
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -582,9 +616,9 @@ class StreamIngestor:
                 "forecast window contains missing KPI values; impute upstream "
                 "(the batch pipeline rejects incomplete tensors the same way)"
             )
-        # One gather from the feature ring, whose columns the component
+        # One read of the feature ring, whose columns the component
         # rings are views of.
-        return self._features[:, slots, :]
+        return self._features[:, slots, :].copy()
 
     # ------------------------------------------------------- checkpointing
     def construction_meta(self) -> dict:

@@ -163,20 +163,6 @@ class ModelKey:
 _NODE_FIELDS = ("feature", "threshold", "left", "right")
 
 
-def _tree_state(tree) -> dict[str, np.ndarray]:
-    """Node arrays and importances of a classifier tree or a boosting stage."""
-    if isinstance(tree, DecisionTreeClassifier):
-        return tree.to_state()
-    return {
-        "feature": tree._feature,
-        "threshold": tree._threshold,
-        "left": tree._left,
-        "right": tree._right,
-        "value": tree._value,
-        "importances": tree.feature_importances_,
-    }
-
-
 def _member_tables(states: list[dict], leaf: str) -> dict[str, np.ndarray]:
     """Concatenate member states into the ``members__*`` tables.
 
@@ -311,16 +297,7 @@ def _classifier_tree(state: dict, n_features: int) -> DecisionTreeClassifier:
 
 
 def _regression_tree(state: dict, n_features: int) -> RegressionTree:
-    tree = RegressionTree()
-    tree._n_features = n_features
-    tree._feature = state["feature"]
-    tree._threshold = state["threshold"]
-    tree._left = state["left"]
-    tree._right = state["right"]
-    tree._value = state["value"]
-    tree.feature_importances_ = state["importances"]
-    tree.n_nodes_ = int(tree._feature.size)
-    return tree
+    return RegressionTree.from_state({**state, "n_features": n_features})
 
 
 # ---------------------------------------------------------- model (de)ser
@@ -374,7 +351,7 @@ def _dump_model(model) -> tuple[dict, dict]:
     meta["n_members"] = len(members)
     meta["n_features"] = int(members[0]._n_features)
     leaf = "value" if meta["inner"] == "boosting" else "proba"
-    arrays.update(_member_tables([_tree_state(member) for member in members], leaf))
+    arrays.update(_member_tables([member.to_state() for member in members], leaf))
     return meta, arrays
 
 

@@ -26,10 +26,9 @@ totals survive after old events rotate out.
 
 from __future__ import annotations
 
+import bisect
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -80,6 +79,8 @@ class LatencyHistogram:
             raise ValueError(f"bucket bounds must be strictly increasing, got {bounds}")
         #: Upper bound of each bucket; the final slot catches overflow.
         self._bounds = bounds
+        #: The bounds as floats, for a scalar bisect in record().
+        self._edges = bounds.tolist()
         self._counts = np.zeros(bounds.size + 1, dtype=np.int64)
         self.count = 0
         self.total = 0.0
@@ -102,9 +103,10 @@ class LatencyHistogram:
     def record(self, seconds: float) -> None:
         """Add one duration observation."""
         seconds = float(seconds)
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError(f"duration must be non-negative, got {seconds}")
-        self._counts[int(np.searchsorted(self._bounds, seconds))] += 1
+        # bisect_left on the edges is np.searchsorted's default side.
+        self._counts[bisect.bisect_left(self._edges, seconds)] += 1
         self.count += 1
         self.total += seconds
         if seconds > self.max:
@@ -236,14 +238,9 @@ class ServeTelemetry:
         """Snapshot of the registered histograms by name (shared refs)."""
         return dict(self._histograms)
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
+    def timer(self, name: str) -> "_Timer":
         """Context manager timing its body into histogram *name*."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
+        return _Timer(self.histogram(name))
 
     # -------------------------------------------------------------- events
     def event(self, kind: str, **fields) -> dict:
@@ -314,3 +311,20 @@ class ServeTelemetry:
                 "buffered": len(self._events),
             },
         }
+
+
+class _Timer:
+    """:meth:`ServeTelemetry.timer`'s context manager: a plain class, as
+    it runs once per ingested tick and a generator-based one costs
+    several times more."""
+
+    __slots__ = ("_histogram", "_start")
+
+    def __init__(self, histogram: LatencyHistogram) -> None:
+        self._histogram = histogram
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        self._histogram.record(time.perf_counter() - self._start)

@@ -50,6 +50,19 @@ class TestRegressionTree:
         assert tree.n_nodes_ == 1
         np.testing.assert_allclose(tree.predict(X), 7.0)
 
+    def test_state_round_trip_predicts_bitwise(self, rng):
+        X, y = _regression_data(rng)
+        tree = RegressionTree(max_depth=4, random_state=0).fit(X, y)
+        restored = RegressionTree.from_state(tree.to_state())
+        assert restored.n_nodes_ == tree.n_nodes_
+        assert restored.predict(X).tobytes() == tree.predict(X).tobytes()
+        assert (
+            restored.feature_importances_.tobytes()
+            == tree.feature_importances_.tobytes()
+        )
+        with pytest.raises(RuntimeError):
+            RegressionTree().to_state()
+
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             RegressionTree(max_depth=0)

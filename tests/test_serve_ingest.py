@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.features import build_feature_tensor
-from repro.core.scoring import ScoreConfig
-from repro.data.tensor import HOURS_PER_DAY, HOURS_PER_WEEK
+from repro.core.scoring import ScoreConfig, hourly_score
+from repro.data.tensor import HOURS_PER_DAY, HOURS_PER_WEEK, KPITensor
 from repro.serve import StreamIngestor
 
 
@@ -168,6 +168,38 @@ class TestDefaultCalendar:
         values[0, 0] = 100.0
         ingestor.ingest_hour(values)
         assert ingestor.missing[0, 0, 1] and not ingestor.missing[0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "weights,exact",
+        [
+            (None, True),  # the calibrated, integral defaults: a dot product
+            (tuple(0.1 * (k + 1) for k in range(21)), False),  # pairwise sum
+        ],
+    )
+    def test_eq1_paths_match_batch_bytes(self, scored_dataset, weights, exact):
+        """Both Eq. 1 reductions give ``hourly_score``'s bytes, in any
+        block size; integral weights take the order-free dot product.
+        The tensor is C-contiguous here: with non-integral weights the
+        pairwise KPI-axis sum holds only over a contiguous axis."""
+        config = ScoreConfig() if weights is None else ScoreConfig(weights=weights)
+        hours = 384
+        values = np.ascontiguousarray(scored_dataset.kpis.values[:, :hours, :])
+        missing = np.ascontiguousarray(scored_dataset.kpis.missing[:, :hours, :])
+        expected = hourly_score(KPITensor(values, missing), config)
+        for block in (1, 24, hours):
+            ingestor = StreamIngestor.for_dataset(
+                scored_dataset, score_config=config, w_max=21
+            )
+            assert ingestor._exact_weights is exact
+            for start in range(0, hours, block):
+                stop = start + block
+                ingestor.ingest_block(
+                    values[:, start:stop, :],
+                    missing[:, start:stop, :],
+                    scored_dataset.calendar[start:stop],
+                )
+            window = ingestor.hourly_window(hours - 300, hours)["score_hourly"]
+            assert window.tobytes() == expected[:, hours - 300 :].tobytes()
 
     def test_custom_score_config(self):
         config = ScoreConfig()

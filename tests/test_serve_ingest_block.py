@@ -30,14 +30,16 @@ def _fresh(n=7, l=21, **kwargs):
 
 
 def _assert_state_equal(a: StreamIngestor, b: StreamIngestor) -> None:
+    """Byte equality: unlike ``assert_array_equal``, it tells -0.0 from
+    0.0 and one NaN payload from another."""
     sa, sb = a.state_dict(), b.state_dict()
     assert sa["meta"] == sb["meta"]
     assert set(sa["arrays"]) == set(sb["arrays"])
     for key in sa["arrays"]:
-        np.testing.assert_array_equal(
-            sa["arrays"][key], sb["arrays"][key], err_msg=f"array {key!r} differs"
-        )
-    np.testing.assert_array_equal(a._features, b._features)
+        x, y = sa["arrays"][key], sb["arrays"][key]
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), f"array {key!r} differs"
+        assert x.tobytes() == y.tobytes(), f"array {key!r} differs"
+    assert a._features.tobytes() == b._features.tobytes()
 
 
 @pytest.mark.parametrize("block_hours", [1, 5, 24, 37, 168])
@@ -70,6 +72,75 @@ def test_block_larger_than_ring_chunks_correctly(rng):
         hourly.ingest_hour(values[:, h, :], missing[:, h, :])
     blocked.ingest_block(values, missing)
     _assert_state_equal(hourly, blocked)
+
+
+def _replay_blocks(ingestor: StreamIngestor, values, missing, sizes) -> list:
+    ticks, start = [], 0
+    for size in sizes:
+        stop = start + size
+        ticks.extend(
+            ingestor.ingest_block(values[:, start:stop, :], missing[:, start:stop, :])
+        )
+        start = stop
+    return ticks
+
+
+#: Block sizes, per ring, whose chunks cross the ring's end mid-block
+#: and straddle the 168-h cold/warm boundary of the weekly mean.
+_RING_SEQUENCES = {
+    None: [1, 5, 7, 13, 24, 30, 160, 3, 200, 1, 97, 24, 1, 250, 23, 168],
+    200: [1, 5, 7, 13, 24, 30, 90, 3, 150, 1, 97, 24, 1, 250, 23, 168],
+}
+
+
+@pytest.mark.parametrize("capacity", sorted(_RING_SEQUENCES, key=str))
+def test_blocks_across_ring_end_and_warmup_match_hourly(rng, capacity):
+    """Byte parity for sequences whose chunks cross the ring's end and
+    the 168-h warm-up, on a day-multiple ring and on a 200-h one."""
+    sizes = _RING_SEQUENCES[capacity]
+    hours = sum(sizes)
+    values, missing = _feed(rng, hours=hours)
+    # Signed zeros and a second NaN payload, which assert_array_equal
+    # would not tell apart, in the last block (still in the ring).
+    values[:, hours - 100 : hours - 98, :] = -0.0
+    values[0, hours - 90, :] = np.uint64(0x7FF8_0000_0000_0001).view(np.float64)
+    hourly = _fresh(capacity_hours=capacity)
+    blocked = _fresh(capacity_hours=capacity)
+    cap = blocked.capacity
+    crossings, clock = 0, 0
+    for size in sizes:
+        crossings += (clock % cap) + size > cap and size > 1
+        clock += size
+    assert crossings >= 3
+    assert any(
+        start < HOURS_PER_WEEK < start + size
+        for start, size in zip(np.cumsum([0] + sizes), sizes)
+    )
+    ticks_a = [
+        hourly.ingest_hour(values[:, h, :], missing[:, h, :]) for h in range(hours)
+    ]
+    assert _replay_blocks(blocked, values, missing, sizes) == ticks_a
+    _assert_state_equal(hourly, blocked)
+    lo = blocked.hours_seen - cap
+    window_a = hourly.hourly_window(lo, blocked.hours_seen)
+    window_b = blocked.hourly_window(lo, blocked.hours_seen)
+    for key in window_a:
+        assert window_a[key].tobytes() == window_b[key].tobytes(), key
+
+
+def test_windows_are_copies(rng):
+    values, missing = _feed(rng, missing_rate=0.0)
+    ing = _fresh()
+    ing.ingest_block(values, missing)
+    t_day = ing.last_complete_day
+    window = ing.feature_window(t_day, 1)
+    hourly = ing.hourly_window(ing.hours_seen - 24, ing.hours_seen)
+    before = ing.state_dict()
+    window[...] = -1.0
+    for array in hourly.values():
+        array[...] = 1
+    after = StreamIngestor.from_state(before)
+    _assert_state_equal(ing, after)
 
 
 def test_feature_window_matches_assembled_reference(rng):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.serve import LatencyHistogram, ServeTelemetry
@@ -61,8 +62,23 @@ class TestLatencyHistogram:
         histogram = LatencyHistogram()
         with pytest.raises(ValueError, match="non-negative"):
             histogram.record(-1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            histogram.record(float("nan"))
+        assert histogram.count == 0
         with pytest.raises(ValueError, match="q must be"):
             histogram.quantile(1.5)
+
+    def test_buckets_match_searchsorted(self):
+        """Bucketing is ``np.searchsorted``'s left side, edges included."""
+        histogram = LatencyHistogram(lo=1e-3, hi=1.0, n_buckets=8)
+        bounds = histogram.bucket_bounds
+        samples = [0.0, *bounds, *(bounds * 1.01), *(bounds * 0.99), 50.0]
+        for seconds in samples:
+            histogram.record(seconds)
+        expected = np.bincount(
+            np.searchsorted(bounds, samples), minlength=bounds.size + 1
+        )
+        assert histogram.bucket_counts.tolist() == expected.tolist()
 
     def test_explicit_bounds(self):
         histogram = LatencyHistogram(bounds=[0.01, 0.1, 1.0])
