@@ -25,6 +25,7 @@ broadly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "integrate_score",
     "trailing_mean",
     "attach_scores",
+    "weighted_sum",
 ]
 
 # Calibrated thresholds epsilon_k for the 21 synthetic KPI channels
@@ -119,6 +121,18 @@ class ScoreConfig:
     def weight_sum(self) -> float:
         return float(sum(self.weights))
 
+    @cached_property
+    def weight_vector(self) -> np.ndarray:
+        """``Omega`` as a read-only float64 vector."""
+        vector = np.asarray(self.weights, dtype=np.float64)
+        vector.setflags(write=False)
+        return vector
+
+    @cached_property
+    def integral_weights(self) -> bool:
+        """True when every partial sum of Eq. 1 is an exact float64 integer."""
+        return all(float(w).is_integer() for w in self.weights) and self.weight_sum < 2.0**53
+
 
 def hourly_score(kpis: KPITensor, config: ScoreConfig | None = None) -> np.ndarray:
     """Normalised hourly score ``S'`` (Eq. 1), shape ``(n, m_h)``.
@@ -132,10 +146,28 @@ def hourly_score(kpis: KPITensor, config: ScoreConfig | None = None) -> np.ndarr
             f"score config covers {config.n_kpis} KPIs, tensor has {kpis.n_kpis}"
         )
     thresholds = np.asarray(config.thresholds)
-    weights = np.asarray(config.weights)
     tripped = kpis.values > thresholds[None, None, :]
     tripped &= ~kpis.missing
-    return (tripped * weights[None, None, :]).sum(axis=2) / config.weight_sum
+    return weighted_sum(tripped, config) / config.weight_sum
+
+
+def weighted_sum(tripped: np.ndarray, config: ScoreConfig) -> np.ndarray:
+    """Eq. 1's ``sum_k Omega_k * tripped[..., k]`` over the last axis.
+
+    The bits do not depend on *tripped*'s memory layout, so the batch
+    pipeline and the stream ingestor agree bitwise.  With integral
+    weights (the defaults) every partial sum is exact, so one dot product
+    in any summation order gives them.  Other weights are added one KPI
+    at a time, in channel order.
+    """
+    weights = config.weight_vector
+    if config.integral_weights:
+        flat = np.dot(tripped.reshape(-1, weights.size), weights)
+        return flat.reshape(tripped.shape[:-1])
+    total = np.zeros(tripped.shape[:-1])
+    for k, weight in enumerate(weights):
+        total += tripped[..., k] * weight
+    return total
 
 
 def integrate_score(score_hourly: np.ndarray, period: str) -> np.ndarray:

@@ -9,10 +9,10 @@ guarantees:
   plans;
 * :mod:`repro.fleet.worker` — one shard's engine + WAL + dark tracker,
   crash-consistent per tick;
-* :mod:`repro.fleet.coordinator` — global validation, tick routing,
-  and the deterministic merge (which the guarded single engine shares
-  as a one-shard fleet), with the shards in-process (the serial
-  backend) or forked by the supervisor;
+* :mod:`repro.fleet.coordinator` — the one admission front: global
+  validation, tick routing and the deterministic merge, over one
+  in-process worker (the guarded single engine), in-process shards
+  (the serial backend) or shards forked by the supervisor;
 * :mod:`repro.fleet.recovery` — fleet-wide crash recovery and
   reshard (shard-count changes between runs), resuming to a
   bitwise-identical continuation of the merged stream;

@@ -1,31 +1,31 @@
-"""Fleet coordinator: route ticks to shards, merge one event stream.
+"""Fleet coordinator: the one admission front, over one or many shards.
 
-:class:`FleetCoordinator` is the fleet's single front door.  It owns the
-*global* halves of the resilience pipeline — tick validation against the
-full network shape, the dead-letter queue, gap synthesis, and dark-alert
-masking — and drives every shard worker with the rows it owns, then
-merges the shards' response fragments back into one deterministic event
-stream.
+:class:`FleetCoordinator` owns the *global* halves of the resilience
+pipeline: tick validation against the full network shape, the
+dead-letter queue, gap synthesis and dark-alert masking.  It drives
+every shard worker with the rows it owns, then merges the shards'
+response fragments into one deterministic event stream through
+:func:`release_hours` (its rules are in DESIGN.md 3f).  The stream is
+bitwise identical (as JSON lines) for any shard count and backend.
 
-The merged stream is bitwise identical (as JSON lines) to what a
-single-engine :class:`~repro.resilience.guard.ResilientHotSpotService`
-over the whole network emits, for any shard count and either backend:
-that service is the one-shard case of the same pipeline, and both
-fronts release their events through one merge, :func:`release_hours`
-(its rules are in DESIGN.md 3f).
+A front has one of two commit orders:
 
-Watermark protocol: a tick is acknowledged (its events returned / its
-``watermark.json`` advanced) only after every shard has applied *and
-journaled* it.  A crash anywhere leaves either no shard or every shard
-at-or-past the watermark, which is what
-:func:`repro.fleet.recovery.recover_fleet` relies on to resume to a
-bitwise-identical continuation.
-
-Two backends drive the shards: :class:`SerialBackend` runs the workers
-in-process (the fallback and the kill-point test harness);
-:class:`~repro.fleet.supervisor.FleetSupervisor` forks one restartable
-host process per shard.  A host that cannot fork degrades to serial
-with the same merged stream.
+* **Release, then WAL** (:class:`LocalBackend`).  One in-process worker
+  owns every sector.  It hands each day chunk to the coordinator's
+  release before that chunk's WAL append, which is the commit point, so
+  the tap fires inside the chunk and no watermark is kept.  The clock is
+  the worker's ingest clock.  The guarded single engine,
+  :class:`~repro.resilience.guard.ResilientHotSpotService`, is this
+  front.
+* **Journal, then watermark** (:class:`SerialBackend`, or
+  :class:`~repro.fleet.supervisor.FleetSupervisor`, which forks one
+  restartable host process per shard).  A block is acknowledged (its
+  events returned, ``watermark.json`` advanced) only after every shard
+  has applied *and journaled* it.  A crash anywhere leaves either no
+  shard or every shard at or past the watermark, which is what
+  :func:`repro.fleet.recovery.recover_fleet` relies on to resume to a
+  bitwise-identical continuation.  A host that cannot fork degrades to
+  serial with the same merged stream.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ from repro.fleet.worker import (
 )
 from repro.parallel.pool import PoolUnavailable
 from repro.resilience.validate import (
-    ACCEPT,
+    QUARANTINE,
+    RECONCILE,
     DeadLetterQueue,
     TickValidator,
     accepted_block,
     admit_block,
-    admit_tick,
     mask_dark_alerts,
 )
 from repro.serve.ingest import default_calendar_row
@@ -62,6 +62,7 @@ from repro.serve.telemetry import ServeTelemetry
 __all__ = [
     "WATERMARK_NAME",
     "FleetCoordinator",
+    "LocalBackend",
     "SerialBackend",
     "build_fleet",
     "recovered_clock",
@@ -79,9 +80,9 @@ WATERMARK_NAME = "watermark.json"
 class SerialBackend:
     """All shard workers in the coordinator's process.
 
-    The reference backend: trivially deterministic, no IPC, and the only
-    one the kill-point suite uses (workers stay reachable so tests can
-    arm :attr:`ShardWorker.kill_at` directly).
+    The reference backend: trivially deterministic, no IPC, and the one
+    the kill-point suites use (workers stay reachable so tests can arm
+    :attr:`ShardWorker.kill_at` directly).
     """
 
     name = "serial"
@@ -129,43 +130,85 @@ class SerialBackend:
             worker.close()
 
 
+class LocalBackend(SerialBackend):
+    """One in-process worker that owns every sector.
+
+    The worker owns ``arange(n)``, so blocks pass without a row gather,
+    and it hands each applied day chunk to ``release(first_hour,
+    shard_responses)`` before that chunk's WAL append.
+    """
+
+    name = "local"
+
+    def __init__(self, worker: ShardWorker) -> None:
+        super().__init__([worker])
+
+    def submit_block(self, first_hour, values, missing, calendar_rows, release) -> None:
+        self.workers[0].submit_block(
+            first_hour, values, missing, calendar_rows,
+            release=lambda hour0, chunk: release(hour0, [chunk]),
+        )
+
+
 # --------------------------------------------------------------------------
 # coordinator
 # --------------------------------------------------------------------------
 class FleetCoordinator:
-    """Global validation, shard routing, and deterministic event merge."""
+    """Global validation, shard routing, and deterministic event merge.
+
+    *directory* holds the fleet's watermark; a :class:`LocalBackend`
+    front keeps none and passes ``None``.
+    """
 
     def __init__(
         self,
-        directory: str | Path,
+        directory: str | Path | None,
         plan: PartitionPlan,
         config: FleetConfig,
         backend,
         clock: int = 0,
     ) -> None:
-        self.directory = Path(directory)
+        self.directory = None if directory is None else Path(directory)
         self.plan = plan
         self.config = config
         self.backend = backend
-        self.clock = int(clock)
+        self._acknowledged = int(clock)
+        #: The in-process worker of a :class:`LocalBackend`, else None.
+        self._local = backend.workers[0] if isinstance(backend, LocalBackend) else None
         self.validator = TickValidator(n_sectors=config.n_sectors, n_kpis=config.n_kpis)
         self.dead_letters = DeadLetterQueue()
-        self.telemetry = ServeTelemetry()
+        # In process, front and worker share the engine's one sink.
+        self.telemetry = (
+            ServeTelemetry() if self._local is None else self._local.engine.telemetry
+        )
         #: ``("mid_merge", hour)`` → raise :class:`SimulatedKill` after
         #: the shards applied the hour but before the merge/acknowledge.
         self.kill_at: tuple | None = None
         #: Optional per-hour event tap: ``tap(hour, events)`` fires with
-        #: each hour's merged (gap-prefixed) event list after the shards
-        #: applied and journaled it but **before** the fleet watermark
-        #: advances.  A crash between shard journaling and the tap
-        #: leaves the watermark behind, so resume re-drives the hour
-        #: and the shards re-emit their persisted responses — the tap
-        #: sees an identical list and must be idempotent per hour.  The
-        #: gateway points this at its durable event journal for SSE
+        #: each hour's merged (gap-prefixed) event list before the hour
+        #: is acknowledged: for shard backends after every shard applied
+        #: and journaled it, before the watermark advances; in process
+        #: before the chunk's WAL append.  A crash after the tap and
+        #: before the acknowledge re-drives the hour on resume, so the
+        #: tap sees an identical list and must be idempotent per hour.
+        #: The gateway points this at its durable event journal for SSE
         #: delivery (DESIGN.md 3j).
         self.event_tap = None
 
     # -------------------------------------------------------------- ticks
+    @property
+    def clock(self) -> int:
+        """The next hour the front expects.
+
+        For shard backends, the acknowledged watermark.  In process, the
+        worker's ingest clock: a block that fails after a chunk's apply
+        leaves the clock where the engine stands, so the next tick is
+        neither a gap nor a duplicate.
+        """
+        if self._local is not None:
+            return self._local.ingestor.hours_seen
+        return self._acknowledged
+
     @property
     def t_day(self) -> int:
         """Last fully merged day (-1 before the first completes)."""
@@ -180,26 +223,30 @@ class FleetCoordinator:
     ) -> list[dict]:
         """Validate, route, merge, acknowledge one tick.
 
-        The admission of :meth:`ResilientHotSpotService.submit_tick`:
-        quarantine and duplicate verdicts are handled here; an accepted
-        tick and its gap fills go through the shards as one block.
+        Never raises on bad input: malformed, late or conflicting ticks
+        are quarantined, idempotent duplicates reconciled, short forward
+        gaps filled with all-missing hours.  An accepted tick and its gap
+        fills go through the shards as one block.
         """
-        verdict, events = admit_tick(
-            self.validator,
-            self.dead_letters,
-            self.telemetry,
-            values,
-            missing,
-            calendar_row,
-            hour=hour,
-            clock=self.clock,
+        clock = self.clock
+        verdict = self.validator.validate(
+            values, missing, calendar_row, hour=hour, clock=clock,
             ring_payload=self._ring_payload,
         )
-        if verdict.action == ACCEPT:
-            events = self._drive(
-                *accepted_block(verdict, self.clock, self._default_calendar)
+        if verdict.action == QUARANTINE:
+            self.telemetry.inc("ticks_quarantined")
+            record = self.dead_letters.push(
+                verdict.reason, hour=verdict.declared_hour, detail=verdict.detail
             )
-        return events
+            return [self.telemetry.event("quarantine", **record)]
+        if verdict.action == RECONCILE:
+            self.telemetry.inc("ticks_reconciled")
+            return [
+                self.telemetry.event(
+                    "duplicate", hour=verdict.declared_hour, detail=verdict.detail
+                )
+            ]
+        return self._drive(*accepted_block(verdict, clock, self._default_calendar))
 
     def submit_block(
         self,
@@ -210,9 +257,11 @@ class FleetCoordinator:
     ) -> list[dict]:
         """Validate, broadcast, and merge a micro-batch of hours.
 
-        Fleet twin of :meth:`ResilientHotSpotService.submit_block`: a
-        block of plain accepts goes to the shards in one :meth:`_drive`;
-        anything else replays the block through :meth:`submit_tick`.
+        A block of plain accepts goes to the shards in one
+        :meth:`_drive`; any quarantine, duplicate or gap replays the
+        block through :meth:`submit_tick`
+        (:func:`~repro.resilience.validate.admit_block`).  *first_hour*
+        is the declared hour of column 0 (``None`` trusts arrival order).
         """
         return admit_block(
             self.validator,
@@ -229,19 +278,32 @@ class FleetCoordinator:
     def _drive(self, values, missing, calendar_rows, gap_hours: int) -> list[dict]:
         """Broadcast accepted hours to the shards, merge, acknowledge.
 
-        The block (led by *gap_hours* gap fills) goes out in
-        ``block_capacity`` slices; each hour's merged events
-        (:func:`release_hours`) pass the event tap, and the watermark
-        advances once, after the whole block.  Every slice carries the
-        acknowledged boundary — the clock at entry — so the shards keep
-        every non-trivial response since it: a crash
-        anywhere in the block re-drives from that boundary and the
-        shards re-emit what they already journaled.
+        The block is led by *gap_hours* gap fills.  Each hour's merged
+        events (:func:`release_hours`) pass the event tap.  In process,
+        the worker releases each day chunk before its WAL append, which
+        commits it.  Shard backends get the block in ``block_capacity``
+        slices and the watermark advances once, after the whole block.
+        Every slice carries the acknowledged boundary — the clock at
+        entry — so the shards keep every non-trivial response since it:
+        a crash anywhere in the block re-drives from that boundary and
+        the shards re-emit what they already journaled.
         """
         released = self.clock
+        events: list[dict] = []
+
+        def release(first_hour: int, responses: list[list[dict]]) -> None:
+            events.extend(
+                release_hours(
+                    first_hour, responses, self.plan, self.config, self.telemetry,
+                    gap_end=released + gap_hours, tap=self.event_tap,
+                )
+            )
+
+        if self._local is not None:
+            self.backend.submit_block(released, values, missing, calendar_rows, release)
+            return events
         n_hours = values.shape[1]
         capacity = self.backend.block_capacity or n_hours
-        events: list[dict] = []
         for start in range(0, n_hours, capacity):
             stop = min(start + capacity, n_hours)
             hour0 = self.clock
@@ -262,13 +324,8 @@ class FleetCoordinator:
                     f"simulated crash: coordinator at mid_merge of block "
                     f"[{hour0}, {hour0 + stop - start})"
                 )
-            self.clock = hour0 + (stop - start)
-            events.extend(
-                release_hours(
-                    hour0, responses, self.plan, self.config, self.config.model,
-                    self.telemetry, gap_end=released + gap_hours, tap=self.event_tap,
-                )
-            )
+            self._acknowledged = hour0 + (stop - start)
+            release(hour0, responses)
         write_json_atomic(
             self.directory / WATERMARK_NAME, {"emitted_hours": self.clock}
         )
@@ -278,6 +335,8 @@ class FleetCoordinator:
         payloads = self.backend.ring(hour)
         if any(payload is None for payload in payloads):
             return None
+        if len(payloads) == 1:  # one shard owns arange(n)
+            return payloads[0]
         values = np.empty((self.config.n_sectors, self.config.n_kpis))
         missing = np.empty((self.config.n_sectors, self.config.n_kpis), dtype=bool)
         for shard, (shard_values, shard_missing) in enumerate(payloads):
@@ -303,13 +362,14 @@ class FleetCoordinator:
         return scores
 
     def run_jsonl(self, lines: Iterable[str], out: IO[str]) -> int:
-        """JSONL driver, same protocol as the single-engine service.
+        """JSONL driver (:func:`repro.serve.service.run_jsonl`).
 
-        ``tick`` goes through :meth:`submit_tick`; ``predict`` and
-        ``stats`` answer from the merged fleet (see
-        :func:`repro.serve.service.run_jsonl`).
+        ``tick`` goes through :meth:`submit_tick` and may declare its
+        ``"hour"``.  ``predict`` and ``stats`` answer from the merged
+        fleet, or in process from the worker's engine.
         """
-        return run_jsonl(lines, out, self, self.submit_tick)
+        reads = self if self._local is None else self._local.engine
+        return run_jsonl(lines, out, reads, self.submit_tick)
 
     # -------------------------------------------------------------- stats
     def stats(self) -> dict:
@@ -343,27 +403,24 @@ class FleetCoordinator:
 
 
 # --------------------------------------------------------------------------
-# release: the merge both serving fronts share
+# release: the merge of every front
 # --------------------------------------------------------------------------
 def release_hours(
     first_hour: int,
     shard_responses: list[list[dict]],
     plan: PartitionPlan,
-    policy,
-    model: str,
+    config: FleetConfig,
     telemetry: ServeTelemetry,
     gap_end: int = 0,
     tap=None,
 ) -> list[dict]:
     """Merge shard responses into the events of consecutive applied hours.
 
-    The release step of both serving fronts (the guarded service is its
+    The release step of every front (the guarded service is its
     one-shard case).  *shard_responses* holds one list per shard of
-    *plan*, one response per hour from *first_hour*; *policy* (a
-    :class:`FleetConfig` or :class:`~repro.serve.service.ServeConfig`)
-    gives the horizons, first alerted day and top-k rule, *model* the
-    alerts' model name.  Per hour: a ``gap_fill`` event before
-    *gap_end*, supervision events, ``sector_dark`` events by global id,
+    *plan*, one response per hour from *first_hour*; *config* gives the
+    horizons, first alerted day, top-k rule and the alerts' model name.
+    Per hour: a ``gap_fill`` event before *gap_end*, supervision events, ``sector_dark`` events by global id,
     then on a day-completing hour the ``day`` event (ascending union of
     hot sectors), the alerts built from the scattered global scores and
     dark-masked, and lifecycle events by shard id (DESIGN.md 3f).  *tap*
@@ -390,29 +447,29 @@ def release_hours(
             for sector, run in newly_dark
         )
         if responses[0]["day_completed"]:
-            hour_events.extend(_day_events(responses, plan, policy, model, telemetry))
+            hour_events.extend(_day_events(responses, plan, config, telemetry))
         if tap is not None:
             tap(hour, hour_events)
         events.extend(hour_events)
     return events
 
 
-def _day_events(responses, plan, policy, model, telemetry) -> list[dict]:
+def _day_events(responses, plan, config, telemetry) -> list[dict]:
     """The merged ``day`` event, masked alerts and lifecycle events."""
     sectors = [plan.sectors_of(shard) for shard in range(plan.n_shards)]
     t_day = int(responses[0]["t_day"])
     hot = sorted(int(sector) for response in responses for sector in response["hot"])
     events = [{"type": "day", "t_day": t_day, "hot_sectors": hot}]
-    if t_day >= policy.start_day:
+    if t_day >= config.start_day:
         alerts = []
-        for horizon in policy.horizons:
+        for horizon in config.horizons:
             key = str(int(horizon))
             if any(key not in response["scores"] for response in responses):
                 continue
             scores = np.empty(plan.n_sectors, dtype=np.float64)
             for ids, response in zip(sectors, responses):
                 scores[ids] = response["scores"][key]
-            alert = build_alert(t_day, int(horizon), scores, model, policy)
+            alert = build_alert(t_day, int(horizon), scores, config.model, config)
             if alert is not None:
                 telemetry.inc("alerts_emitted")
                 alerts.append(alert)

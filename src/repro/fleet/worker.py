@@ -15,8 +15,7 @@ stripped), so they live in front of the workers.  The worker's job is
 the per-row part: apply the tick, answer with *fragments* — local hot
 sectors, the full local score vector per horizon, newly-dark sectors —
 that :func:`~repro.fleet.coordinator.release_hours` merges into one
-event stream.  The guarded service is the one-shard case: one
-in-process worker that owns every sector.
+event stream.
 
 Crash consistency per day chunk of a block — a tick is a one-hour
 block — (apply → journal → acknowledge):
@@ -25,19 +24,21 @@ block — (apply → journal → acknowledge):
 2. apply — engine ingest, fragment computation, day hooks (the guard's
    lifecycle controller commits ``lifecycle.json`` first, DESIGN.md 3e),
    dark-tracker update;
-3. persist the response into ``last_events.json`` (atomic, only when
-   the response is non-trivial — the empty ⇔ not-persisted invariant;
+3. hand the chunk on.  A shard persists its non-trivial responses into
+   ``last_events.json`` (atomic; the empty ⇔ not-persisted invariant;
    the file holds every non-trivial response since the coordinator's
-   acknowledged boundary, so mid-block crashes re-emit faithfully),
-   or, for the guard's worker, release the chunk's events;
+   acknowledged boundary, so mid-block crashes re-emit faithfully).
+   The in-process worker of the guarded front
+   (:class:`~repro.fleet.coordinator.LocalBackend`) persists nothing
+   and releases the chunk's events instead;
 4. journal the chunk into the WAL (one flushed append, the commit
    point; a worker without a checkpoint skips it and step 1).
 
 A worker killed anywhere in that sequence recovers to a state from
 which re-driving the same hours yields the identical responses: before
-step 4 the chunk is simply re-applied; after step 4 the worker re-emits
+step 4 the chunk is simply re-applied; after step 4 a shard re-emits
 the persisted response (or reconstructs the trivial one) without
-touching state.  :attr:`ShardWorker.kill_at` injects
+touching state, and the in-process front resumes past the chunk.  :attr:`ShardWorker.kill_at` injects
 :class:`SimulatedKill` at the three seams for the kill-point suite.
 """
 
@@ -57,7 +58,6 @@ from repro.resilience.degrade import ResilientPredictionEngine
 from repro.resilience.validate import DarkSectorTracker
 from repro.serve.ingest import StreamIngestor
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import ServeConfig
 
 __all__ = [
     "EVENTS_NAME",
@@ -138,15 +138,14 @@ class FleetConfig:
 class ShardWorker:
     """One shard's engine, checkpoint, and dark tracker.
 
-    Of *config* only ``horizons`` and ``start_day`` are read, so the
-    guarded service passes its ``ServeConfig``.
+    Of *config* only ``horizons`` and ``start_day`` are read.
     """
 
     def __init__(
         self,
         shard_id: int,
         sector_ids: np.ndarray,
-        config: FleetConfig | ServeConfig,
+        config: FleetConfig,
         ingestor: StreamIngestor,
         engine: ResilientPredictionEngine,
         checkpoint: CheckpointManager | None,
@@ -172,7 +171,7 @@ class ShardWorker:
         dark.backfill_from_ring(ingestor)
         self.dark = dark
         #: ``hook(tick) -> events`` run on each completed day after its
-        #: forecasts (the guarded service shares its own hook list).
+        #: forecasts (the guarded front shares its service's hook list).
         self.day_hooks = []
         self._events_path = events_path
         self._responses: dict[int, dict] = dict(responses or {})
@@ -232,7 +231,7 @@ class ShardWorker:
 
         *release*, when given, replaces the response store: each
         applied chunk goes to ``release(first_hour, responses)`` before
-        its WAL append (the guarded service merges and taps there).
+        its WAL append (the in-process front merges and taps there).
 
         Kill seams fire when the armed hour falls anywhere inside the
         chunk being processed — ``mid_apply`` before the chunk is

@@ -1,11 +1,10 @@
-"""The engine adapter: one uniform surface over both serving fronts.
+"""The engine adapter: one uniform surface over every serving front.
 
 The gateway's HTTP layer speaks to a *backend* — a thin adapter over a
-serving front, a :class:`~repro.resilience.guard.ResilientHotSpotService`
-or a :class:`~repro.fleet.coordinator.FleetCoordinator`.  Both fronts
-expose ``clock``, ``dead_letters``, ``event_tap``, ``submit_tick``,
-``stats()`` and ``close()``, so one :class:`ResilientBackend` adapts
-either behind five verbs:
+:class:`~repro.fleet.coordinator.FleetCoordinator`: the guarded single
+engine (:class:`~repro.resilience.guard.ResilientHotSpotService`, the
+coordinator over one in-process shard) or a sharded fleet.  One
+:class:`ResilientBackend` adapts either behind five verbs:
 
 ``submit``
     apply one tick (runs on the gateway's single ingest worker thread,
@@ -23,11 +22,13 @@ either behind five verbs:
 ``status``
     the operator JSON for ``GET /status`` (champion + provenance and
     shadow Δ when a lifecycle controller is attached, quarantine
-    depth, dark sectors, shard table with degraded/restart state).
+    depth, dark sectors and checkpoint of a guarded engine, shard
+    table with degraded/restart state of a fleet).
 """
 
 from __future__ import annotations
 
+from repro.fleet.coordinator import LocalBackend
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = ["ResilientBackend"]
@@ -40,8 +41,9 @@ class ResilientBackend:
         self.front = front
         self.controller = controller
         #: The fleet's shard backend (serial or supervised); ``None``
-        #: for a guarded single engine.
-        self.shards = getattr(front, "backend", None)
+        #: for the guarded single engine, whose one in-process worker
+        #: shares the front's telemetry and reports its own dark sectors.
+        self.shards = None if isinstance(front.backend, LocalBackend) else front.backend
         self.name = "resilient" if self.shards is None else "fleet"
 
     def install_tap(self, tap) -> None:

@@ -12,8 +12,9 @@ immortal process.  This package removes those assumptions:
 * :mod:`repro.resilience.degrade` — a prediction engine that falls back
   through cached-forecast → Persist → Random instead of raising, with
   bounded retry/backoff and automatic recovery;
-* :mod:`repro.resilience.guard` — the composed fault-tolerant service
-  front, a one-shard fleet (validate → apply → release → journal);
+* :mod:`repro.resilience.guard` — the fault-tolerant single-engine
+  front: the fleet coordinator over one in-process shard
+  (validate → apply → release → journal);
 * :mod:`repro.resilience.chaos` — a deterministic fault-injection
   harness (drop/duplicate/reorder/corrupt ticks, dark sectors, registry
   I/O failures) for tests and the chaos bench.
@@ -32,7 +33,6 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.checkpoint import CheckpointManager, RecoveredState, TickJournal
 from repro.resilience.degrade import ResilientPredictionEngine, fallback_scores
-from repro.resilience.guard import ResilientHotSpotService
 from repro.resilience.validate import (
     DarkSectorTracker,
     DeadLetterQueue,
@@ -61,3 +61,13 @@ __all__ = [
     "install_process_faults",
     "run_chaos_replay",
 ]
+
+
+def __getattr__(name: str):
+    # The guard is a fleet front, and the fleet imports this package:
+    # load it on first use, once the fleet's modules are importable.
+    if name == "ResilientHotSpotService":
+        from repro.resilience.guard import ResilientHotSpotService
+
+        return ResilientHotSpotService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

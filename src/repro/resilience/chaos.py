@@ -47,13 +47,15 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.resilience.guard import ResilientHotSpotService
 from repro.serve.registry import ModelRegistry
+
+if TYPE_CHECKING:  # the guard is a fleet front, and the fleet imports this module
+    from repro.resilience.guard import ResilientHotSpotService
 
 __all__ = [
     "ChaosConfig",

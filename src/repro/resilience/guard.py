@@ -1,71 +1,67 @@
-"""The fault-tolerant serving front: validate → apply → release → journal.
+"""The guarded single engine: the fleet's front over one in-process shard.
 
-:class:`ResilientHotSpotService` wraps a plain
-:class:`~repro.serve.service.HotSpotService` as the one-shard case of
-the fleet pipeline.  Every incoming tick passes through:
+:class:`ResilientHotSpotService` is a
+:class:`~repro.fleet.coordinator.FleetCoordinator` over a
+:class:`~repro.fleet.coordinator.LocalBackend`: one worker that owns
+every sector of a plain :class:`~repro.serve.service.HotSpotService`.
+Every incoming tick passes through the front's one pipeline:
 
-1. **validation** (the admission functions of
-   :mod:`repro.resilience.validate`, shared with the fleet coordinator)
-   — malformed ticks land in the bounded dead-letter queue with a
-   structured reason; idempotent duplicates are reconciled (dropped,
-   counted); forward clock gaps within budget are filled with synthetic
-   all-missing hours so lost hours read as darkness, not corruption;
-2. **apply** — one in-process :class:`~repro.fleet.worker.ShardWorker`
-   owning every sector ingests day-aligned chunks, forecasts completed
-   days (degrading instead of raising with a
+1. **validation** (:mod:`repro.resilience.validate`) — malformed ticks
+   land in the bounded dead-letter queue with a structured reason;
+   idempotent duplicates are reconciled (dropped, counted); forward
+   clock gaps within budget are filled with synthetic all-missing hours
+   so lost hours read as darkness, not corruption;
+2. **apply** — the worker ingests day-aligned chunks, forecasts
+   completed days (degrading instead of raising with a
    :class:`~repro.resilience.degrade.ResilientPredictionEngine`), runs
    the service's day hooks and tracks dark sectors;
-3. **release** — the fleet's merge
-   (:func:`~repro.fleet.coordinator.release_hours`) turns each hour into
-   its events, stripping sectors dark past the Sec. II-C threshold from
-   alerts, and passes them to the event tap;
+3. **release** — :func:`~repro.fleet.coordinator.release_hours` turns
+   each hour into its events, stripping sectors dark past the Sec. II-C
+   threshold from alerts, and passes them to the event tap;
 4. **journaling** (optional :class:`~repro.resilience.checkpoint
-   .CheckpointManager`) — the chunk's WAL append, after the tap and
-   before the events are returned, is the commit point; snapshots
-   bound replay.  A chunk interrupted before its append is re-processed
-   (events re-emitted) on resume, never acknowledged-then-lost.
+   .CheckpointManager`) — the chunk's WAL append, after the release and
+   before the events are returned, is the commit point; snapshots bound
+   replay.  A chunk interrupted before its append is re-processed
+   (events re-emitted) on resume, never acknowledged-then-lost.  No
+   watermark or response store is written: the checkpoint directory
+   holds the WAL and snapshots only.
 
 Resilience events (quarantine, gap_fill, duplicate, sector_dark,
-alert_suppressed, degraded, recovered) flow through the shared
+alert_suppressed, degraded, recovered) flow through the engine's
 :class:`~repro.serve.telemetry.ServeTelemetry` event log and are also
 returned inline with the tick's events, so drivers can stream them.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
+from repro.fleet.coordinator import FleetCoordinator, LocalBackend
+from repro.fleet.partition import PartitionPlan
+from repro.fleet.worker import FleetConfig, ShardWorker
 from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.validate import (
-    ACCEPT,
-    DarkSectorTracker,
-    DeadLetterQueue,
-    TickValidator,
-    accepted_block,
-    admit_block,
-    admit_tick,
-)
-from repro.serve.service import HotSpotService, run_jsonl
-from repro.serve.telemetry import ServeTelemetry
+from repro.resilience.validate import DarkSectorTracker
+from repro.serve.service import HotSpotService
 
 __all__ = ["ResilientHotSpotService"]
 
 
-class ResilientHotSpotService:
-    """Fault-tolerant wrapper around a :class:`HotSpotService`.
+class ResilientHotSpotService(FleetCoordinator):
+    """Fault-tolerant front of a :class:`HotSpotService`.
 
     Parameters
     ----------
     service:
-        The wrapped alerting service (its engine supplies the ingestor,
-        telemetry, and forecast path).  Ticks are validated against
-        its ingestor's shape and quarantined into a bounded
-        :class:`~repro.resilience.validate.DeadLetterQueue`.
+        The wrapped alerting service.  Its engine supplies the ingestor,
+        the telemetry and the forecast path; its config and the engine's
+        default model set the alert policy.
     dark_tracker:
         Dark-sector run tracker; defaults to the half-week threshold.
         The worker rebuilds its runs from the ingestor's ring, so a
         recovered ingestor resumes its dark sectors.
     checkpoint:
-        Optional checkpoint manager.  When given, every accepted tick is
-        journaled before its events are returned and snapshots are
+        Optional checkpoint manager.  When given, every accepted chunk
+        is journaled before its events are returned and snapshots are
         taken on its cadence.
     """
 
@@ -78,141 +74,40 @@ class ResilientHotSpotService:
         self.service = service
         self.engine = service.engine
         ingestor = self.engine.ingestor
-        self.validator = TickValidator(ingestor.n_sectors, ingestor.n_kpis)
-        self.dead_letters = DeadLetterQueue()
         self.dark = dark_tracker or DarkSectorTracker(ingestor.n_sectors)
         self.checkpoint = checkpoint
-        # Imported here: the fleet package imports this one.
-        from repro.fleet.coordinator import release_hours
-        from repro.fleet.partition import PartitionPlan
-        from repro.fleet.worker import ShardWorker
-
-        self._release_hours = release_hours
-        self._plan = PartitionPlan.compute(ingestor.n_sectors, 1)
-        self._worker = ShardWorker(
-            0, self._plan.sectors_of(0), service.config, ingestor, self.engine,
-            checkpoint, self.dark,
+        # The front reads the shape, calendar anchors, alert policy and
+        # model of this config; the worker reads horizons and start_day.
+        config = FleetConfig(
+            ingestor.n_sectors, ingestor.n_kpis, str(self.engine.registry.root),
+            model=self.engine.default_model,
+            start_weekday=ingestor.start_weekday,
+            start_hour=ingestor.start_hour,
+            start_day_of_month=ingestor.start_day_of_month,
+            **asdict(service.config),
         )
-        self._worker.day_hooks = service.day_hooks
-        #: Optional per-hour event tap: ``tap(hour, events)`` gets each
-        #: applied hour's final event list **before** its WAL append, so
-        #: every hour the WAL acknowledges already has its events in the
-        #: gateway's journal (DESIGN.md 3j).  A crash before the append
-        #: re-sends the tick, so the tap must be idempotent per hour.
-        self.event_tap = None
-
-    @property
-    def telemetry(self) -> ServeTelemetry:
-        return self.service.telemetry
+        plan = PartitionPlan.compute(ingestor.n_sectors, 1)
+        worker = ShardWorker(
+            0, plan.sectors_of(0), config, ingestor, self.engine, checkpoint, self.dark
+        )
+        worker.day_hooks = service.day_hooks
+        super().__init__(None, plan, config, LocalBackend(worker))
 
     @property
     def ingestor(self):
         return self.engine.ingestor
 
-    @property
-    def clock(self) -> int:
-        """The next hour the service expects (``ingestor.hours_seen``)."""
-        return self.ingestor.hours_seen
-
-    # -------------------------------------------------------------- ticks
-    def submit_tick(
-        self,
-        values,
-        missing=None,
-        calendar_row=None,
-        hour: int | None = None,
-    ) -> list[dict]:
-        """Validate and (maybe) ingest one tick; returns all events.
-
-        Never raises on bad input: malformed/late/conflicting ticks are
-        quarantined, idempotent duplicates reconciled, short forward
-        gaps filled with all-missing hours.  An accepted tick is applied
-        as a one-hour block led by its gap fills, through the same
-        apply step as :meth:`submit_block`.  Returned events mix the
-        wrapped service's day/alert events with resilience events.
-        """
-        verdict, events = admit_tick(
-            self.validator,
-            self.dead_letters,
-            self.telemetry,
-            values,
-            missing,
-            calendar_row,
-            hour=hour,
-            clock=self.clock,
-            ring_payload=self._worker.ring_payload,
-        )
-        if verdict.action == ACCEPT:
-            events = self._apply(
-                *accepted_block(verdict, self.clock, self.ingestor._default_calendar_row)
-            )
-        return events
+    # The span tracer of the end-to-end benchmark wraps methods defined
+    # on this class, so it pins these two delegations until stage
+    # timing lives in the runtime (ROADMAP item 1).
+    def submit_tick(self, values, missing=None, calendar_row=None, hour=None) -> list[dict]:
+        return super().submit_tick(values, missing, calendar_row, hour=hour)
 
     def submit_block(
-        self,
-        values,
-        missing=None,
-        calendar_rows=None,
-        first_hour: int | None = None,
+        self, values, missing=None, calendar_rows=None, first_hour=None
     ) -> list[dict]:
-        """Validate and ingest a micro-batch of consecutive hours.
+        return super().submit_block(values, missing, calendar_rows, first_hour=first_hour)
 
-        A block of plain accepts is applied in one call — columnar
-        ingest, one batched WAL flush and dark masking per day chunk —
-        with the event stream of the per-hour driver; any quarantine,
-        duplicate, or gap replays the block through :meth:`submit_tick`
-        (:func:`~repro.resilience.validate.admit_block`).  *first_hour*
-        is the declared hour of column 0 (``None`` trusts arrival
-        order).
-        """
-        return admit_block(
-            self.validator,
-            values,
-            missing,
-            calendar_rows,
-            first_hour,
-            clock=self.clock,
-            default_row=self.ingestor._default_calendar_row,
-            submit_tick=self.submit_tick,
-            apply=self._apply,
-        )
-
-    def run_jsonl(self, lines, out) -> int:
-        """JSONL driver (:func:`~repro.serve.service.run_jsonl`): every
-        ``tick`` goes through :meth:`submit_tick` and may declare its
-        ``"hour"``."""
-        return run_jsonl(lines, out, self.engine, self.submit_tick)
-
-    def _apply(self, values, missing, calendar_rows, gap_hours: int) -> list[dict]:
-        """Apply → release (tap) → journal → acknowledge accepted hours.
-
-        The block starts at the clock with *gap_hours* gap fills and
-        goes to the worker in day-aligned chunks; each chunk's
-        responses are released between its apply and its WAL append.  A
-        crash before the append leaves the chunk out of the journal, so
-        recovery re-processes it and its events are re-emitted rather
-        than silently lost — journaling *before* release would
-        acknowledge hours whose alerts nobody ever saw.
-        """
-        clock = self.clock
-        gap_end = clock + gap_hours
-        events: list[dict] = []
-
-        def release(first_hour: int, responses: list[dict]) -> None:
-            events.extend(
-                self._release_hours(
-                    first_hour, [responses], self._plan, self.service.config,
-                    self.engine.default_model, self.telemetry,
-                    gap_end=gap_end, tap=self.event_tap,
-                )
-            )
-
-        self._worker.submit_block(
-            clock, values, missing, calendar_rows, release=release
-        )
-        return events
-
-    # -------------------------------------------------------------- stats
     def stats(self) -> dict:
         snapshot = self.service.stats()
         snapshot["resilience"] = {
@@ -222,7 +117,3 @@ class ResilientHotSpotService:
         if self.checkpoint is not None:
             snapshot["resilience"]["checkpoint"] = self.checkpoint.stats()
         return snapshot
-
-    def close(self) -> None:
-        """Close the checkpoint's journal, if any; idempotent."""
-        self._worker.close()

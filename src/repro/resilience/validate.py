@@ -19,14 +19,12 @@ step with exactly this).  This module is the contract's gatekeeper:
   hours and flags sectors whose run exceeds the Sec. II-C threshold
   (half a week by default, mirroring the 50 %-missing-per-week sector
   filter) so downstream forecasts and alerts can mask them;
-* :func:`admit_tick`, :func:`admit_block` and :func:`accepted_block`
-  are the one admission front both serving stacks share — the guarded
-  single engine (:mod:`repro.resilience.guard`) and the fleet
-  coordinator (:mod:`repro.fleet.coordinator`): validate, quarantine or
-  reconcile a tick, check a block in one array pass and fall back to
-  per-tick, turn an accepted tick (gap fills included) into a block;
-  :func:`mask_dark_alerts` strips dark sectors from alerts in their
-  shared release step.
+* :func:`admit_block` and :func:`accepted_block` serve the one
+  admission front, :class:`~repro.fleet.coordinator.FleetCoordinator`
+  (the guarded single engine is its one-shard case): check a block in
+  one array pass and fall back to per-tick, turn an accepted tick (gap
+  fills included) into a block; :func:`mask_dark_alerts` strips dark
+  sectors from alerts in its release step.
 
 Validation never mutates ingestor state; the callers act on the
 verdict.
@@ -53,7 +51,6 @@ __all__ = [
     "DarkSectorTracker",
     "accepted_block",
     "admit_block",
-    "admit_tick",
     "mask_dark_alerts",
 ]
 
@@ -483,46 +480,8 @@ class DarkSectorTracker:
 
 
 # --------------------------------------------------------------------------
-# admission: the shared front of the guarded service and the fleet
+# admission helpers of the serving front
 # --------------------------------------------------------------------------
-def admit_tick(
-    validator: TickValidator,
-    dead_letters: DeadLetterQueue,
-    telemetry,
-    values,
-    missing=None,
-    calendar_row=None,
-    *,
-    hour: int | None,
-    clock: int,
-    ring_payload,
-) -> tuple[TickVerdict, list[dict]]:
-    """Validate one tick, then quarantine or reconcile it.
-
-    Returns the verdict and the events it releases: a ``quarantine``
-    event (its record pushed to *dead_letters*) or a ``duplicate``
-    event.  An accepted tick releases nothing here — the caller applies
-    it (:func:`accepted_block`) and returns the apply step's events.
-    """
-    verdict = validator.validate(
-        values, missing, calendar_row, hour=hour, clock=clock, ring_payload=ring_payload
-    )
-    if verdict.action == QUARANTINE:
-        telemetry.inc("ticks_quarantined")
-        record = dead_letters.push(
-            verdict.reason, hour=verdict.declared_hour, detail=verdict.detail
-        )
-        return verdict, [telemetry.event("quarantine", **record)]
-    if verdict.action == RECONCILE:
-        telemetry.inc("ticks_reconciled")
-        return verdict, [
-            telemetry.event(
-                "duplicate", hour=verdict.declared_hour, detail=verdict.detail
-            )
-        ]
-    return verdict, []
-
-
 def admit_block(
     validator: TickValidator,
     values,

@@ -9,10 +9,9 @@ batch pipeline computes is maintained incrementally.
 batch pipeline *bitwise*:
 
 * hourly scores equal :func:`repro.core.scoring.hourly_score` because
-  the per-tick computation applies the identical thresholding, and with
-  integral weights (the defaults) every order of the weighted sum is
-  exact; other weights reduce the same KPI axis, which matches where
-  both sides reduce it contiguously;
+  both apply the identical thresholding and the one weighted sum
+  :func:`repro.core.scoring.weighted_sum`, whose bits do not depend on
+  the arrays' memory layout;
 * daily/weekly scores equal :func:`repro.core.scoring.integrate_score`
   because each completed period is averaged from a contiguous 24- or
   168-element accumulator — the same reduction the batch reshape-mean
@@ -57,7 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.scoring import ScoreConfig
+from repro.core.scoring import ScoreConfig, weighted_sum
 from repro.data.dataset import Dataset
 from repro.data.tensor import HOURS_PER_DAY, HOURS_PER_WEEK
 
@@ -210,17 +209,9 @@ class StreamIngestor:
         self.start_weekday = start_weekday
         self.start_hour = start_hour
         self.start_day_of_month = start_day_of_month
-        self._weights = np.asarray(config.weights, dtype=np.float64)
         self._thresholds = np.asarray(config.thresholds, dtype=np.float64)
         self._weight_sum = config.weight_sum
         self._threshold = config.hotspot_threshold
-        # Integral weights make every partial sum of Eq. 1 an exact
-        # float64 integer, so any summation order (a BLAS dot product
-        # included) gives the bits of the batch pipeline's sum.
-        self._exact_weights = (
-            all(float(w).is_integer() for w in config.weights)
-            and self._weight_sum < 2.0**53
-        )
 
         n, cap, l = n_sectors, self.capacity, n_kpis
         # Ring-buffered hourly state (slot = hour % capacity).  The Eq. 5
@@ -421,17 +412,10 @@ class StreamIngestor:
                 [self._default_calendar_row(h) for h in range(first, first + n_hours)]
             )
 
-        # Eq. 1 over the whole block: an exact dot product for integral
-        # weights (see _exact_weights), else the batch pipeline's
-        # KPI-axis sum.
+        # Eq. 1 over the whole block, in the batch pipeline's bits.
         tripped = values > self._thresholds
         tripped &= ~missing
-        if self._exact_weights:
-            weighted = np.dot(tripped.reshape(-1, n_kpis), self._weights)
-            weighted = weighted.reshape(self.n_sectors, n_hours)
-        else:
-            weighted = (tripped * self._weights).sum(axis=2)
-        score = weighted / self._weight_sum
+        score = weighted_sum(tripped, self.config) / self._weight_sum
 
         features = self._features
         features[:, ring, :n_kpis] = values

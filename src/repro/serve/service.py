@@ -210,7 +210,7 @@ def run_jsonl(
     target,
     tick_handler: "Callable[..., list[dict]]",
 ) -> int:
-    """The JSONL serving protocol of the guarded service and the fleet.
+    """The JSONL serving protocol of the serving front.
 
     *target* answers the read operations: it exposes ``predict(horizon,
     model=, window=)``, ``t_day``, ``stats()`` and ``telemetry`` (a

@@ -173,24 +173,25 @@ class TestDefaultCalendar:
         "weights,exact",
         [
             (None, True),  # the calibrated, integral defaults: a dot product
-            (tuple(0.1 * (k + 1) for k in range(21)), False),  # pairwise sum
+            (tuple(0.1 * (k + 1) for k in range(21)), False),  # in KPI order
         ],
     )
     def test_eq1_paths_match_batch_bytes(self, scored_dataset, weights, exact):
         """Both Eq. 1 reductions give ``hourly_score``'s bytes, in any
         block size; integral weights take the order-free dot product.
-        The tensor is C-contiguous here: with non-integral weights the
-        pairwise KPI-axis sum holds only over a contiguous axis."""
+        The imputed tensor is hour-fastest, not C-contiguous, and goes in
+        as is: the weighted sum's bits do not depend on the layout."""
         config = ScoreConfig() if weights is None else ScoreConfig(weights=weights)
         hours = 384
-        values = np.ascontiguousarray(scored_dataset.kpis.values[:, :hours, :])
-        missing = np.ascontiguousarray(scored_dataset.kpis.missing[:, :hours, :])
+        values = scored_dataset.kpis.values[:, :hours, :]
+        missing = scored_dataset.kpis.missing[:, :hours, :]
+        assert not values.flags.c_contiguous
         expected = hourly_score(KPITensor(values, missing), config)
         for block in (1, 24, hours):
             ingestor = StreamIngestor.for_dataset(
                 scored_dataset, score_config=config, w_max=21
             )
-            assert ingestor._exact_weights is exact
+            assert config.integral_weights is exact
             for start in range(0, hours, block):
                 stop = start + block
                 ingestor.ingest_block(
