@@ -22,10 +22,11 @@ A front has one of two commit orders:
   restartable host process per shard).  A block is acknowledged (its
   events returned, ``watermark.json`` advanced) only after every shard
   has applied *and journaled* it.  A crash anywhere leaves either no
-  shard or every shard at or past the watermark, which is what
-  :func:`repro.fleet.recovery.recover_fleet` relies on to resume to a
-  bitwise-identical continuation.  A host that cannot fork degrades to
-  serial with the same merged stream.
+  shard or every shard at or past the watermark.
+  :func:`repro.fleet.recovery.recover_fleet` rewinds every shard to the
+  watermark and the coordinator re-drives the unacknowledged hours,
+  which re-apply to a bitwise-identical continuation.  A host that
+  cannot fork degrades to serial with the same merged stream.
 """
 
 from __future__ import annotations
@@ -284,9 +285,8 @@ class FleetCoordinator:
         commits it.  Shard backends get the block in ``block_capacity``
         slices and the watermark advances once, after the whole block.
         Every slice carries the acknowledged boundary — the clock at
-        entry — so the shards keep every non-trivial response since it:
-        a crash anywhere in the block re-drives from that boundary and
-        the shards re-emit what they already journaled.
+        entry — which a crash anywhere in the block rewinds the shards
+        to, so their snapshots keep one at or below it.
         """
         released = self.clock
         events: list[dict] = []
@@ -365,11 +365,11 @@ class FleetCoordinator:
         """JSONL driver (:func:`repro.serve.service.run_jsonl`).
 
         ``tick`` goes through :meth:`submit_tick` and may declare its
-        ``"hour"``.  ``predict`` and ``stats`` answer from the merged
-        fleet, or in process from the worker's engine.
+        ``"hour"``.  ``predict``, ``stats`` and ``t_day`` answer from
+        this front for every backend (one shard owns ``arange(n)``, so
+        in process the scattered scores are the engine's).
         """
-        reads = self if self._local is None else self._local.engine
-        return run_jsonl(lines, out, reads, self.submit_tick)
+        return run_jsonl(lines, out, self, self.submit_tick)
 
     # -------------------------------------------------------------- stats
     def stats(self) -> dict:
@@ -490,15 +490,17 @@ def build_fleet(
     directory: str | Path,
     config: FleetConfig,
     n_shards: int,
-    resume: bool = False,
     plan: PartitionPlan | None = None,
-    clock: int | None = None,
+    resume_at: int | None = None,
     supervise=None,
     chaos=None,
     on_event=None,
 ) -> FleetCoordinator:
-    """Construct a fresh fleet (use :func:`~repro.fleet.recovery
-    .recover_fleet` to resume one — it computes the plan and clock).
+    """Construct a fresh fleet, or resume one at the clock *resume_at*.
+
+    Use :func:`~repro.fleet.recovery.recover_fleet` to resume a fleet:
+    it computes the plan and the clock, and every shard is rewound to
+    that clock (:func:`~repro.fleet.worker.build_worker`).
 
     ``supervise`` (a :class:`~repro.fleet.supervisor.SupervisorConfig`)
     selects the self-healing one-process-per-shard backend; ``chaos``
@@ -511,7 +513,7 @@ def build_fleet(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if plan is None:
-        if resume:
+        if resume_at is not None:
             plan = PartitionPlan.load(directory)
         else:
             plan = PartitionPlan.compute(config.n_sectors, n_shards)
@@ -522,20 +524,18 @@ def build_fleet(
 
         try:
             backend = FleetSupervisor(
-                directory, plan, config, resume,
+                directory, plan, config, resume_at,
                 supervise=supervise, chaos=chaos, on_event=on_event,
             )
         except PoolUnavailable:
             backend = None
     if backend is None:
         backend = SerialBackend([
-            build_worker(directory, plan, shard, config, resume=resume)
+            build_worker(directory, plan, shard, config, resume_at=resume_at)
             for shard in range(plan.n_shards)
         ])
-    if clock is None:
-        clock = recovered_clock(directory, backend.shard_hours()) if resume else 0
     coordinator = FleetCoordinator(
-        directory, plan, config, backend, clock=clock
+        directory, plan, config, backend, clock=resume_at or 0
     )
     if hasattr(backend, "bind"):
         backend.bind(coordinator)
@@ -551,11 +551,11 @@ def recovered_clock(directory: str | Path, shard_hours: list[int]) -> int:
     consumer, everything in ``[w, m)`` was journaled by (some or all)
     shards but never acknowledged — a per-tick crash leaves that window
     at most one tick plus its gap fills wide, a mid-block crash up to a
-    block wide — and
-    re-driving it makes shards re-emit their persisted responses
-    (at-most-once with respect to the watermark, exactly once with
-    respect to the WALs).  ``w`` can never validly exceed ``m``;
-    clamping guards against a hand-edited watermark.
+    block wide.  Every shard is rewound to ``w`` and the window is
+    re-driven and re-applied (at-most-once with respect to the
+    watermark, exactly once with respect to the WALs).  ``w`` can never
+    validly exceed ``m``; clamping guards against a hand-edited
+    watermark.
     """
     m = min(shard_hours)
     path = Path(directory) / WATERMARK_NAME

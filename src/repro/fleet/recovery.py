@@ -1,20 +1,26 @@
 """Fleet-wide crash recovery, including reshard (shard-count changes).
 
-:func:`recover_fleet` is the one entry point: given the fleet directory
-and its config it reloads the persisted partition plan, rebuilds every
-shard worker from its own snapshot + WAL, computes the resume clock
-from the watermark protocol (:func:`~repro.fleet.coordinator
-.recovered_clock`), and returns a coordinator whose continued merged
-stream is bitwise identical to the uninterrupted run — no matter which
-worker or the coordinator was killed, at any point.
+:func:`recover_fleet` is the one entry point.  Given the fleet
+directory and its config it reloads the persisted partition plan and
+computes the resume clock from the watermark protocol
+(:func:`~repro.fleet.coordinator.recovered_clock` over each shard's
+:func:`journal_clock`).  Every shard then resumes at that clock: it is
+recovered from its own snapshot + WAL bounded to the clock, and its
+checkpoint directory is rewound there
+(:func:`~repro.fleet.worker.build_worker`).  The coordinator re-drives
+the hours past the clock, which re-apply bitwise, so the continued
+merged stream is identical to the uninterrupted run — no matter which
+worker or the coordinator was killed, at any point.  Snapshot
+retention keeps the newest snapshot at or below the acknowledged hour
+while a block is in flight, so that bound is always reachable.
 
 When the requested shard count differs from the persisted plan,
 :func:`reshard` re-partitions first:
 
-1. every old-generation shard is recovered *bounded* to the fleet clock
-   (``CheckpointManager.recover(..., up_to_hour=clock)``), so shards
-   that had journaled an in-flight hour the fleet never acknowledged
-   all land on the same state;
+1. every old-generation shard is recovered bounded to the same fleet
+   clock (read-only: :func:`~repro.fleet.worker.recover_shard`), so
+   shards that had journaled an in-flight hour the fleet never
+   acknowledged all land on the same state;
 2. the shards' ingestor states are gathered row-wise into one global
    state (every per-sector array has the sector on axis 0; the calendar
    ring and the meta are shard-independent, taken from shard 0);
@@ -26,6 +32,12 @@ When the requested shard count differs from the persisted plan,
    before it leaves the old plan in force and the reshard simply
    re-runs; a crash after it finds complete new-generation checkpoints.
    Only then is the old generation pruned (best effort).
+
+Compatibility: shards keep no response store; the store file an older
+version left in a shard directory is ignored.  A directory that stopped cleanly (every shard at the
+watermark) resumes under either version, but a crashed one written by
+this version cannot be resumed by an older one, which would re-emit
+trivial responses for the unacknowledged hours.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from repro.fleet.coordinator import (
     recovered_clock,
 )
 from repro.fleet.partition import PartitionPlan
-from repro.fleet.worker import FleetConfig
+from repro.fleet.worker import FleetConfig, recover_shard
 from repro.resilience.checkpoint import (
     CheckpointManager,
     journal_records,
@@ -62,9 +74,8 @@ def journal_clock(directory: str | Path) -> int:
     journal records on top of it — exactly the ``hours_seen`` a
     :meth:`CheckpointManager.recover` of the directory would restore.
     The snapshot loader and the journal run are the ones ``recover``
-    uses; the run is counted, not replayed.  The fleet supervisor uses
-    it to find where a dead shard's durable state ends, so degraded-mode
-    spooling appends precisely the hours the shard is missing.
+    uses; the run is counted, not replayed.  :func:`recover_fleet`
+    takes the resume clock from it before any shard is recovered.
     """
     snapshot = load_newest_snapshot(directory)
     clock = 0 if snapshot is None else snapshot.hours_seen
@@ -92,7 +103,8 @@ def recover_fleet(
     if target != plan.n_shards:
         plan = reshard(directory, config, plan, target)
     return build_fleet(
-        directory, config, plan.n_shards, resume=True, plan=plan,
+        directory, config, plan.n_shards, plan=plan,
+        resume_at=_resume_clock(directory, plan),
         supervise=supervise, chaos=chaos, on_event=on_event,
     )
 
@@ -104,21 +116,16 @@ def reshard(
     n_shards: int,
 ) -> PartitionPlan:
     """Re-partition the fleet's persisted state onto *n_shards* shards."""
-    ingestors = _recover_old_shards(directory, old_plan)
-    clock = recovered_clock(directory, [i.hours_seen for i in ingestors])
-    for shard, ingestor in enumerate(ingestors):
-        if ingestor.hours_seen != clock:
-            bounded = CheckpointManager.recover(
-                directory / old_plan.shard_dir(shard), up_to_hour=clock
+    clock = _resume_clock(directory, old_plan)
+    ingestors = []
+    for shard in range(old_plan.n_shards):
+        ingestor = recover_shard(directory, old_plan, shard, clock)
+        if ingestor is None:
+            raise FileNotFoundError(
+                f"no checkpoint state for shard {shard} under "
+                f"{directory / old_plan.shard_dir(shard)}"
             )
-            if bounded.ingestor is None or bounded.ingestor.hours_seen != clock:
-                raise RuntimeError(
-                    f"shard {shard} cannot be recovered to fleet clock {clock} "
-                    f"(journal covers "
-                    f"{0 if bounded.ingestor is None else bounded.ingestor.hours_seen} "
-                    "hours)"
-                )
-            ingestors[shard] = bounded.ingestor
+        ingestors.append(ingestor)
     meta, global_arrays = _gather(old_plan, ingestors)
     new_plan = PartitionPlan.compute(
         old_plan.n_sectors, n_shards, generation=old_plan.generation + 1
@@ -151,19 +158,12 @@ def reshard(
     return new_plan
 
 
-def _recover_old_shards(
-    directory: Path, plan: PartitionPlan
-) -> list[StreamIngestor]:
-    ingestors: list[StreamIngestor] = []
-    for shard in range(plan.n_shards):
-        recovered = CheckpointManager.recover(directory / plan.shard_dir(shard))
-        if recovered.ingestor is None:
-            raise FileNotFoundError(
-                f"no checkpoint state for shard {shard} under "
-                f"{directory / plan.shard_dir(shard)}"
-            )
-        ingestors.append(recovered.ingestor)
-    return ingestors
+def _resume_clock(directory: Path, plan: PartitionPlan) -> int:
+    """The fleet clock every shard of *plan* resumes at."""
+    return recovered_clock(directory, [
+        journal_clock(directory / plan.shard_dir(shard))
+        for shard in range(plan.n_shards)
+    ])
 
 
 def _gather(

@@ -32,14 +32,15 @@ shard finished first.  The liveness rules for one reply:
   immediately — no patience windows.
 
 Dead workers go through **restart-with-recovery**: respawn the host
-with ``resume=True`` (snapshot + WAL replay via
-:func:`~repro.fleet.worker.build_worker`), then re-send the in-flight
-request unchanged.  The worker's apply → persist → journal seams
-guarantee the re-driven request returns a bitwise-identical response
-(hours already journaled re-emit their persisted responses), so a
-within-budget recovery is invisible in the merged stream — restart
-bookkeeping is reported *out of stream* (telemetry + ``on_event``), not
-as JSONL events.
+resumed at the coordinator's clock, which is the in-flight request's
+first hour (snapshot + WAL replay bounded to it, and the shard
+directory rewound there, via :func:`~repro.fleet.worker.build_worker`),
+then re-send the request unchanged.  Hours the dead worker journaled
+are re-applied, and responses are deterministic functions of the
+journaled ticks, so the re-driven request returns a bitwise-identical
+response and a within-budget recovery is invisible in the merged
+stream — restart bookkeeping is reported *out of stream* (telemetry +
+``on_event``), not as JSONL events.
 
 Two conditions end the restart loop:
 
@@ -52,7 +53,8 @@ Two conditions end the restart loop:
   counter resets on any successful response) put the shard in
   **degraded mode** — an in-stream ``shard_degraded`` event fires, and
   until a restart succeeds the supervisor serves the shard itself:
-  ticks are *spooled* into the shard's own WAL (so full-fleet recovery
+  the shard directory is rewound to the fleet clock and ticks are
+  *spooled* into the shard's own WAL from there (so full-fleet recovery
   and a later rejoin see an unbroken journal), score fragments come
   from the shared degradation ladder
   (:func:`~repro.resilience.degrade.fallback_scores`: last good
@@ -76,14 +78,7 @@ import numpy as np
 from repro.data.store import write_json_atomic
 from repro.data.tensor import HOURS_PER_DAY
 from repro.fleet.partition import PartitionPlan
-from repro.fleet.recovery import journal_clock
-from repro.fleet.worker import (
-    EVENTS_NAME,
-    FleetConfig,
-    ShardWorker,
-    build_worker,
-    load_responses,
-)
+from repro.fleet.worker import FleetConfig, ShardWorker, build_worker
 from repro.parallel.pool import PoolUnavailable
 from repro.resilience.chaos import (
     ProcessChaos,
@@ -144,14 +139,15 @@ class SupervisorConfig:
             )
 
 
-def _shard_host_main(conn, directory, plan, config, shard_id, resume, chaos):
+def _shard_host_main(conn, directory, plan, config, shard_id, resume_at, chaos):
     """Supervised child: host exactly one shard worker over a pipe.
 
     Payload arrays arrive *in* the request (no shared memory), so the
-    parent can replay a request verbatim after respawning this process.
+    parent can replay a request verbatim after respawning this process
+    resumed at the fleet clock *resume_at*.
     """
     try:
-        worker = build_worker(Path(directory), plan, shard_id, config, resume=resume)
+        worker = build_worker(Path(directory), plan, shard_id, config, resume_at=resume_at)
         if chaos is not None:
             install_process_faults(worker, chaos)
         conn.send(("hello", worker.ingestor.hours_seen))
@@ -220,7 +216,6 @@ class _ShardHost:
         self.last_good: dict[str, list[float]] = {}  # horizon -> fragment
         self.pending: list[dict] = []  # in-stream events awaiting a response
         self.spool: CheckpointManager | None = None
-        self.spool_clock: int | None = None  # durable journal hour count
         self.wal_corrupted = False  # chaos tail corruption already applied
 
 
@@ -278,7 +273,7 @@ class FleetSupervisor:
         directory: str | Path,
         plan: PartitionPlan,
         config: FleetConfig,
-        resume: bool,
+        resume_at: int | None,
         supervise: SupervisorConfig | None = None,
         chaos: ProcessChaos | None = None,
         on_event=None,
@@ -308,7 +303,7 @@ class FleetSupervisor:
         ]
         try:
             for host in self.hosts:
-                self._spawn(host, resume)
+                self._spawn(host, resume_at)
             for host in self.hosts:
                 reply = self._await(host)
                 if reply is None or reply[0] != "hello":
@@ -352,17 +347,17 @@ class FleetSupervisor:
             if payload is None
             else self._success(host, payload)
             for (host, payload), request in zip(
-                self._round(requests, rejoin_hour=first_hour), requests
+                self._round(requests, rejoin=True), requests
             )
         ]
 
     # ------------------------------------------------------- liveness core
-    def _round(self, requests, rejoin_hour=None, tolerate_errors=False):
+    def _round(self, requests, rejoin=False, tolerate_errors=False):
         """One request round over every shard: send all, then gather.
 
         *requests* holds one request tuple per shard.  **Send:** each
         live shard gets its request in shard order; a degraded shard is
-        skipped, or, given *rejoin_hour*, first attempts its rejoin.
+        skipped, or, with *rejoin*, first attempts its rejoin.
         **Gather:** yields ``(host, payload)`` in shard order, each reply
         supervised by :meth:`_collect`; *payload* is ``None`` for a
         skipped or degraded shard.  The caller's per-shard work runs
@@ -376,12 +371,9 @@ class FleetSupervisor:
         delivered = []  # per shard: None when skipped, else whether sent
         for host, request in zip(self.hosts, requests):
             # A rejoin runs before the block is spooled: a respawn that
-            # recovers through the spooled WAL to exactly *rejoin_hour*
-            # then serves the request live.
-            live = not host.degraded or (
-                rejoin_hour is not None
-                and self._respawn(host, expect_hours=rejoin_hour)
-            )
+            # recovers through the spooled WAL to the fleet clock, the
+            # block's first hour, then serves the request live.
+            live = not host.degraded or (rejoin and self._respawn(host))
             delivered.append(self._send(host, request) if live else None)
         error = None
         for host, request, sent in zip(self.hosts, requests, delivered):
@@ -555,8 +547,14 @@ class FleetSupervisor:
             )
         self._write_state()
 
-    def _respawn(self, host, expect_hours: int | None = None) -> bool:
-        """Respawn *host* with recovery; ``True`` when it comes up clean."""
+    def _respawn(self, host) -> bool:
+        """Respawn *host* resumed at the fleet clock; ``True`` when it comes up.
+
+        The fleet clock is the coordinator's: the in-flight block's
+        first hour.  A shard whose journal does not reach it (a spool
+        cut short, a corrupt tail) fails in ``build_worker``.
+        """
+        clock = self._coordinator.clock
         self._reap(host)
         self._close_spool(host)
         if (
@@ -576,23 +574,21 @@ class FleetSupervisor:
                 )
             host.wal_corrupted = True
         try:
-            self._spawn(host, resume=True)
+            self._spawn(host, clock)
         except OSError:
             return False
         reply = self._await(host)
         if reply is None or reply[0] != "hello":
+            if host.degraded and reply is not None:
+                self._event(
+                    "rejoin_failed",
+                    shard=host.shard_id,
+                    expected_hours=clock,
+                    detail=reply[1],
+                )
             self._reap(host)
             return False
         hours = int(reply[1])
-        if expect_hours is not None and hours != expect_hours:
-            self._event(
-                "rejoin_failed",
-                shard=host.shard_id,
-                recovered_hours=hours,
-                expected_hours=expect_hours,
-            )
-            self._reap(host)
-            return False
         host.hours = hours
         host.restarts += 1
         self.telemetry.inc("worker_restarts")
@@ -622,7 +618,6 @@ class FleetSupervisor:
             self.telemetry.observe("shard_degraded_window", elapsed)
             host.degraded = False
             host.degraded_since = None
-            host.spool_clock = None
             host.pending.append(
                 self._event(
                     "shard_recovered",
@@ -643,50 +638,28 @@ class FleetSupervisor:
 
     # ------------------------------------------------------- degraded mode
     def _degraded_block(self, host, first_hour, values, missing, calendar_rows):
-        self._ensure_spool(host)
-        n_hours = int(values.shape[1])
-        # Hours the dying worker journaled (post-journal crash) have
-        # their true responses persisted — re-emit them, bitwise.  The
-        # rest are spooled into the shard's WAL and synthesised.
-        journaled = min(max(host.spool_clock - first_hour, 0), n_hours)
-        stored = load_responses(self._shard_dir(host) / EVENTS_NAME) if journaled else {}
-        responses = [
-            stored.get(hour) or ShardWorker._trivial_response(hour)
-            for hour in range(first_hour, first_hour + journaled)
-        ]
-        if journaled < n_hours:
-            host.spool.record_block(
-                first_hour + journaled,
-                values[:, journaled:, :],
-                missing[:, journaled:, :],
-                calendar_rows[journaled:],
-            )
-            host.spool_clock = first_hour + n_hours
-            self.telemetry.inc("spooled_ticks", n_hours - journaled)
-            responses += [
-                self._synthesize(host, first_hour + j)
-                for j in range(journaled, n_hours)
-            ]
-        return self._attach(host, responses)
-
-    def _ensure_spool(self, host) -> None:
         if host.spool is None:
-            # Opening the manager reopens the newest WAL segment, which
-            # truncates any torn tail the dead writer left — then the
-            # durable clock is exact.
+            # The slice starts at the fleet clock; cut back whatever of
+            # it the dying worker journaled, then spool from there (the
+            # reopened segment loses any torn tail too).
+            CheckpointManager.rewind(self._shard_dir(host), first_hour)
             host.spool = CheckpointManager(
                 self._shard_dir(host),
                 host.n_local,
                 self.config.n_kpis,
                 snapshot_every=self.config.snapshot_every,
             )
-            host.spool_clock = journal_clock(self._shard_dir(host))
+        host.spool.record_block(first_hour, values, missing, calendar_rows)
+        n_hours = int(values.shape[1])
+        self.telemetry.inc("spooled_ticks", n_hours)
+        return self._attach(host, [
+            self._synthesize(host, first_hour + j) for j in range(n_hours)
+        ])
 
     def _close_spool(self, host) -> None:
         if host.spool is not None:
             host.spool.close()
             host.spool = None
-        host.spool_clock = None
 
     def _synthesize(self, host, hour: int) -> dict:
         """Degraded-shard response: fallback fragments, all-dark mask."""
@@ -787,7 +760,7 @@ class FleetSupervisor:
         return total
 
     # ------------------------------------------------------------ plumbing
-    def _spawn(self, host, resume: bool) -> None:
+    def _spawn(self, host, resume_at: int | None) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_host_main,
@@ -797,7 +770,7 @@ class FleetSupervisor:
                 self.plan,
                 self.config,
                 host.shard_id,
-                resume,
+                resume_at,
                 self.chaos,
             ),
             daemon=True,

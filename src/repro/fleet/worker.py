@@ -24,33 +24,34 @@ block — (apply → journal → acknowledge):
 2. apply — engine ingest, fragment computation, day hooks (the guard's
    lifecycle controller commits ``lifecycle.json`` first, DESIGN.md 3e),
    dark-tracker update;
-3. hand the chunk on.  A shard persists its non-trivial responses into
-   ``last_events.json`` (atomic; the empty ⇔ not-persisted invariant;
-   the file holds every non-trivial response since the coordinator's
-   acknowledged boundary, so mid-block crashes re-emit faithfully).
-   The in-process worker of the guarded front
-   (:class:`~repro.fleet.coordinator.LocalBackend`) persists nothing
-   and releases the chunk's events instead;
+3. the in-process worker of the guarded front
+   (:class:`~repro.fleet.coordinator.LocalBackend`) hands the chunk's
+   responses to the front's release; a shard returns them with the
+   block;
 4. journal the chunk into the WAL (one flushed append, the commit
-   point; a worker without a checkpoint skips it and step 1).
+   point; a worker without a checkpoint skips it and step 1).  A chunk
+   whose step 2 or 3 raises is journaled before the error propagates,
+   so the WAL stays level with the engine.
 
 A worker killed anywhere in that sequence recovers to a state from
-which re-driving the same hours yields the identical responses: before
-step 4 the chunk is simply re-applied; after step 4 a shard re-emits
-the persisted response (or reconstructs the trivial one) without
-touching state, and the in-process front resumes past the chunk.  :attr:`ShardWorker.kill_at` injects
-:class:`SimulatedKill` at the three seams for the kill-point suite.
+which re-driving the same hours yields the identical responses, since
+they are deterministic functions of the journaled ticks.  The
+in-process front resumes at its recovered clock.  A shard resumes at
+the *fleet* clock: :func:`build_worker` recovers it bounded to that
+hour and rewinds its checkpoint directory there, so hours the shard
+journaled but the coordinator never acknowledged are re-applied, and a
+block below the shard's clock is a :class:`FleetProtocolError`.
+:attr:`ShardWorker.kill_at` injects :class:`SimulatedKill` at the three
+seams for the kill-point suite.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.data.store import write_json_atomic
 from repro.data.tensor import HOURS_PER_DAY, HOURS_PER_WEEK
 from repro.fleet.partition import PartitionPlan
 from repro.resilience.checkpoint import CheckpointManager
@@ -60,18 +61,13 @@ from repro.serve.ingest import StreamIngestor
 from repro.serve.registry import ModelRegistry
 
 __all__ = [
-    "EVENTS_NAME",
     "FleetConfig",
     "FleetProtocolError",
     "ShardWorker",
     "SimulatedKill",
     "build_worker",
-    "load_responses",
+    "recover_shard",
 ]
-
-#: Per-shard file holding the non-trivial responses of the current
-#: unacknowledged window, keyed by hour (``{"hours": {hour: response}}``).
-EVENTS_NAME = "last_events.json"
 
 #: Hours a sector must be fully missing before it is considered dark
 #: (mirrors :class:`DarkSectorTracker`'s default; overridable per fleet
@@ -150,8 +146,6 @@ class ShardWorker:
         engine: ResilientPredictionEngine,
         checkpoint: CheckpointManager | None,
         dark: DarkSectorTracker,
-        events_path: Path | None = None,
-        responses: dict | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.sector_ids = np.asarray(sector_ids, dtype=np.int64)
@@ -173,8 +167,6 @@ class ShardWorker:
         #: ``hook(tick) -> events`` run on each completed day after its
         #: forecasts (the guarded front shares its service's hook list).
         self.day_hooks = []
-        self._events_path = events_path
-        self._responses: dict[int, dict] = dict(responses or {})
         #: ``(point, hour)`` → raise :class:`SimulatedKill` at that seam.
         self.kill_at: tuple | None = None
         #: Optional ``hook(point, hour)`` invoked at every crash seam
@@ -210,136 +202,89 @@ class ShardWorker:
         *calendar_rows* are concrete (the coordinator fills defaults, so
         every shard journals identical rows).  Returns one response dict
         per block column — the shard's only apply path; a single tick is
-        a one-hour block.  Score fragments and the dark mask are arrays
-        (lists once reloaded from the response store).  Hours below the
-        shard clock re-emit (the post-journal crash window covers whole
-        journaled chunks after a mid-block crash); the remainder is
-        applied in day-aligned chunks via the columnar engine ingest,
-        with the per-hour crash contract at chunk granularity: persist
-        every non-trivial response of the chunk, then journal the whole
-        chunk with one batched WAL flush.  A crash mid-chunk leaves
-        every hour of that chunk out of the journal, so the coordinator
-        re-drives the chunk from its first hour on resume.
+        a one-hour block.  Score fragments and the dark mask are arrays.
+        The block must start at the shard clock.  It is applied in
+        day-aligned chunks via the columnar engine ingest, with the
+        per-hour crash contract at chunk granularity: each chunk is
+        journaled with one batched WAL flush, so a crash mid-chunk
+        leaves every hour of that chunk out of the journal.
 
         *released_before* is the coordinator's acknowledged boundary
-        (its watermark at block entry): persisted responses at or past
-        it must survive this call's persists, because a crash anywhere
-        in the block re-drives from that boundary and every non-trivial
-        hour since then must re-emit faithfully — not collapse to the
-        trivial response.  When ``None`` (direct single-call use) the
-        block's own first hour is the boundary.
+        (its clock at block entry).  A crash anywhere in the block
+        rewinds the shard to it on resume, so snapshots keep the newest
+        one at or below it (:meth:`CheckpointManager.maybe_snapshot`).
 
-        *release*, when given, replaces the response store: each
-        applied chunk goes to ``release(first_hour, responses)`` before
-        its WAL append (the in-process front merges and taps there).
+        *release*, when given, receives each applied chunk as
+        ``release(first_hour, responses)`` before its WAL append (the
+        in-process front merges and taps there).
 
         Kill seams fire when the armed hour falls anywhere inside the
         chunk being processed — ``mid_apply`` before the chunk is
         applied, ``mid_journal``/``post_journal`` around its WAL append.
         """
-        keep_from = int(first_hour if released_before is None else released_before)
         first_hour = int(first_hour)
-        n_hours = int(values.shape[1])
         clock = self.ingestor.hours_seen
-        responses: list[dict] = []
-        start = 0
-        while start < n_hours and first_hour + start < clock:
-            responses.append(self._reemit(first_hour + start))
-            start += 1
-        if start == n_hours:
-            return responses
-        if first_hour + start != clock:
+        if first_hour != clock:
             raise FleetProtocolError(
                 f"shard {self.shard_id} at hour {clock} was driven with "
-                f"hour {first_hour + start}"
+                f"hour {first_hour}"
             )
+        n_hours = int(values.shape[1])
+        responses: list[dict] = []
+        start = 0
         while start < n_hours:
             hour0 = first_hour + start
-            to_boundary = HOURS_PER_DAY - hour0 % HOURS_PER_DAY
-            stop = min(start + to_boundary, n_hours)
-            if self.checkpoint is not None:
-                self.checkpoint.maybe_snapshot(self.ingestor)
-            self._maybe_kill_range("mid_apply", hour0, first_hour + stop)
-            ticks = self.engine.ingest_block(
-                values[:, start:stop, :],
-                missing[:, start:stop, :],
+            stop = min(start + HOURS_PER_DAY - hour0 % HOURS_PER_DAY, n_hours)
+            block = (
+                values[:, start:stop, :], missing[:, start:stop, :],
                 calendar_rows[start:stop],
             )
-            chunk: list[dict] = []
-            for j, tick in enumerate(ticks):
-                response = self._trivial_response(hour0 + j)
-                if tick.day_completed:
-                    labels = self.ingestor.labels_daily
-                    hot_local = np.flatnonzero(labels[:, tick.t_day] == 1)
-                    response["hot"] = self.sector_ids[hot_local].tolist()
-                    if tick.t_day >= self.config.start_day:
-                        for horizon in self.config.horizons:
-                            response["scores"][str(int(horizon))] = self.engine.predict(
-                                int(horizon)
-                            )
-                    response["lifecycle"] = [e for hook in self.day_hooks for e in hook(tick)]
-                response["dark_new"] = [
-                    [int(self.sector_ids[local]), self.dark.missing_run(int(local))]
-                    for local in self.dark.observe(missing[:, start + j, :])
-                ]
-                if tick.day_completed:
-                    response["dark_mask"] = self.dark.dark_mask
-                chunk.append(response)
-            if release is not None:
-                release(hour0, chunk)
-            else:
-                fresh = {
-                    hour0 + j: response
-                    for j, response in enumerate(chunk)
-                    if self._nontrivial(response)
-                }
-                if fresh:
-                    self._persist_responses(fresh, keep_from=keep_from)
-            self._maybe_kill_range("mid_journal", hour0, first_hour + stop)
             if self.checkpoint is not None:
-                self.checkpoint.record_block(
-                    hour0,
-                    values[:, start:stop, :],
-                    missing[:, start:stop, :],
-                    calendar_rows[start:stop],
-                )
+                self.checkpoint.maybe_snapshot(self.ingestor, retain=released_before)
+            self._maybe_kill_range("mid_apply", hour0, first_hour + stop)
+            ticks = self.engine.ingest_block(*block)
+            try:
+                chunk = []
+                for j, tick in enumerate(ticks):
+                    chunk.append(self._respond(tick, block[1][:, j, :]))
+                if release is not None:
+                    release(hour0, chunk)
+            except Exception:
+                # The engine applied the chunk and the front goes on
+                # serving past it, so the WAL must hold it too.
+                self._journal(hour0, block)
+                raise
+            self._maybe_kill_range("mid_journal", hour0, first_hour + stop)
+            self._journal(hour0, block)
             self._maybe_kill_range("post_journal", hour0, first_hour + stop)
             responses.extend(chunk)
             start = stop
         return responses
 
-    def _reemit(self, hour: int) -> dict:
-        """Response for an hour already journaled by this shard.
+    def _respond(self, tick, missing: np.ndarray) -> dict:
+        """The response for one applied hour (*missing*: its local mask)."""
+        response = self._trivial_response(tick.hour)
+        if tick.day_completed:
+            labels = self.ingestor.labels_daily
+            hot_local = np.flatnonzero(labels[:, tick.t_day] == 1)
+            response["hot"] = self.sector_ids[hot_local].tolist()
+            if tick.t_day >= self.config.start_day:
+                for horizon in self.config.horizons:
+                    response["scores"][str(int(horizon))] = self.engine.predict(
+                        int(horizon)
+                    )
+            response["lifecycle"] = [e for hook in self.day_hooks for e in hook(tick)]
+        response["dark_new"] = [
+            [int(self.sector_ids[local]), self.dark.missing_run(int(local))]
+            for local in self.dark.observe(missing)
+        ]
+        if tick.day_completed:
+            response["dark_mask"] = self.dark.dark_mask
+        return response
 
-        Non-trivial responses were persisted *before* the journal append
-        (the empty ⇔ not-persisted invariant), so a journaled hour with
-        no persisted record was trivial — reconstruct it.  The store
-        covers every hour since the coordinator's acknowledged boundary;
-        hours older than that only occur when the coordinator replays a
-        window the consumer already saw (at-most-once delivery,
-        DESIGN.md 3f), and re-emit as trivial.
-        """
-        persisted = self._responses.get(int(hour))
-        if persisted is not None:
-            return persisted
-        return self._trivial_response(hour)
-
-    def _persist_responses(self, fresh: dict, keep_from: int) -> None:
-        """Atomically persist non-trivial responses for the re-emit path.
-
-        The coordinator acknowledges nothing until its whole block
-        returns, so entries at or past *keep_from* — the acknowledged
-        boundary — survive later chunks' persists; older ones are
-        pruned.
-        """
-        store = {h: r for h, r in self._responses.items() if h >= int(keep_from)}
-        store.update({int(h): r for h, r in fresh.items()})
-        self._responses = store
-        if self._events_path is not None:
-            write_json_atomic(
-                self._events_path,
-                {"hours": {str(h): _jsonable(store[h]) for h in sorted(store)}},
-            )
+    def _journal(self, hour0: int, block: tuple) -> None:
+        if self.checkpoint is not None:
+            self.checkpoint.record_block(hour0, *block)
 
     @staticmethod
     def _trivial_response(hour: int) -> dict:
@@ -353,14 +298,6 @@ class ShardWorker:
             "dark_mask": [],
             "lifecycle": [],
         }
-
-    @staticmethod
-    def _nontrivial(response: dict) -> bool:
-        return bool(
-            response["day_completed"]
-            or response["dark_new"]
-            or response["lifecycle"]
-        )
 
     def _maybe_kill_range(self, point: str, lo: int, hi: int) -> None:
         """Kill seam: fire when the armed hour is in [lo, hi)."""
@@ -417,22 +354,24 @@ def build_worker(
     plan: PartitionPlan,
     shard_id: int,
     config: FleetConfig,
-    resume: bool = False,
+    resume_at: int | None = None,
 ) -> ShardWorker:
-    """Construct (or recover) the worker for *shard_id*.
+    """Construct the worker for *shard_id*, or resume it at *resume_at*.
 
-    With ``resume`` the shard's checkpoint directory is replayed
-    (snapshot + WAL), so the worker rebuilds its dark tracker from the
-    recovered ring (:meth:`DarkSectorTracker.backfill_from_ring`), and
-    the last persisted response is reloaded for the re-emit path.
+    *resume_at* is the fleet clock: the shard is recovered to exactly
+    that hour (:func:`recover_shard`) and its checkpoint directory is
+    rewound there (:meth:`CheckpointManager.rewind`), so the hours it
+    journaled past the clock are re-applied when the coordinator
+    re-drives them.  The worker rebuilds its dark tracker from the
+    recovered ring (:meth:`DarkSectorTracker.backfill_from_ring`).
     """
     shard_dir = Path(directory) / plan.shard_dir(shard_id)
     sector_ids = plan.sectors_of(shard_id)
     n_local = int(sector_ids.size)
     ingestor: StreamIngestor | None = None
-    if resume:
-        recovered = CheckpointManager.recover(shard_dir)
-        ingestor = recovered.ingestor
+    if resume_at is not None:
+        ingestor = recover_shard(directory, plan, shard_id, resume_at)
+        CheckpointManager.rewind(shard_dir, resume_at)
     if ingestor is None:
         ingestor = StreamIngestor(
             n_sectors=n_local,
@@ -455,8 +394,6 @@ def build_worker(
     dark = DarkSectorTracker(
         n_local, threshold_hours=config.dark_threshold_hours
     )
-    events_path = shard_dir / EVENTS_NAME
-    responses = load_responses(events_path) if resume else {}
     return ShardWorker(
         shard_id=shard_id,
         sector_ids=sector_ids,
@@ -465,32 +402,26 @@ def build_worker(
         engine=engine,
         checkpoint=checkpoint,
         dark=dark,
-        events_path=events_path,
-        responses=responses,
     )
 
 
-def load_responses(path: Path) -> dict[int, dict]:
-    """Hour → persisted response, read from a shard's response store.
+def recover_shard(
+    directory: str | Path, plan: PartitionPlan, shard_id: int, clock: int
+) -> StreamIngestor | None:
+    """Shard *shard_id*'s ingestor recovered to exactly the fleet *clock*.
 
-    ``{}`` when the store is absent.  The pre-block layout held a single
-    response (``{"hour": h, ...}``) and still reads.
+    Read-only: a recovery bounded to *clock* (``CheckpointManager
+    .recover(..., up_to_hour=clock)``).  ``None`` when the shard holds
+    nothing and the clock is 0; :class:`RuntimeError` when its snapshots
+    and journal do not reach the clock.
     """
-    if not path.exists():
-        return {}
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if "hours" in payload:
-        return {int(h): r for h, r in payload["hours"].items()}
-    if "hour" in payload:  # pre-block single-response layout
-        return {int(payload["hour"]): payload}
-    return {}
-
-
-def _jsonable(response: dict) -> dict:
-    """*response* with its score fragments and dark mask as JSON lists."""
-    return {
-        **response,
-        "scores": {h: np.asarray(s).tolist() for h, s in response["scores"].items()},
-        "dark_mask": np.asarray(response["dark_mask"]).tolist(),
-    }
-
+    recovered = CheckpointManager.recover(
+        Path(directory) / plan.shard_dir(shard_id), up_to_hour=clock
+    )
+    hours = 0 if recovered.ingestor is None else recovered.ingestor.hours_seen
+    if hours != clock:
+        raise RuntimeError(
+            f"shard {shard_id} cannot be recovered to fleet clock {clock} "
+            f"(journal covers {hours} hours)"
+        )
+    return recovered.ingestor

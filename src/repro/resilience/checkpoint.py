@@ -39,7 +39,8 @@ first scans it and truncates any torn tail, so records appended after a
 resume always sit directly behind intact ones and are never stranded
 beyond a bad record.  Snapshots supersede journal segments: at snapshot
 time the journal rotates to a fresh segment and fully-covered segments
-are pruned.
+are pruned.  :meth:`CheckpointManager.rewind` cuts a directory back to
+an earlier hour through the same record walk.
 
 Alongside the segments and snapshots the manager persists the ingestor
 construction parameters (``meta.json``: shape, anchors, ``w_max``,
@@ -119,6 +120,32 @@ def _intact_records(handle: IO[bytes], payload_len: int) -> Iterator[tuple[int, 
         yield hour, payload
 
 
+def _cut_segment(path: Path, up_to_hour: int | None = None) -> None:
+    """Truncate segment *path* after its last intact record below *up_to_hour*.
+
+    Without a bound only a torn or corrupt tail goes.  Records within a
+    segment are in hour order, so the first one at or past the bound
+    ends the kept prefix.
+    """
+    with open(path, "rb") as readable:
+        shape = _read_header(readable, path)
+        valid_end = readable.tell()
+        for hour, _ in _intact_records(readable, _payload_len(*shape)):
+            if up_to_hour is not None and hour >= up_to_hour:
+                break
+            valid_end = readable.tell()
+    if valid_end < path.stat().st_size:
+        with open(path, "r+b") as writable:
+            writable.truncate(valid_end)
+            writable.flush()
+            os.fsync(writable.fileno())
+
+
+def _hour_of(path: Path) -> int:
+    """The hour in a ``snapshot-<hour>.npz`` or ``wal-<hour>.log`` name."""
+    return int(path.stem.split("-")[1])
+
+
 class TickJournal:
     """Append-only write-ahead log of accepted hourly ticks.
 
@@ -150,23 +177,16 @@ class TickJournal:
         if not fresh:
             with open(self.path, "rb") as readable:
                 n, l = _read_header(readable, self.path)
-                if (n, l) != (self.n_sectors, self.n_kpis):
-                    raise ValueError(
-                        f"journal '{self.path}' is for ({n} sectors, {l} KPIs), "
-                        f"expected ({self.n_sectors}, {self.n_kpis})"
-                    )
-                valid_end = readable.tell()
-                for _ in _intact_records(readable, self._payload_len):
-                    valid_end = readable.tell()
-            if valid_end < self.path.stat().st_size:
-                # Torn/corrupt tail from a crashed writer: cut the file
-                # back to its last intact record, otherwise every record
-                # appended from here on would sit behind a bad one and
-                # be unreachable to read_records() at the next recovery.
-                with open(self.path, "r+b") as writable:
-                    writable.truncate(valid_end)
-                    writable.flush()
-                    os.fsync(writable.fileno())
+            if (n, l) != (self.n_sectors, self.n_kpis):
+                raise ValueError(
+                    f"journal '{self.path}' is for ({n} sectors, {l} KPIs), "
+                    f"expected ({self.n_sectors}, {self.n_kpis})"
+                )
+            # Torn/corrupt tail from a crashed writer: cut the file back
+            # to its last intact record, otherwise every record appended
+            # from here on would sit behind a bad one and be unreachable
+            # to read_records() at the next recovery.
+            _cut_segment(self.path)
         self._handle: IO[bytes] = open(self.path, "ab")
         if fresh:
             self._handle.write(_MAGIC + _HEADER.pack(self.n_sectors, self.n_kpis))
@@ -271,7 +291,7 @@ def load_newest_snapshot(
     written with either still load.
     """
     for path in sorted(Path(directory).glob("snapshot-*.npz"), reverse=True):
-        if up_to_hour is not None and int(path.stem.split("-")[1]) > up_to_hour:
+        if up_to_hour is not None and _hour_of(path) > up_to_hour:
             continue
         try:
             with np.load(path) as archive:
@@ -364,7 +384,8 @@ class CheckpointManager:
         Payload shape for the journal.
     snapshot_every:
         Snapshot cadence in accepted hours (default one week).  The two
-        newest snapshots are kept; older ones are pruned after each
+        newest snapshots are kept, with the newest at or below a
+        snapshot's *retain* hour; older ones are pruned after each
         snapshot.
     sync:
         Passed to :class:`TickJournal`.
@@ -439,11 +460,11 @@ class CheckpointManager:
 
     def _newest_snapshot_hour(self) -> int:
         files = self._snapshot_files()
-        return int(files[-1].stem.split("-")[1]) if files else 0
+        return _hour_of(files[-1]) if files else 0
 
     def _newest_segment_start(self) -> int:
         files = self._segment_files()
-        return int(files[-1].stem.split("-")[1]) if files else 0
+        return _hour_of(files[-1]) if files else 0
 
     # ------------------------------------------------------------ journal
     def record_tick(
@@ -474,11 +495,13 @@ class CheckpointManager:
         self._journal.append_block(first_hour, values, missing, calendar_rows)
 
     # ----------------------------------------------------------- snapshot
-    def snapshot(self, ingestor: StreamIngestor) -> Path:
+    def snapshot(self, ingestor: StreamIngestor, retain: int | None = None) -> Path:
         """Atomically snapshot *ingestor*, rotate and prune the journal.
 
         The state goes into an uncompressed (stored) ``.npz``; see the
-        module docstring for why.
+        module docstring for why.  Pruning keeps the two newest
+        snapshots and, given *retain*, the newest one at or below that
+        hour, with every journal segment after it.
         """
         state = ingestor.state_dict()
         path = self._snapshot_path(ingestor.hours_seen)
@@ -490,13 +513,19 @@ class CheckpointManager:
         self.snapshots_written += 1
         self._last_snapshot_hour = ingestor.hours_seen
         self._rotate_journal(ingestor.hours_seen)
-        self._prune()
+        self._prune(retain)
         return path
 
-    def maybe_snapshot(self, ingestor: StreamIngestor) -> Path | None:
-        """Snapshot when ``snapshot_every`` hours accrued since the last."""
+    def maybe_snapshot(
+        self, ingestor: StreamIngestor, retain: int | None = None
+    ) -> Path | None:
+        """Snapshot when ``snapshot_every`` hours accrued since the last.
+
+        *retain* is passed to :meth:`snapshot`: a fleet shard passes
+        the coordinator's acknowledged hour, which it may be rewound to.
+        """
         if ingestor.hours_seen - self._last_snapshot_hour >= self.snapshot_every:
-            return self.snapshot(ingestor)
+            return self.snapshot(ingestor, retain)
         return None
 
     def _rotate_journal(self, start_hour: int) -> None:
@@ -506,19 +535,24 @@ class CheckpointManager:
             sync=self.sync,
         )
 
-    def _prune(self) -> None:
+    def _prune(self, retain: int | None = None) -> None:
         snapshots = self._snapshot_files()
-        for stale in snapshots[:-_KEEP_SNAPSHOTS]:
-            stale.unlink(missing_ok=True)
-        # A segment starting before the oldest *retained* snapshot is
-        # fully superseded by it (segments rotate exactly at snapshots).
-        kept = self._snapshot_files()
-        if kept:
-            oldest_kept_hour = int(kept[0].stem.split("-")[1])
-            for segment in self._segment_files():
-                start = int(segment.stem.split("-")[1])
-                if start < oldest_kept_hour and segment != self._journal.path:
-                    segment.unlink(missing_ok=True)
+        kept = snapshots[-_KEEP_SNAPSHOTS:]
+        # A segment starting before the oldest kept snapshot is fully
+        # superseded by it (segments rotate exactly at snapshots).
+        floor = _hour_of(kept[0])
+        if retain is not None:
+            # Recovery bounded to *retain* needs the newest snapshot at
+            # or below it (or, without one, the journal from hour 0).
+            below = [path for path in snapshots if _hour_of(path) <= retain]
+            kept = below[-1:] + kept
+            floor = min(floor, _hour_of(below[-1]) if below else 0)
+        for stale in snapshots:
+            if stale not in kept:
+                stale.unlink(missing_ok=True)
+        for segment in self._segment_files():
+            if _hour_of(segment) < floor and segment != self._journal.path:
+                segment.unlink(missing_ok=True)
 
     def close(self) -> None:
         self._journal.close()
@@ -553,8 +587,8 @@ class CheckpointManager:
         *up_to_hour* bounds the recovery: snapshots past it are skipped
         and replay stops before applying that hour, so the returned
         ingestor has ``hours_seen <= up_to_hour`` even when the journal
-        runs further.  The fleet reshard path uses this to rewind every
-        old shard to a common watermark before reassembling sectors.
+        runs further.  A fleet shard resumes this way at the fleet
+        clock, then :meth:`rewind` cuts its directory back to match.
         """
         directory = Path(directory)
         ingestor = load_newest_snapshot(directory, up_to_hour)
@@ -567,6 +601,30 @@ class CheckpointManager:
         for _hour, values, missing, calendar in run:
             ingestor.ingest_hour(values, missing, calendar)
         return RecoveredState(ingestor, snapshot_hour, len(run))
+
+    @staticmethod
+    def rewind(directory: str | Path, hour: int) -> None:
+        """Cut *directory* back to its first *hour* hours.
+
+        Snapshots past *hour* and segments starting at or past it are
+        deleted; every other segment is truncated before its first
+        record at or past *hour* (a torn tail goes with it), so the
+        hours from *hour* on are applied and journaled afresh.  Call it
+        once a recovery bounded to *hour* has reached it; a crash
+        mid-rewind leaves a directory that recovers to *hour* again.
+        """
+        directory = Path(directory)
+        for path in directory.glob("snapshot-*.npz"):
+            if _hour_of(path) > hour:
+                path.unlink()
+        for segment in directory.glob("wal-*.log"):
+            if _hour_of(segment) >= hour:
+                segment.unlink()
+                continue
+            try:
+                _cut_segment(segment, hour)
+            except ValueError:
+                continue  # foreign or headerless file
 
     @staticmethod
     def _fresh_ingestor(directory: Path, shape: tuple[int, int]) -> StreamIngestor:

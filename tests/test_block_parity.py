@@ -10,9 +10,10 @@ Two contracts ride on ``submit_block``:
 * **Fleet** — :meth:`FleetCoordinator.submit_block` matches the
   per-hour merged stream on both backends, and a kill at any seam
   inside a block resumes bitwise.  The nasty case: a crash in a *later*
-  day chunk of a multi-day block must re-emit *earlier* chunks' day
-  events from the persisted response store (a single "last response"
-  file would have been overwritten and the events silently lost).
+  day chunk of a multi-day block must bring back *earlier* chunks' day
+  events, which the shards journaled but the coordinator never
+  released: the resume rewinds every shard to the block's first hour
+  and re-applies them.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ class TestFleetBlocks:
     # Hour 215 sits in the middle day chunk of block [185, 222); hour
     # 217 sits in its *last* chunk, after the chunks holding the day
     # events of t_day 7 (hour 191) and t_day 8 (hour 215) journaled —
-    # the resume must re-emit both from the persisted response store.
+    # the resume rewinds both and re-applies them.
     @pytest.mark.parametrize(
         ("point", "hour"),
         [
@@ -289,8 +290,7 @@ class TestFleetBlocks:
     def test_kill_in_capacity_sliced_block(self, env, baseline, tmp_path):
         """A backend with a broadcast capacity splits blocks into
         slices whose first hours sit past the acknowledged boundary;
-        the worker store must keep earlier slices' responses alive
-        (the ``released_before`` protocol)."""
+        the resume rewinds the shards over earlier slices too."""
         fleet = build_fleet(tmp_path, _config(env), 2)
         fleet.backend.block_capacity = 24  # force slicing on serial
         lines: list[str] = []
@@ -307,7 +307,7 @@ class TestFleetBlocks:
 
     def test_double_crash_in_same_block(self, env, baseline, tmp_path):
         """Crash, resume, crash again while re-driving the same block:
-        the response store must survive both rounds."""
+        both resumes rewind to the block's first hour."""
         fleet = build_fleet(tmp_path, _config(env), 2)
         lines: list[str] = []
         fleet.backend.workers[1].kill_at = ("mid_journal", 217)

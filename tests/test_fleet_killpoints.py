@@ -5,15 +5,19 @@ including across a reshard (shard-count change between runs).
 The kill points (DESIGN.md 3f):
 
 * ``mid_apply`` — worker killed before its engine ingested the hour;
-* ``mid_journal`` — killed after apply/persist, before the WAL commit;
+* ``mid_journal`` — killed after apply, before the WAL commit;
 * ``post_journal`` — killed after the WAL commit, before the
   coordinator acknowledged the merge;
 * ``mid_merge`` — the *coordinator* killed after every shard journaled
   the hour but before the watermark advanced.
+
+Every shard resumes at the fleet clock: its checkpoint directory is
+rewound there and the unacknowledged hours are re-applied.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -23,6 +27,7 @@ from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sec
 from repro.core.experiment import SweepRunner
 from repro.fleet import (
     FleetConfig,
+    FleetProtocolError,
     SimulatedKill,
     build_fleet,
     journal_clock,
@@ -30,6 +35,7 @@ from repro.fleet import (
 )
 from repro.imputation import ForwardFillImputer
 from repro.resilience import CheckpointManager
+from repro.resilience.checkpoint import journal_records
 from repro.serve import ModelRegistry, train_and_register
 from tests.test_resilience_checkpoint import flip_member_byte
 
@@ -41,6 +47,9 @@ KILL_HOUR = 215  # mid-stream, after a snapshot boundary (snapshot_every=48)
 # (threshold 6 h) at 145, so later gap hours carry responses too.
 GAP_TICK = 147
 DROPPED = tuple(range(140, GAP_TICK))
+# A week-long block [168, 336) spans seven 24-h snapshot intervals.
+LONG_BLOCK = 168
+LONG_KILL = 330
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +127,7 @@ def gap_baseline(env):
         pytest.param("mid_merge", KILL_HOUR, (), id="mid_merge-215"),
         pytest.param("mid_merge", KILL_HOUR + 1, (), id="mid_merge-216"),
         # The coordinator dies after the shards journaled a gap-filled
-        # tick: every gap hour's response must survive to the re-drive.
+        # tick: the re-drive re-applies every gap hour.
         pytest.param("mid_merge", GAP_TICK, DROPPED, id="mid_merge-147-after-gap"),
     ],
 )
@@ -198,3 +207,71 @@ def test_journal_clock_matches_recover_on_corrupt_snapshot(env, tmp_path):
     assert recovered.snapshot_hour == 0
     assert journal_clock(shard_dir) == recovered.ingestor.hours_seen
 
+
+
+def _drive_blocks(fleet, start, end, lines, env, block):
+    kpis = env.dataset.kpis
+    for lo in range(start, end, block):
+        hi = min(lo + block, end)
+        events = fleet.submit_block(
+            kpis.values[:, lo:hi, :], kpis.missing[:, lo:hi, :],
+            env.dataset.calendar[lo:hi], first_hour=lo,
+        )
+        lines.extend(json.dumps(event) for event in events)
+
+
+@pytest.mark.parametrize("n_shards", [None, 3], ids=["same-count", "reshard-3"])
+@pytest.mark.parametrize("point", ["mid_merge", "post_journal"])
+def test_long_block_kill_rewinds_every_shard_to_the_clock(
+    env, baseline, tmp_path, point, n_shards
+):
+    """A block spanning several snapshot intervals, killed near its end:
+    each shard journaled hours up to 330 and snapshotted past the
+    watermark (168), yet it resumes at 168, for the same shard count
+    and across a reshard.  Snapshot retention must keep the newest
+    snapshot at or below the watermark, and the resumed directories
+    hold nothing past the clock."""
+    config = dataclasses.replace(_config(env), snapshot_every=24)
+    fleet = build_fleet(tmp_path, config, 2)
+    lines: list[str] = []
+    if point == "mid_merge":
+        fleet.kill_at = (point, LONG_KILL)
+    else:
+        fleet.backend.workers[1].kill_at = (point, LONG_KILL)
+    with pytest.raises(SimulatedKill):
+        _drive_blocks(fleet, 0, END_HOUR, lines, env, LONG_BLOCK)
+    resumed = recover_fleet(tmp_path, config, n_shards=n_shards)
+    try:
+        assert resumed.clock == LONG_BLOCK
+        for shard in range(resumed.plan.n_shards):
+            shard_dir = tmp_path / resumed.plan.shard_dir(shard)
+            # No snapshot holds an hour at or past the clock.
+            snapshots = [int(p.stem.split("-")[1]) for p in shard_dir.glob("snapshot-*.npz")]
+            assert max(snapshots) <= resumed.clock
+            assert all(record[0] < resumed.clock for record in journal_records(shard_dir))
+        _drive_blocks(resumed, resumed.clock, END_HOUR, lines, env, LONG_BLOCK)
+    finally:
+        resumed.close()
+    assert lines == baseline
+
+
+def test_a_block_off_the_shard_clock_is_refused(env, tmp_path):
+    """A shard applies a block only at its own clock: hours it already
+    journaled are re-applied after a rewind, never re-driven past it."""
+    fleet = build_fleet(tmp_path, _config(env), 2)
+    try:
+        _drive(fleet, 0, 30, [], env)
+        worker = fleet.backend.workers[0]
+        kpis = env.dataset.kpis.values[worker.sector_ids]
+        missing = env.dataset.kpis.missing[worker.sector_ids]
+        calendar = env.dataset.calendar
+        for first_hour in (24, 31):
+            with pytest.raises(FleetProtocolError, match="at hour 30"):
+                worker.submit_block(
+                    first_hour, kpis[:, first_hour:first_hour + 2, :],
+                    missing[:, first_hour:first_hour + 2, :],
+                    calendar[first_hour:first_hour + 2],
+                )
+        assert worker.ingestor.hours_seen == 30
+    finally:
+        fleet.close()

@@ -30,6 +30,7 @@ from repro.fleet import (
 )
 from repro.imputation import ForwardFillImputer
 from repro.resilience import ProcessChaos, ProcessFault
+from repro.resilience.checkpoint import journal_records
 from repro.resilience.degrade import ResilientPredictionEngine
 from repro.resilience.guard import ResilientHotSpotService
 from repro.resilience.validate import DarkSectorTracker
@@ -316,7 +317,8 @@ def test_coordinator_mid_merge_crash_resumes_supervised(env, baseline, tmp_path)
 @needs_fork
 def test_block_mode_kill_recovers_bitwise(env, baseline, tmp_path):
     """Micro-batch driving with a worker SIGKILL mid-block: the re-sent
-    block re-emits the journaled prefix and the stream stays bitwise."""
+    block is re-applied from the fleet clock and the stream stays
+    bitwise."""
     chaos = _chaos(tmp_path, ProcessFault(1, "mid_journal", KILL_HOUR))
     fleet = _supervised(tmp_path / "run", env, chaos=chaos)
     kpis = env.dataset.kpis
@@ -358,6 +360,78 @@ def test_wal_tail_corruption_at_respawn_recovers_bitwise(env, baseline, tmp_path
     kinds = {event["event"] for event in out_events}
     assert "wal_tail_corrupted" in kinds
     assert "worker_restart" in kinds
+
+
+def _drive_blocks(fleet, start, end, lines, env, block):
+    kpis = env.dataset.kpis
+    for lo in range(start, end, block):
+        hi = min(lo + block, end)
+        events = fleet.submit_block(
+            kpis.values[:, lo:hi, :],
+            kpis.missing[:, lo:hi, :],
+            env.dataset.calendar[lo:hi],
+            first_hour=lo,
+        )
+        lines.extend(json.dumps(event) for event in events)
+
+
+# The 48-h block [192, 240) reaches the shards as the 24-h slices
+# [192, 216) and [216, 240); hour 230 is in the second.
+SLICED_BLOCK = 48
+SECOND_SLICE_HOUR = 230
+
+
+@needs_fork
+def test_restart_inside_a_sliced_block_recovers_bitwise(env, baseline, tmp_path):
+    """A SIGKILL after the second slice's WAL append: the respawn
+    rewinds the shard to the slice's first hour, the coordinator's
+    clock, and re-applies the slice, so the stream stays bitwise."""
+    chaos = _chaos(tmp_path, ProcessFault(1, "post_journal", SECOND_SLICE_HOUR))
+    fleet = _supervised(tmp_path / "run", env, chaos=chaos)
+    lines: list[str] = []
+    try:
+        assert fleet.backend.block_capacity == SLICED_BLOCK // 2
+        _drive_blocks(fleet, 0, END_HOUR, lines, env, SLICED_BLOCK)
+        stats = fleet.stats()
+    finally:
+        fleet.close()
+    assert lines == baseline
+    supervisor = stats["fleet"]["supervisor"]
+    assert supervisor["worker_restarts"] >= 1
+    assert supervisor["degrade_transitions"] == 0
+
+
+@needs_fork
+def test_degrade_inside_a_sliced_block_spools_each_hour_once(env, baseline, tmp_path):
+    """``max_restarts=0`` with the same post-journal death: the degraded
+    slice rewinds the shard to the clock and spools the whole slice,
+    so the shard WAL holds every hour once and the tail after the
+    rejoin is bitwise."""
+    chaos = _chaos(tmp_path, ProcessFault(1, "post_journal", SECOND_SLICE_HOUR))
+    fleet = _supervised(
+        tmp_path / "run", env, chaos=chaos,
+        supervise=SupervisorConfig(max_restarts=0, poison_threshold=5),
+    )
+    lines: list[str] = []
+    rejoined = 288  # after the block [240, 288), before later snapshots prune
+    try:
+        _drive_blocks(fleet, 0, rejoined, lines, env, SLICED_BLOCK)
+        assert fleet.backend.degraded_shards == []
+        shard_dir = tmp_path / "run" / fleet.plan.shard_dir(1)
+        hours = [record[0] for record in journal_records(shard_dir)]
+        assert hours[0] <= SECOND_SLICE_HOUR - 24
+        assert hours == list(range(hours[0], rejoined))
+        _drive_blocks(fleet, rejoined, END_HOUR, lines, env, SLICED_BLOCK)
+    finally:
+        fleet.close()
+    kinds = [json.loads(line).get("event") for line in lines]
+    assert kinds.index("shard_degraded") < kinds.index("shard_recovered")
+    kill_day = SECOND_SLICE_HOUR // 24
+    tail = [line for line in lines if json.loads(line).get("t_day", -1) > kill_day]
+    base_tail = [
+        line for line in baseline if json.loads(line).get("t_day", -1) > kill_day
+    ]
+    assert tail == base_tail
 
 
 # ------------------------------------------------------- poison & budget

@@ -7,11 +7,13 @@ WAL, the commit point.  Killing its one worker at any seam inside a
 the uninterrupted stream from the recovered clock.  The tap may see the
 hours of a released-but-unjournaled chunk twice, and then with the same
 events.  A chunk that fails after its apply leaves the clock where the
-engine stands, so the next tick is neither a gap nor a duplicate.
+engine stands, so the next tick is neither a gap nor a duplicate, and
+it is journaled, so recovery reaches the ticks after it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from types import SimpleNamespace
 
@@ -176,3 +178,58 @@ def test_clock_after_a_failed_chunk_is_the_engine_clock(env, tmp_path):
     kinds = {event.get("event") for event in events}
     assert not kinds & {"gap_fill", "duplicate", "quarantine"}, kinds
     assert guarded.clock == guarded.ingestor.hours_seen == 217
+
+
+def test_a_failed_chunk_is_journaled(env, tmp_path):
+    """Day 8's hook raises inside a 48-h block from hour 168.  Its chunk
+    was applied, so it is journaled before the error propagates, and
+    the ticks 216-229 accepted after it recover behind it, not behind a
+    hole."""
+    guarded, _ = _guarded(env, tmp_path)
+    _drive(env, guarded, 0, 168)
+
+    def failing_hook(tick):
+        if tick.t_day == 8:
+            raise RuntimeError("day hook failed")
+        return []
+
+    guarded.service.add_day_hook(failing_hook)
+    kpis = env.dataset.kpis
+    with pytest.raises(RuntimeError, match="day hook failed"):
+        guarded.submit_block(
+            kpis.values[:, 168:216, :], env.missing[:, 168:216, :],
+            env.dataset.calendar[168:216], first_hour=168,
+        )
+    guarded.service.day_hooks.remove(failing_hook)
+    for hour in range(216, 230):
+        guarded.submit_tick(
+            kpis.values[:, hour, :], env.missing[:, hour, :],
+            env.dataset.calendar[hour], hour=hour,
+        )
+    # Simulated crash: no close().
+    recovered = CheckpointManager.recover(tmp_path)
+    assert recovered.ingestor.hours_seen == 230
+    assert recovered.replayed > 0
+    got, want = recovered.ingestor.state_dict(), guarded.ingestor.state_dict()
+    assert got["meta"] == want["meta"]
+    assert {k: a.tobytes() for k, a in got["arrays"].items()} == {
+        k: a.tobytes() for k, a in want["arrays"].items()
+    }
+
+
+def test_jsonl_reads_answer_from_the_front(env, tmp_path):
+    """The guarded JSONL loop answers ``stats`` with the front's
+    snapshot, resilience block included, and ``predict`` with the
+    scattered one-shard scores, which are the engine's."""
+    guarded, _ = _guarded(env, tmp_path)
+    _drive(env, guarded, 0, 192)
+    out = io.StringIO()
+    guarded.run_jsonl(
+        ['{"op": "predict", "horizon": 1}', '{"op": "stats"}'], out
+    )
+    guarded.close()
+    prediction, stats = (json.loads(line) for line in out.getvalue().splitlines())
+    assert prediction["t_day"] == guarded.engine.t_day == 7
+    assert prediction["scores"] == [float(s) for s in guarded.engine.predict(1)]
+    assert stats["type"] == "stats"
+    assert {"dead_letters", "dark_sectors", "checkpoint"} <= set(stats["resilience"])

@@ -375,6 +375,36 @@ class TestServeCLI:
         assert (ckpt / "meta.json").exists()
         assert sorted(ckpt.glob("wal-*.log"))
 
+    def test_from_stdin_stats_carry_the_resilience_block(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The guarded front answers `stats` itself: dead letters, dark
+        # sectors and the checkpoint, as a fleet's reply does.
+        data_path = str(tmp_path / "net.npz")
+        assert cli_main([
+            "generate", "--towers", "6", "--weeks", "8", "--seed", "4",
+            "--out", data_path,
+        ]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(
+                '{"op": "tick", "values": [[1.0]]}\n{"op": "stats"}\n{"op": "stop"}\n'
+            ),
+        )
+        assert cli_main([
+            "--quiet", "serve", "--data", data_path, "--impute-epochs", "1",
+            "--registry", str(tmp_path / "models"),
+            "--train-day", "30", "--estimators", "3", "--training-days", "2",
+            "--from-stdin", "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ]) == 0
+        events = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        stats = next(e for e in events if e.get("type") == "stats")
+        resilience = stats["resilience"]
+        assert resilience["dead_letters"]["total"] == 1
+        assert resilience["dark_sectors"]["dark_now"] == 0
+        assert "journal_appends" in resilience["checkpoint"]
+
     def test_bad_train_day_errors(self, tmp_path, capsys):
         data_path = str(tmp_path / "net.npz")
         assert cli_main([
