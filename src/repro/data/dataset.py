@@ -61,13 +61,6 @@ class SectorGeography:
         delta = self.positions_km - self.positions_km[sector]
         return np.sqrt((delta * delta).sum(axis=1))
 
-    def nearest_sectors(self, sector: int, count: int) -> np.ndarray:
-        """Indices of the *count* spatially closest sectors (excluding itself)."""
-        distances = self.distances_from(sector)
-        distances[sector] = np.inf
-        count = min(count, self.n_sectors - 1)
-        return np.argsort(distances, kind="stable")[:count]
-
     def select(self, index: np.ndarray) -> "SectorGeography":
         """Geography restricted to the given sector indices/mask."""
         return SectorGeography(

@@ -209,27 +209,6 @@ class KPITensor:
             time_axis=self.time_axis,
         )
 
-    def week_slice(self, sector: int, week: int) -> tuple[np.ndarray, np.ndarray]:
-        """One-week slice ``K[i, 168*(j-1)+1 : 168*j, :]`` used by the imputer.
-
-        Parameters
-        ----------
-        sector:
-            Sector index ``i``.
-        week:
-            Zero-based week index.
-
-        Returns
-        -------
-        (values, missing):
-            Both of shape ``(168, n_kpis)``.
-        """
-        if not 0 <= week < self.time_axis.n_weeks:
-            raise IndexError(f"week {week} out of range [0, {self.time_axis.n_weeks})")
-        lo = week * HOURS_PER_WEEK
-        hi = lo + HOURS_PER_WEEK
-        return self.values[sector, lo:hi, :], self.missing[sector, lo:hi, :]
-
     def filled(self, fill_value: float = 0.0) -> np.ndarray:
         """Copy of the values with missing entries replaced by *fill_value*."""
         out = self.values.copy()

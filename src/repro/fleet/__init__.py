@@ -5,8 +5,7 @@ The single-engine serve path (:mod:`repro.serve`, hardened by
 guarantees:
 
 * :mod:`repro.fleet.partition` — deterministic sector → shard
-  assignment, persisted with the checkpoints, diffable into rebalance
-  plans;
+  assignment, persisted with the checkpoints;
 * :mod:`repro.fleet.worker` — one shard's engine + WAL + dark tracker,
   crash-consistent per tick;
 * :mod:`repro.fleet.coordinator` — the one admission front: global
@@ -29,12 +28,7 @@ from repro.fleet.coordinator import (
     build_fleet,
     recovered_clock,
 )
-from repro.fleet.partition import (
-    PARTITION_NAME,
-    PartitionPlan,
-    rebalance_moves,
-    sector_shard,
-)
+from repro.fleet.partition import PARTITION_NAME, PartitionPlan, sector_shard
 from repro.fleet.recovery import journal_clock, recover_fleet, reshard
 from repro.fleet.supervisor import FleetSupervisor, SupervisorConfig
 from repro.fleet.worker import (
@@ -60,7 +54,6 @@ __all__ = [
     "build_fleet",
     "build_worker",
     "journal_clock",
-    "rebalance_moves",
     "recover_fleet",
     "recovered_clock",
     "reshard",

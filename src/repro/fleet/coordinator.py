@@ -25,8 +25,10 @@ A front has one of two commit orders:
   shard or every shard at or past the watermark.
   :func:`repro.fleet.recovery.recover_fleet` rewinds every shard to the
   watermark and the coordinator re-drives the unacknowledged hours,
-  which re-apply to a bitwise-identical continuation.  A host that
-  cannot fork degrades to serial with the same merged stream.
+  which re-apply to a bitwise-identical continuation.  A block that
+  raises instead sets the clock back to its entry and resumes every
+  shard there before the error propagates, so a retry is in step.  A
+  host that cannot fork degrades to serial with the same merged stream.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ WATERMARK_NAME = "watermark.json"
 # backends
 # --------------------------------------------------------------------------
 class SerialBackend:
-    """All shard workers in the coordinator's process.
+    """All shard workers of the fleet in *directory*, in the coordinator's process.
 
     The reference backend: trivially deterministic, no IPC, and the one
     the kill-point suites use (workers stay reachable so tests can arm
@@ -91,8 +93,30 @@ class SerialBackend:
     #: No broadcast buffer to size: blocks pass whole (None = unlimited).
     block_capacity: int | None = None
 
-    def __init__(self, workers: list[ShardWorker]) -> None:
-        self.workers = workers
+    def __init__(
+        self,
+        directory: Path,
+        plan: PartitionPlan,
+        config: FleetConfig,
+        resume_at: int | None = None,
+    ) -> None:
+        self.directory = directory
+        self.plan = plan
+        self.config = config
+        self.workers: list[ShardWorker] = []
+        self.resume(resume_at)
+
+    def resume(self, clock: int | None) -> None:
+        """Rebuild every worker resumed at the fleet *clock* (``None``: fresh).
+
+        Each shard is recovered to the clock and its directory rewound
+        there (:func:`~repro.fleet.worker.build_worker`).
+        """
+        self.close()
+        self.workers = [
+            build_worker(self.directory, self.plan, shard, self.config, resume_at=clock)
+            for shard in range(self.plan.n_shards)
+        ]
 
     def submit_block(
         self, first_hour, values, missing, calendar_rows, released_before=None
@@ -136,13 +160,14 @@ class LocalBackend(SerialBackend):
 
     The worker owns ``arange(n)``, so blocks pass without a row gather,
     and it hands each applied day chunk to ``release(first_hour,
-    shard_responses)`` before that chunk's WAL append.
+    shard_responses)`` before that chunk's WAL append.  It is never
+    resumed: the front's clock is its worker's.
     """
 
     name = "local"
 
     def __init__(self, worker: ShardWorker) -> None:
-        super().__init__([worker])
+        self.workers = [worker]
 
     def submit_block(self, first_hour, values, missing, calendar_rows, release) -> None:
         self.workers[0].submit_block(
@@ -286,7 +311,11 @@ class FleetCoordinator:
         slices and the watermark advances once, after the whole block.
         Every slice carries the acknowledged boundary — the clock at
         entry — which a crash anywhere in the block rewinds the shards
-        to, so their snapshots keep one at or below it.
+        to, so their snapshots keep one at or below it.  A block that
+        raises on a shard backend (other than :class:`SimulatedKill`,
+        which models a process death) does that rewind in place: the
+        clock falls back to the entry clock and every shard is resumed
+        there, so a retry drives them all in step.
         """
         released = self.clock
         events: list[dict] = []
@@ -304,31 +333,38 @@ class FleetCoordinator:
             return events
         n_hours = values.shape[1]
         capacity = self.backend.block_capacity or n_hours
-        for start in range(0, n_hours, capacity):
-            stop = min(start + capacity, n_hours)
-            hour0 = self.clock
-            responses = self.backend.submit_block(
-                hour0,
-                values[:, start:stop, :],
-                missing[:, start:stop, :],
-                calendar_rows[start:stop],
-                released_before=released,
-            )
-            if (
-                self.kill_at is not None
-                and self.kill_at[0] == "mid_merge"
-                and hour0 <= self.kill_at[1] < hour0 + (stop - start)
-            ):
-                self.kill_at = None
-                raise SimulatedKill(
-                    f"simulated crash: coordinator at mid_merge of block "
-                    f"[{hour0}, {hour0 + stop - start})"
+        try:
+            for start in range(0, n_hours, capacity):
+                stop = min(start + capacity, n_hours)
+                hour0 = self.clock
+                responses = self.backend.submit_block(
+                    hour0,
+                    values[:, start:stop, :],
+                    missing[:, start:stop, :],
+                    calendar_rows[start:stop],
+                    released_before=released,
                 )
-            self._acknowledged = hour0 + (stop - start)
-            release(hour0, responses)
-        write_json_atomic(
-            self.directory / WATERMARK_NAME, {"emitted_hours": self.clock}
-        )
+                if (
+                    self.kill_at is not None
+                    and self.kill_at[0] == "mid_merge"
+                    and hour0 <= self.kill_at[1] < hour0 + (stop - start)
+                ):
+                    self.kill_at = None
+                    raise SimulatedKill(
+                        f"simulated crash: coordinator at mid_merge of block "
+                        f"[{hour0}, {hour0 + stop - start})"
+                    )
+                self._acknowledged = hour0 + (stop - start)
+                release(hour0, responses)
+            write_json_atomic(
+                self.directory / WATERMARK_NAME, {"emitted_hours": self.clock}
+            )
+        except SimulatedKill:
+            raise
+        except Exception:
+            self._acknowledged = released
+            self.backend.resume(released)
+            raise
         return events
 
     def _ring_payload(self, hour: int):
@@ -530,10 +566,7 @@ def build_fleet(
         except PoolUnavailable:
             backend = None
     if backend is None:
-        backend = SerialBackend([
-            build_worker(directory, plan, shard, config, resume_at=resume_at)
-            for shard in range(plan.n_shards)
-        ])
+        backend = SerialBackend(directory, plan, config, resume_at)
     coordinator = FleetCoordinator(
         directory, plan, config, backend, clock=resume_at or 0
     )

@@ -10,9 +10,10 @@ The fleet's partitioning contract (DESIGN.md 3f) has three parts:
   a :class:`PartitionPlan` and persisted next to the shard checkpoints
   (``partition.json``), so recovery routes every journaled tick to the
   shard that owns its rows even if the hash function ever changes;
-* **rebalance planning** — when the shard count changes between runs,
-  :func:`rebalance_moves` diffs the old and new plans into the exact
-  per-sector moves the reshard recovery has to perform.
+* **generations** — when the shard count changes between runs,
+  :func:`~repro.fleet.recovery.reshard` computes the next-generation
+  plan, gathers every shard's ingestor state row-wise and scatters it
+  by the new plan.
 
 Assignments are near-balanced by the hash; shards that come out empty
 (possible at tiny sector counts) are repaired deterministically by
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.data.store import write_json_atomic
 
-__all__ = ["PARTITION_NAME", "PartitionPlan", "rebalance_moves", "sector_shard"]
+__all__ = ["PARTITION_NAME", "PartitionPlan", "sector_shard"]
 
 #: File the active plan is persisted to inside the fleet directory.
 PARTITION_NAME = "partition.json"
@@ -169,26 +170,3 @@ class PartitionPlan:
             raise ValueError("partition table references out-of-range shards")
         return plan
 
-
-def rebalance_moves(old: PartitionPlan, new: PartitionPlan) -> list[dict]:
-    """Per-sector moves turning *old*'s placement into *new*'s.
-
-    Each move is ``{"sector", "from", "to"}``; sectors whose home shard
-    is unchanged do not appear.  This is the work list the reshard
-    recovery executes (it gathers the moved sectors' ring rows out of
-    the old shards' checkpoints and scatters them into the new ones).
-    """
-    if old.n_sectors != new.n_sectors:
-        raise ValueError(
-            f"plans cover different networks: {old.n_sectors} vs "
-            f"{new.n_sectors} sectors"
-        )
-    moved = np.flatnonzero(old.assignment != new.assignment)
-    return [
-        {
-            "sector": int(sector),
-            "from": int(old.assignment[sector]),
-            "to": int(new.assignment[sector]),
-        }
-        for sector in moved
-    ]

@@ -351,6 +351,20 @@ class FleetSupervisor:
             )
         ]
 
+    def resume(self, clock: int) -> None:
+        """Resume every shard at the fleet *clock* after a failed block.
+
+        The coordinator has already set its clock back to *clock*.  A
+        live host is respawned there (:meth:`_respawn`); a degraded one
+        only closes its spool, since its next slice, or its rejoin,
+        rewinds the shard directory to the clock.
+        """
+        for host in self.hosts:
+            if host.degraded:
+                self._close_spool(host)
+            else:
+                self._respawn(host)
+
     # ------------------------------------------------------- liveness core
     def _round(self, requests, rejoin=False, tolerate_errors=False):
         """One request round over every shard: send all, then gather.

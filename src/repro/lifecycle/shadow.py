@@ -137,26 +137,3 @@ class ShadowEvaluator:
         )
         return become[:, target_day]
 
-    @staticmethod
-    def summarize(rows: list[dict]) -> dict:
-        """Aggregate resolved shadow rows into a decision summary."""
-        deltas = [row["delta"] for row in rows if np.isfinite(row["delta"])]
-        champion_lifts = [
-            row["champion_lift"] for row in rows if np.isfinite(row["champion_lift"])
-        ]
-        challenger_lifts = [
-            row["challenger_lift"]
-            for row in rows
-            if np.isfinite(row["challenger_lift"])
-        ]
-        return {
-            "evaluated_days": len(rows),
-            "defined_days": len(deltas),
-            "mean_delta": float(np.mean(deltas)) if deltas else float("nan"),
-            "champion_mean_lift": (
-                float(np.mean(champion_lifts)) if champion_lifts else float("nan")
-            ),
-            "challenger_mean_lift": (
-                float(np.mean(challenger_lifts)) if challenger_lifts else float("nan")
-            ),
-        }

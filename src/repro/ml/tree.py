@@ -20,7 +20,6 @@ than per-sample recursion.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,23 +436,6 @@ class DecisionTreeClassifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most-probable class label per sample."""
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-
-    def decision_path_features(self, max_splits: int | None = None) -> list[int]:
-        """Features used by the first splits in breadth-first order.
-
-        The paper inspects "the first splits of the Tree model" to see
-        which variables dominate (Sec. V-B); this helper exposes them.
-        """
-        self._check_fitted()
-        out: list[int] = []
-        queue = deque([0])
-        while queue and (max_splits is None or len(out) < max_splits):
-            node = queue.popleft()
-            if self._feature[node] == _LEAF:
-                continue
-            out.append(int(self._feature[node]))
-            queue.extend([int(self._left[node]), int(self._right[node])])
-        return out
 
     # ---------------------------------------------------------------- state
     def to_state(self) -> dict[str, np.ndarray]:

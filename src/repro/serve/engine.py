@@ -248,32 +248,22 @@ class PredictionEngine:
                 dtype=np.float64,
             )
         design = self._design(model, t_day, window)
-        if design is None:
-            window_block = self.ingestor.feature_window(t_day, window)
-            return np.asarray(model.forecast_window(window_block), dtype=np.float64)
         return np.asarray(model.forecast_design(design), dtype=np.float64)
 
-    def _design(
-        self, model, t_day: int, window: int
-    ) -> np.ndarray | None:
+    def _design(self, model, t_day: int, window: int) -> np.ndarray:
         """Design matrix for *model* at ``(t_day, window)``, cached per view.
 
-        Returns ``None`` for models that don't expose the design seam
-        (the caller falls back to :meth:`forecast_window`).  For the
-        Eq. 5 percentile view the matrix is assembled from per-day
-        percentile blocks — its columns are day-major, so concatenating
-        the single-day reductions is bitwise equal to reducing the full
-        window at once, and a completed day's block never needs
-        recomputing.
+        For the Eq. 5 percentile view the matrix is assembled from
+        per-day percentile blocks — its columns are day-major, so
+        concatenating the single-day reductions is bitwise equal to
+        reducing the full window at once, and a completed day's block
+        never needs recomputing.
         """
-        view = getattr(model, "feature_view", None)
-        if view is None or not hasattr(model, "forecast_design"):
-            return None
-        key = (t_day, window, view)
+        key = (t_day, window, model.feature_view)
         design = self._design_cache.get(key)
         if design is None:
             self.telemetry.inc("design_cache_misses")
-            if view == "percentiles" and t_day - window + 1 >= 0:
+            if model.feature_view == "percentiles" and t_day - window + 1 >= 0:
                 design = np.concatenate(
                     [
                         self._day_percentiles(day)

@@ -581,16 +581,6 @@ class ModelRegistry:
                 f"corrupt provenance sidecar for {key} at '{path}': {error}"
             ) from error
 
-    def latest(self, key: ModelKey) -> ModelKey | None:
-        """The highest-versioned key registered under *key*'s base."""
-        versions = self.versions(key)
-        if not versions:
-            return None
-        base = key.base
-        return ModelKey(
-            base.target, base.model, base.horizon, base.window, version=versions[-1]
-        )
-
     def history(self, key: ModelKey) -> list[tuple[ModelKey, dict | None]]:
         """Every version of *key*'s base with its provenance, ascending."""
         base = key.base

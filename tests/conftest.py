@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sectors
+from repro.core.experiment import SweepRunner
 from repro.imputation import ForwardFillImputer
+from repro.serve import ModelRegistry, train_and_register
 from repro.synth import drift_shifted_dataset, intensified_events
 
 
@@ -68,6 +72,37 @@ def drifted_dataset():
     dataset, _ = filter_sectors(dataset)
     dataset.kpis = ForwardFillImputer().fit_transform(dataset.kpis)
     return attach_scores(dataset)
+
+
+@pytest.fixture(scope="session")
+def rf_serving(tmp_path_factory):
+    """RF-F1 forests served over a scored 4-week, 25-sector world.
+
+    The paper's Sec. IV forest over the Eq. 5 percentile design, 16
+    trees, horizons 1 and 2, a 3-day window, trained at day 14 (the
+    first alerted day).  ``registry_root`` holds the trained models;
+    the hot-path tests build their stacks over it.
+    """
+    config = GeneratorConfig(n_towers=10, n_weeks=4, seed=5)
+    dataset = TelemetryGenerator(config).generate()
+    dataset, _ = filter_sectors(dataset)
+    dataset.kpis = ForwardFillImputer().fit_transform(dataset.kpis)
+    dataset = attach_scores(dataset)
+    world = SimpleNamespace(
+        dataset=dataset,
+        registry_root=tmp_path_factory.mktemp("rf-serving") / "registry",
+        model="RF-F1",
+        horizons=(1, 2),
+        window=3,
+        start_day=dataset.score_daily.shape[1] // 2,
+        top_k=5,
+    )
+    runner = SweepRunner(dataset, target="hot", n_estimators=16, seed=3)
+    train_and_register(
+        runner, ModelRegistry(world.registry_root), (world.model,),
+        world.start_day, world.horizons, (world.window,), overwrite=True,
+    )
+    return world
 
 
 @pytest.fixture()

@@ -3,18 +3,22 @@
 They live outside the runtime package: the tier-1 parity tests compare
 the packed forest kernel, the sorted-day percentile kernel, the
 persistent feature ring and the one-pass block admission against them,
-and ``benchmarks/bench_serve_throughput.py`` replays its legacy hot path
-through them.
+and replay whole event streams through the legacy hot path
+(:func:`legacy_path`).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
 from repro.core.feature_sets import _PERCENTILES, _validate_window
 from repro.core.features import assemble_window
 from repro.data.tensor import HOURS_PER_DAY
+from repro.ml.forest import RandomForestClassifier
 from repro.resilience.validate import ACCEPT
+from repro.serve.engine import PredictionEngine
 
 
 def predict_proba_legacy(forest, X: np.ndarray) -> np.ndarray:
@@ -44,6 +48,38 @@ def percentile_features_reference(window: np.ndarray) -> np.ndarray:
     daily = window.reshape(n, days, HOURS_PER_DAY, channels)
     pct = np.percentile(daily, _PERCENTILES, axis=2)
     return pct.transpose(1, 2, 3, 0).reshape(n, days * channels * len(_PERCENTILES))
+
+
+def _uncached_design(engine, model, t_day: int, window: int) -> np.ndarray:
+    return model.build_design(engine.ingestor.feature_window(t_day, window))
+
+
+@contextlib.contextmanager
+def legacy_path(models):
+    """Pin the legacy serving hot path for the served forecasters *models*.
+
+    Forest predict runs the per-tree loop (:func:`predict_proba_legacy`),
+    each model's feature view is :func:`percentile_features_reference`,
+    and ``PredictionEngine._design`` builds every design uncached from
+    the full window with ``model.build_design``: the per-call work the
+    hot path did before the packed kernel, the per-day percentile ring
+    and the cross-horizon design cache.  The engine must get *models*
+    from the registry instance they were loaded from.
+    """
+    saved_predict = RandomForestClassifier.predict_proba
+    saved_design = PredictionEngine._design
+    saved_views = [(model, model._view) for model in models]
+    RandomForestClassifier.predict_proba = predict_proba_legacy
+    PredictionEngine._design = _uncached_design
+    for model in models:
+        model._view = percentile_features_reference
+    try:
+        yield
+    finally:
+        RandomForestClassifier.predict_proba = saved_predict
+        PredictionEngine._design = saved_design
+        for model, view in saved_views:
+            model._view = view
 
 
 def assembled_window(ingestor, lo_hour: int, hi_hour: int) -> np.ndarray:

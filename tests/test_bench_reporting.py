@@ -1,13 +1,9 @@
-"""Tests for the benchmark reporting helpers (benchmarks/_reporting.py)
-and the serve-throughput regression gate."""
+"""Tests for the benchmark reporting helpers (benchmarks/_reporting.py)."""
 
 from __future__ import annotations
 
 import importlib.util
-import json
 from pathlib import Path
-
-import pytest
 
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -80,49 +76,3 @@ class TestReportStore:
         assert "BENCH_*_smoke.json" in ignored
         assert "benchmarks/results/*_smoke.jsonl" in ignored
 
-
-_GATE_SPEC = importlib.util.spec_from_file_location(
-    "bench_serve_throughput",
-    Path(__file__).parent.parent / "benchmarks" / "bench_serve_throughput.py",
-)
-_serve_bench = importlib.util.module_from_spec(_GATE_SPEC)
-_GATE_SPEC.loader.exec_module(_serve_bench)
-
-
-def _gate_summary(mode: str, serve_speedup: float, parity_all: bool = True) -> dict:
-    return {
-        "mode": mode,
-        "parity_all": parity_all,
-        "speedup_vs_legacy": {"serve": serve_speedup, "resilient": serve_speedup},
-    }
-
-
-class TestServeThroughputGate:
-    @pytest.fixture
-    def full_baseline(self, tmp_path):
-        path = tmp_path / "BENCH_serve_throughput.json"
-        path.write_text(json.dumps(_gate_summary("full", 8.0)), encoding="utf-8")
-        return path
-
-    def test_full_run_below_80_percent_of_baseline_fails(self, full_baseline):
-        reasons = _serve_bench.regression_gate(
-            _gate_summary("full", 0.75 * 8.0), full_baseline
-        )
-        assert reasons == ["serve speedup 6.0x fell below 80% of baseline 8.0x"]
-
-    def test_broken_parity_fails(self, full_baseline):
-        reasons = _serve_bench.regression_gate(
-            _gate_summary("full", 8.0, parity_all=False), full_baseline
-        )
-        assert reasons == ["bitwise parity broken between legacy and packed paths"]
-
-    def test_smoke_run_skips_the_full_baseline_floor(self, full_baseline):
-        # What CI runs: parity and packed-faster-than-legacy only.
-        assert _serve_bench.regression_gate(_gate_summary("smoke", 1.5), full_baseline) == []
-        reasons = _serve_bench.regression_gate(_gate_summary("smoke", 0.9), full_baseline)
-        assert reasons == ["packed path slower than legacy (0.9x)"]
-
-    def test_committed_baseline_is_full_mode(self):
-        baseline = json.loads(_serve_bench.DEFAULT_OUT.read_text(encoding="utf-8"))
-        assert baseline["mode"] == "full"
-        assert baseline["parity_all"]

@@ -30,16 +30,6 @@ class TestSectorGeography:
         dist = geo.distances_from(0)
         np.testing.assert_allclose(dist, [0.0, 0.0, 5.0, 10.0])
 
-    def test_nearest_excludes_self(self):
-        geo = self._geo()
-        nearest = geo.nearest_sectors(0, 2)
-        assert 0 not in nearest
-        assert nearest[0] == 1  # same tower, distance 0
-
-    def test_nearest_clipped(self):
-        geo = self._geo()
-        assert geo.nearest_sectors(0, 100).size == 3
-
     def test_select(self):
         geo = self._geo().select(np.array([2, 3]))
         assert geo.n_sectors == 2

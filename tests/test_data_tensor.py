@@ -107,16 +107,6 @@ class TestKPITensor:
         assert sub.n_sectors == 2
         np.testing.assert_array_equal(sub.missing, tensor.missing[[0, 2]])
 
-    def test_week_slice(self, rng):
-        tensor = _make_tensor(rng)
-        values, missing = tensor.week_slice(1, 1)
-        assert values.shape == (HOURS_PER_WEEK, 3)
-        np.testing.assert_array_equal(
-            values, tensor.values[1, HOURS_PER_WEEK : 2 * HOURS_PER_WEEK]
-        )
-        with pytest.raises(IndexError):
-            tensor.week_slice(0, 5)
-
     def test_filled(self, rng):
         tensor = _make_tensor(rng)
         filled = tensor.filled(-7.0)

@@ -275,3 +275,43 @@ def test_a_block_off_the_shard_clock_is_refused(env, tmp_path):
         assert worker.ingestor.hours_seen == 30
     finally:
         fleet.close()
+
+
+# Hour 191 completes day 7, so shard 1 forecasts in it after shard 0
+# applied and journaled it.
+FAILED_HOUR = 191
+
+
+def _wal_hours(directory, plan):
+    return [
+        [record[0] for record in journal_records(directory / plan.shard_dir(shard))]
+        for shard in range(plan.n_shards)
+    ]
+
+
+def test_a_shard_that_raises_is_rewound_with_the_fleet(env, baseline, tmp_path):
+    """Shard 1's forecast raises once at hour 191.  The coordinator sets
+    its clock back and resumes every shard there, so the retried hour is
+    applied in step, each WAL holds it once, and the stream from the
+    retry on is the uninterrupted one."""
+    fleet = build_fleet(tmp_path, _config(env), 2)
+    lines: list[str] = []
+    try:
+        _drive(fleet, 0, FAILED_HOUR, lines, env)
+        engine = fleet.backend.workers[1].engine
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("forecast failed")
+
+        engine.predict = failing
+        with pytest.raises(RuntimeError, match="forecast failed"):
+            _drive(fleet, FAILED_HOUR, FAILED_HOUR + 1, lines, env)
+        assert fleet.clock == FAILED_HOUR
+        assert fleet.backend.shard_hours() == [FAILED_HOUR, FAILED_HOUR]
+        _drive(fleet, FAILED_HOUR, FAILED_HOUR + 1, lines, env)
+        for hours in _wal_hours(tmp_path, fleet.plan):
+            assert hours == list(range(hours[0], FAILED_HOUR + 1))
+        _drive(fleet, FAILED_HOUR + 1, END_HOUR, lines, env)
+    finally:
+        fleet.close()
+    assert lines == baseline

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.fleet import PARTITION_NAME, PartitionPlan, rebalance_moves, sector_shard
+from repro.fleet import PARTITION_NAME, PartitionPlan, sector_shard
 
 
 class TestSectorShard:
@@ -107,26 +107,3 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="out-of-range"):
             PartitionPlan.load(tmp_path)
-
-
-class TestRebalance:
-    def test_identical_plans_need_no_moves(self):
-        plan = PartitionPlan.compute(30, 3)
-        assert rebalance_moves(plan, plan) == []
-
-    def test_moves_exactly_the_reassigned_sectors(self):
-        old = PartitionPlan.compute(30, 2)
-        new = PartitionPlan.compute(30, 3, generation=1)
-        moves = rebalance_moves(old, new)
-        moved = {m["sector"] for m in moves}
-        assert moved == set(np.flatnonzero(old.assignment != new.assignment))
-        for move in moves:
-            assert move["from"] == old.assignment[move["sector"]]
-            assert move["to"] == new.assignment[move["sector"]]
-            assert move["from"] != move["to"]
-
-    def test_rejects_mismatched_networks(self):
-        with pytest.raises(ValueError):
-            rebalance_moves(
-                PartitionPlan.compute(10, 2), PartitionPlan.compute(11, 2)
-            )

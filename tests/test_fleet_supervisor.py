@@ -23,6 +23,7 @@ from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sec
 from repro.core.experiment import SweepRunner
 from repro.fleet import (
     FleetConfig,
+    ShardWorker,
     SimulatedKill,
     SupervisorConfig,
     build_fleet,
@@ -432,6 +433,47 @@ def test_degrade_inside_a_sliced_block_spools_each_hour_once(env, baseline, tmp_
         line for line in baseline if json.loads(line).get("t_day", -1) > kill_day
     ]
     assert tail == base_tail
+
+
+@needs_fork
+def test_an_error_reply_rewinds_every_host_to_the_clock(
+    env, baseline, tmp_path, monkeypatch
+):
+    """Host 1 answers ``err`` in the second slice of a 48-h block, after
+    both hosts applied the first and host 0 the second.  The coordinator
+    sets its clock back to the block's first hour and respawns every host
+    there, so the retried block continues bitwise and each shard WAL
+    holds every hour once."""
+    marker = tmp_path / "responded-once"
+    respond = ShardWorker._respond
+
+    def failing(worker, tick, missing):
+        if worker.shard_id == 1 and tick.hour == SECOND_SLICE_HOUR and not marker.exists():
+            marker.touch()
+            raise RuntimeError("response failed")
+        return respond(worker, tick, missing)
+
+    monkeypatch.setattr(ShardWorker, "_respond", failing)
+    fleet = _supervised(tmp_path / "run", env)
+    first_hour = SECOND_SLICE_HOUR // SLICED_BLOCK * SLICED_BLOCK
+    lines: list[str] = []
+    try:
+        _drive_blocks(fleet, 0, first_hour, lines, env, SLICED_BLOCK)
+        with pytest.raises(RuntimeError, match="shard host 1 failed"):
+            _drive_blocks(fleet, first_hour, first_hour + SLICED_BLOCK, lines, env, SLICED_BLOCK)
+        assert marker.exists()
+        assert fleet.clock == first_hour
+        assert fleet.backend.shard_hours() == [first_hour, first_hour]
+        _drive_blocks(fleet, first_hour, first_hour + SLICED_BLOCK, lines, env, SLICED_BLOCK)
+        for shard in range(fleet.plan.n_shards):
+            shard_dir = tmp_path / "run" / fleet.plan.shard_dir(shard)
+            hours = [record[0] for record in journal_records(shard_dir)]
+            assert hours[0] <= SECOND_SLICE_HOUR - 24
+            assert hours == list(range(hours[0], first_hour + SLICED_BLOCK))
+        _drive_blocks(fleet, first_hour + SLICED_BLOCK, END_HOUR, lines, env, SLICED_BLOCK)
+    finally:
+        fleet.close()
+    assert lines == baseline
 
 
 # ------------------------------------------------------- poison & budget

@@ -157,21 +157,3 @@ class TestEvaluateDay:
             ShadowEvaluator("cold", 1, 7)
         with pytest.raises(ValueError, match="horizon and window"):
             ShadowEvaluator("hot", 0, 7)
-
-
-class TestSummarize:
-    def test_counts_and_means(self):
-        rows = [
-            ShadowResult(10, 9, result(lift=2.0), result(lift=3.0)).as_row(),
-            ShadowResult(11, 10, result(lift=2.0), result(lift=1.0)).as_row(),
-            ShadowResult(12, 11, result(lift=0.0), result(lift=1.0)).as_row(),
-        ]
-        summary = ShadowEvaluator.summarize(rows)
-        assert summary["evaluated_days"] == 3
-        assert summary["defined_days"] == 2
-        assert summary["mean_delta"] == pytest.approx((50.0 - 50.0) / 2)
-
-    def test_empty(self):
-        summary = ShadowEvaluator.summarize([])
-        assert summary["evaluated_days"] == 0
-        assert np.isnan(summary["mean_delta"])

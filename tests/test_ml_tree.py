@@ -122,12 +122,6 @@ class TestDecisionTree:
         assert (tree.predict(X) == y).mean() > 0.9
         assert tree.predict_proba(X).shape == (300, 4)
 
-    def test_decision_path_features(self, rng):
-        X, y = _separable(rng)
-        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        first_splits = tree.decision_path_features(max_splits=3)
-        assert first_splits[0] == 2
-
     def test_validation_errors(self, rng):
         X, y = _separable(rng)
         with pytest.raises(ValueError):

@@ -352,7 +352,6 @@ class TestVersionedEntries:
         # The unversioned entry coexists and is not counted.
         registry.save(self.KEY, model)
         assert registry.versions(self.KEY) == [1, 2]
-        assert registry.latest(self.KEY).version == 2
 
     def test_explicit_version_overwrites_idempotently(
         self, runner, features, tmp_path
@@ -365,7 +364,8 @@ class TestVersionedEntries:
         registry.save_version(self.KEY, model, {"seed": 1}, version=1)
         assert registry.versions(self.KEY) == [1]
         registry.evict_all()
-        reloaded = registry.load(registry.latest(self.KEY))
+        newest = registry.versions(self.KEY)[-1]
+        reloaded = registry.load(ModelKey("hot", "RF-F1", HORIZON, WINDOW, version=newest))
         np.testing.assert_array_equal(
             model.forecast(features, T_DAY, WINDOW),
             reloaded.forecast(features, T_DAY, WINDOW),
@@ -401,7 +401,7 @@ class TestVersionedEntries:
 
     def test_latest_empty_and_corrupt_sidecar(self, runner, tmp_path):
         registry = ModelRegistry(tmp_path)
-        assert registry.latest(self.KEY) is None
+        assert registry.versions(self.KEY) == []
         model = runner.train_cell("RF-F1", T_DAY, HORIZON, WINDOW)
         versioned = registry.save_version(self.KEY, model)
         registry.provenance_path_for(versioned).write_text("{torn", encoding="utf-8")
