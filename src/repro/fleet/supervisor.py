@@ -206,7 +206,7 @@ class _ShardHost:
         self.n_local = n_local
         self.process = None
         self.conn = None
-        self.hours = 0  # clock reported at the last hello
+        self.hours = 0  # clock: its last hello, then each block applied or spooled
         self.restarts = 0  # successful respawns, lifetime
         self.consecutive_deaths = 0  # since the last successful response
         self.death_key = None  # request identity of the last death
@@ -293,8 +293,6 @@ class FleetSupervisor:
         self.chaos = chaos
         self.on_event = on_event
         self.telemetry = ServeTelemetry()
-        #: Every supervision event, in order (the CI artifact payload).
-        self.events: list[dict] = []
         self._coordinator = None
         self._degraded_seconds = 0.0
         self.hosts = [
@@ -616,6 +614,7 @@ class FleetSupervisor:
         return True
 
     def _success(self, host, payload):
+        host.hours = payload[-1]["hour"] + 1
         host.consecutive_deaths = 0
         host.death_key = None
         host.deaths_on_key = 0
@@ -665,6 +664,7 @@ class FleetSupervisor:
             )
         host.spool.record_block(first_hour, values, missing, calendar_rows)
         n_hours = int(values.shape[1])
+        host.hours = first_hour + n_hours
         self.telemetry.inc("spooled_ticks", n_hours)
         return self._attach(host, [
             self._synthesize(host, first_hour + j) for j in range(n_hours)
@@ -762,7 +762,7 @@ class FleetSupervisor:
             "restarts_by_shard": {
                 str(host.shard_id): host.restarts for host in self.hosts
             },
-            "events": len(self.events),
+            "events": self.telemetry.events_seen,
         }
 
     def _time_in_degraded(self) -> float:
@@ -814,7 +814,6 @@ class FleetSupervisor:
 
     def _event(self, kind: str, **fields) -> dict:
         record = self.telemetry.event(kind, **fields)
-        self.events.append(record)
         if self.on_event is not None:
             try:
                 self.on_event(record)

@@ -1,12 +1,12 @@
 """Prometheus text exposition for :class:`~repro.serve.telemetry.ServeTelemetry`.
 
-Renders the serving layer's counters, gauges, and latency histograms in
-the `text exposition format (version 0.0.4)
+Renders the serving layer's counters and latency histograms, plus the
+caller's point-in-time gauges, in the `text exposition format (version 0.0.4)
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ with no
 client-library dependency:
 
 * counters → ``<prefix>_<name>_total``;
-* gauges → ``<prefix>_<name>``, optionally labeled (the gateway uses
+* *extra_gauges* → ``<prefix>_<name>``, optionally labeled (the gateway uses
   labels for per-shard state, e.g. ``repro_shard_degraded{shard="2"}``);
 * latency histograms → cumulative ``_bucket{le="..."}`` series straight
   from :attr:`LatencyHistogram.bucket_bounds` / ``bucket_counts``, plus
@@ -76,8 +76,8 @@ def render_prometheus(
 ) -> str:
     """Render *telemetry* (plus *extra_gauges*) as Prometheus text.
 
-    *extra_gauges* carries point-in-time readings that live outside the
-    telemetry object — queue depths, per-shard flags — as
+    *extra_gauges* carries the gauges, point-in-time readings that live
+    outside the telemetry object — queue depths, per-shard flags — as
     ``(name, labels, value)`` triples; samples sharing a name render
     under one ``# TYPE`` header.
     """
@@ -89,8 +89,6 @@ def render_prometheus(
         lines.append(f"{metric} {_fmt(value)}")
 
     samples: dict[str, list[tuple["dict[str, str] | None", float]]] = {}
-    for name, value in telemetry.gauges().items():
-        samples.setdefault(_sanitize(name), []).append((None, value))
     for name, labels, value in extra_gauges or []:
         samples.setdefault(_sanitize(name), []).append((labels, float(value)))
     for name in sorted(samples):

@@ -145,12 +145,6 @@ class HotSpotGateway:
         self._pool.shutdown(wait=True)
         self.journal.close()
 
-    async def run_until(self, stop_event: asyncio.Event) -> None:
-        """Serve until *stop_event* fires, then drain and stop."""
-        await self.start()
-        await stop_event.wait()
-        await self.stop()
-
     # ------------------------------------------------------------ ingest
     def _tap(self, hour: int, events: list[dict]) -> None:
         # Ingest-worker thread, called by the engine pre-WAL-append.
@@ -459,8 +453,9 @@ class GatewayThread:
     """Run a gateway on a daemon thread with its own event loop.
 
     Embedding helper for tests and benchmarks: ``start()`` blocks until
-    the port is bound, ``stop()`` drains and joins.  The CLI path uses
-    :meth:`HotSpotGateway.run_until` directly on the main thread.
+    the port is bound, ``stop()`` drains and joins.  The CLI awaits
+    :meth:`HotSpotGateway.start` and :meth:`HotSpotGateway.stop` on its
+    own event loop instead.
     """
 
     def __init__(self, gateway: HotSpotGateway) -> None:

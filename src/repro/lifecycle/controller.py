@@ -26,16 +26,21 @@ prior :class:`~repro.lifecycle.promote.LifecycleState`): challenger
 seeds derive from the trigger day, registry versions from the state's
 own counter (an archive orphaned by a crash is overwritten with
 identical bytes on re-processing), and the whole day's transition
-commits in one atomic ``lifecycle.json`` write.  A tick killed
-*before* that commit is re-processed from the previous state and
-reaches the same outcome; a tick killed *after* it re-emits the
-committed event list verbatim.  Either way the active champion and the
-subsequent alert stream match an uninterrupted run (asserted in
+commits in one atomic ``lifecycle.json`` write of the state the day
+started from (``before``) and the one it ended in (``after``).  One
+resume rule follows: a restarted controller takes ``after`` when the
+recovered ring has completed ``after``'s day and ``before`` otherwise,
+pins that state's champion, and re-runs the next day like any other.
+The champion pinned while a re-run day's alert is computed is the one
+that served while the day first ran, and the re-run reaches the same
+events and the same ``after``, so the active champion and the alert
+stream match an uninterrupted run (asserted in
 ``tests/test_lifecycle_promotion.py``).
 """
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 
 from repro.data.tensor import HOURS_PER_DAY
@@ -65,12 +70,14 @@ class LifecycleController:
         served forecasts.
     state_path:
         Where the durable state commits after every processed day.
-        Point this at
-        :meth:`~repro.resilience.checkpoint.CheckpointManager.state_path`
-        (``lifecycle.json``) so lifecycle recovery shares the WAL's
-        directory; ``None`` keeps state in memory only (no crash
-        consistency).  An existing file is loaded on construction —
-        passing the same path after a crash *is* the resume path.
+        Point this at ``lifecycle.json`` in the checkpoint directory so
+        lifecycle recovery shares the WAL's directory; ``None`` keeps
+        state in memory only (no crash consistency).  An existing file
+        is loaded on construction — passing the same path after a crash
+        *is* the resume path (module docstring).  A file in the older
+        single-state format resumes only when the ring has completed its
+        day; otherwise there is no ``before`` to re-run from and
+        construction raises :class:`ValueError`.
     start_day:
         First day lifecycle decisions run; earlier days only feed the
         drift monitor.  The bootstrap champion is treated as trained at
@@ -129,35 +136,33 @@ class LifecycleController:
                 "need; raise w_max/capacity_hours"
             )
 
-        loaded = (
-            LifecycleState.load(self.state_path)
-            if self.state_path is not None
-            else None
+        self.state = LifecycleState(last_retrain_day=start_day)
+        #: The state the last processed day started from, committed
+        #: beside :attr:`state` (``None`` until a day is processed).
+        self.before: LifecycleState | None = None
+        pair = (
+            None
+            if self.state_path is None
+            else LifecycleState.load_pair(self.state_path)
         )
-        if loaded is not None:
-            self.state = loaded
-        else:
-            self.state = LifecycleState(last_retrain_day=start_day)
+        if pair is not None:
+            self.before, after = pair
+            if ingestor.last_complete_day >= after.last_day_processed:
+                self.state = after
+            elif self.before is None:
+                raise ValueError(
+                    f"{self.state_path} holds no state to re-run day "
+                    f"{after.last_day_processed} from (the ring has completed "
+                    f"day {ingestor.last_complete_day}); a single-state "
+                    "lifecycle file resumes only after a clean stop"
+                )
+            else:
+                self.state = copy.deepcopy(self.before)
         # Mid-stream attach or crash recovery: rebuild the drift windows
-        # from ring state and re-pin the engine to the durable champion.
+        # from ring state and pin the engine to the resumed champion.
         if ingestor.last_complete_day >= 0:
             self.monitor.backfill(ingestor, ingestor.last_complete_day)
-        if (
-            loaded is not None
-            and ingestor.last_complete_day < self.state.last_day_processed
-        ):
-            # The committed day's tick was applied but never journaled,
-            # so it is about to be re-processed.  Alerts for a completing
-            # day are computed *before* the day hooks run, so serve that
-            # re-computed alert with the pin that was active while the
-            # day originally ran; the re-emit path re-applies the
-            # committed pins afterwards, exactly as the live transition
-            # did.
-            self.engine.set_active_version(
-                self.config.model, self.state.last_day_pre_champion
-            )
-        else:
-            self._apply_pins()
+        self._apply_pins()
 
     # ------------------------------------------------------------- wiring
     @property
@@ -185,15 +190,11 @@ class LifecycleController:
             self.config.model, self.state.champion_version
         )
 
-    def _commit(
-        self, t_day: int, events: list[dict], pre_champion: int | None
-    ) -> None:
+    def _commit(self, t_day: int) -> None:
         """The per-day atomic commit point (see module docstring)."""
         self.state.last_day_processed = t_day
-        self.state.last_day_events = events
-        self.state.last_day_pre_champion = pre_champion
         if self.state_path is not None:
-            self.state.save(self.state_path)
+            self.state.save(self.state_path, before=self.before)
 
     # ------------------------------------------------------------ the hook
     def on_day(self, tick: IngestTick) -> list[dict]:
@@ -203,19 +204,11 @@ class LifecycleController:
         t_day = tick.t_day
         ingestor = self.engine.ingestor
         self.monitor.observe_day(ingestor, t_day)
-        if t_day <= self.state.last_day_processed:
-            # A recovered stream re-processing a tick that was applied
-            # but never journaled: re-emit the committed events and make
-            # sure the served pin matches the durable champion.
-            self._apply_pins()
-            if t_day == self.state.last_day_processed:
-                return [dict(event) for event in self.state.last_day_events]
-            return []
-        if t_day < self.start_day:
+        if t_day <= self.state.last_day_processed or t_day < self.start_day:
             return []
 
+        self.before = copy.deepcopy(self.state)
         events: list[dict] = []
-        pre_champion = self.state.champion_version
         drifted = self._check_drift(t_day, events)
         if self.state.phase == "shadow":
             self._step_shadow(t_day, events)
@@ -223,7 +216,7 @@ class LifecycleController:
             self._step_confirm(t_day, events)
         if self.state.phase == "idle":
             self._maybe_retrain(t_day, drifted, events)
-        self._commit(t_day, events, pre_champion)
+        self._commit(t_day)
         return events
 
     # ------------------------------------------------------------- phases
@@ -371,9 +364,8 @@ class LifecycleController:
             return None
         day = self.engine.ingestor.last_complete_day if t_day is None else t_day
         events: list[dict] = []
-        pre_champion = self.state.champion_version
         self._rollback(day, events, reason="operator")
-        self._commit(max(day, self.state.last_day_processed), events, pre_champion)
+        self._commit(max(day, self.state.last_day_processed))
         return events[0]
 
     def _maybe_retrain(self, t_day: int, drifted: bool, events: list[dict]) -> None:

@@ -17,20 +17,22 @@ horizon, window)`` cell:
 
 :class:`LifecycleState` is the durable half: a JSON-able record of the
 machine (phase, champion/challenger versions, shadow rows, the
-monotonic version counter, and the last processed day's event list)
-written atomically via :func:`repro.data.store.write_json_atomic` —
-typically into the resilience checkpoint directory
-(:meth:`~repro.resilience.checkpoint.CheckpointManager.state_path`).
-Every per-day lifecycle transition commits in **one** atomic write, so
-a crash at any point during retrain/promotion leaves either the old
-state (the day is deterministically re-processed on recovery) or the
-new one (the recorded events are re-emitted verbatim); there is no
-intermediate to recover from.
+monotonic version counter, the last processed day).  Every processed
+day commits **one** atomic :func:`repro.data.store.write_json_atomic`
+of two states, ``{"before": …, "after": …}``: the state the day started
+from and the state it ended in, typically into the resilience
+checkpoint directory as ``lifecycle.json``.  A crash at any point
+during retrain/promotion leaves either the previous pair or the new
+one; either way the restarted controller picks the state its recovered
+ring has reached and re-runs whatever day follows it (see
+:mod:`repro.lifecycle.controller`); there is no intermediate to
+recover from and no stored event list to replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +167,7 @@ class PromotionPolicy:
 
 @dataclass
 class LifecycleState:
-    """Durable promotion-machine state, committed one atomic write per day.
+    """Durable promotion-machine state; ``lifecycle.json`` holds two.
 
     Attributes
     ----------
@@ -186,21 +188,12 @@ class LifecycleState:
         content instead of leaking a stray version.
     last_retrain_day, last_promotion_day:
         Hysteresis anchors for the retrain and promotion policies.
-    last_day_processed, last_day_events:
-        The commit record: when a recovered stream re-processes day
-        ``last_day_processed`` (its tick was applied but never
-        journaled), the recorded events are re-emitted verbatim instead
-        of re-deciding — the alert/event stream after a crash matches
-        the uninterrupted run exactly.
-    last_day_pre_champion:
-        The champion that was serving while day ``last_day_processed``
-        was being processed (alerts for a completing day are computed
-        *before* the day hooks run, so a promotion takes effect one tick
-        later).  On recovery, if that day's tick is about to be
-        re-processed, the engine is pinned to this version so the
-        re-computed alert matches the original bitwise; the re-emit path
-        then re-applies the committed pins, exactly as the live
-        transition did.
+    last_day_processed:
+        The last day whose lifecycle step ran; the controller skips any
+        day at or before it.  ``lifecycle.json`` pairs the state a day
+        ended in (``after``) with the one it started from (``before``),
+        so a restart whose ring has not completed ``after``'s day
+        resumes from ``before`` and re-runs that day.
     shadow_rows, confirm_rows:
         Resolved :meth:`~repro.lifecycle.shadow.ShadowResult.as_row`
         dicts for the active shadow/confirm window (floats round-trip
@@ -216,10 +209,8 @@ class LifecycleState:
     last_retrain_day: int = -1
     last_promotion_day: int = -1
     last_day_processed: int = -1
-    last_day_pre_champion: int | None = None
     shadow_rows: list[dict] = field(default_factory=list)
     confirm_rows: list[dict] = field(default_factory=list)
-    last_day_events: list[dict] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.phase not in PHASES:
@@ -227,54 +218,43 @@ class LifecycleState:
 
     # ------------------------------------------------------------ persist
     def as_json(self) -> dict:
-        return {
-            "phase": self.phase,
-            "champion_version": self.champion_version,
-            "previous_version": self.previous_version,
-            "challenger_version": self.challenger_version,
-            "challenger_trained_day": self.challenger_trained_day,
-            "version_counter": self.version_counter,
-            "last_retrain_day": self.last_retrain_day,
-            "last_promotion_day": self.last_promotion_day,
-            "last_day_processed": self.last_day_processed,
-            "last_day_pre_champion": self.last_day_pre_champion,
-            "shadow_rows": self.shadow_rows,
-            "confirm_rows": self.confirm_rows,
-            "last_day_events": self.last_day_events,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "LifecycleState":
-        def _opt(name: str) -> int | None:
-            value = payload.get(name)
-            return None if value is None else int(value)
+        """Rebuild a state, ignoring keys that are not fields."""
+        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
 
-        return cls(
-            phase=str(payload.get("phase", "idle")),
-            champion_version=_opt("champion_version"),
-            previous_version=_opt("previous_version"),
-            challenger_version=_opt("challenger_version"),
-            challenger_trained_day=int(payload.get("challenger_trained_day", -1)),
-            version_counter=int(payload.get("version_counter", 0)),
-            last_retrain_day=int(payload.get("last_retrain_day", -1)),
-            last_promotion_day=int(payload.get("last_promotion_day", -1)),
-            last_day_processed=int(payload.get("last_day_processed", -1)),
-            last_day_pre_champion=_opt("last_day_pre_champion"),
-            shadow_rows=list(payload.get("shadow_rows", [])),
-            confirm_rows=list(payload.get("confirm_rows", [])),
-            last_day_events=list(payload.get("last_day_events", [])),
-        )
-
-    def save(self, path: str | Path) -> Path:
-        """Atomically persist the state (the per-day commit point)."""
-        return write_json_atomic(path, self.as_json())
+    def save(self, path: str | Path, before: "LifecycleState | None" = None) -> Path:
+        """Atomically commit *before* → this state (the per-day commit point)."""
+        return write_json_atomic(path, {
+            "before": None if before is None else before.as_json(),
+            "after": self.as_json(),
+        })
 
     @classmethod
-    def load(cls, path: str | Path) -> "LifecycleState | None":
-        """Load persisted state; None when *path* does not exist."""
-        import json
+    def load_pair(
+        cls, path: str | Path
+    ) -> "tuple[LifecycleState | None, LifecycleState] | None":
+        """``(before, after)`` from *path*; None when it does not exist.
 
+        A file in the older single-state format loads as ``after`` with
+        no ``before``.
+        """
         path = Path(path)
         if not path.exists():
             return None
-        return cls.from_json(json.loads(path.read_text(encoding="utf-8")))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if "after" not in payload:
+            return None, cls.from_json(payload)
+        before = payload["before"]
+        return (
+            None if before is None else cls.from_json(before),
+            cls.from_json(payload["after"]),
+        )
+
+    @classmethod
+    def load(cls, path: str | Path) -> "LifecycleState | None":
+        """The committed ``after`` state; None when *path* does not exist."""
+        pair = cls.load_pair(path)
+        return None if pair is None else pair[1]

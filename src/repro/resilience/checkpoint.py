@@ -435,17 +435,6 @@ class CheckpointManager:
         write_json_atomic(self.directory / _META_NAME, meta, sync=self.sync)
 
     # ------------------------------------------------------------- paths
-    def state_path(self, name: str) -> Path:
-        """Path for an auxiliary state file colocated with the journal.
-
-        The lifecycle controller keeps its promotion state machine
-        (``lifecycle.json``, written via
-        :func:`repro.data.store.write_json_atomic`) here so that the
-        WAL, the snapshots, and the champion/challenger bookkeeping
-        recover from the same directory as one consistent unit.
-        """
-        return self.directory / name
-
     def _segment_path(self, start_hour: int) -> Path:
         return self.directory / f"wal-{start_hour:08d}.log"
 

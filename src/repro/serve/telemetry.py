@@ -11,11 +11,10 @@ Everything is exposed through :meth:`ServeTelemetry.stats`, a plain
 nested-dict snapshot that later observability layers (JSON endpoints,
 log shippers) can serialise directly.
 
-The gateway (PR 10) adds **gauges** — point-in-time readings such as
-DLQ depth or ingest-queue length that can move in both directions and
-are never pooled by summing — and exposes counters, gauges, and the
-raw histogram buckets through the Prometheus text renderer in
-:mod:`repro.gateway.metrics`.
+The gateway exposes counters and the raw histogram buckets through the
+Prometheus text renderer in :mod:`repro.gateway.metrics`; its gauges
+(DLQ depth, clock, per-shard rows) are point-in-time readings taken
+from the serving stack at render time, not stored here.
 
 The resilience layer (PR 3) adds a third primitive: a bounded
 **structured event log**.  Quarantines, gap fills, degradations, and
@@ -173,7 +172,6 @@ class ServeTelemetry:
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, LatencyHistogram] = {}
         self._events: deque[dict] = deque(maxlen=max_events)
         self.events_seen = 0
@@ -201,27 +199,6 @@ class ServeTelemetry:
             for name, value in sorted(self._counters.items())
             if name.startswith(prefix)
         }
-
-    # -------------------------------------------------------------- gauges
-    def set_gauge(self, name: str, value: float) -> float:
-        """Set gauge *name* to a point-in-time *value*; returns it.
-
-        Gauges are instantaneous readings (queue depth, dark-sector
-        count, champion version) — unlike counters they can go down,
-        and merging them must not sum the same underlying instrument
-        twice.
-        """
-        value = float(value)
-        self._gauges[name] = value
-        return value
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        """Current value of gauge *name* (*default* if never set)."""
-        return self._gauges.get(name, default)
-
-    def gauges(self) -> dict[str, float]:
-        """Name-sorted snapshot of every gauge."""
-        return dict(sorted(self._gauges.items()))
 
     # ------------------------------------------------------------ latencies
     def histogram(self, name: str) -> LatencyHistogram:
@@ -282,14 +259,6 @@ class ServeTelemetry:
         for source in sources:
             for name, value in source._counters.items():
                 merged._counters[name] = merged._counters.get(name, 0) + value
-            # Gauges are point-in-time instrument readings, not flows:
-            # summing a gauge that several sources observed (a shared
-            # clock, a champion version) would double-count it.  The
-            # first operand holding a gauge wins — per-source values
-            # that *should* add across disjoint shards belong in the
-            # per-shard stats tables, not in the pooled gauge set.
-            for name, value in source._gauges.items():
-                merged._gauges.setdefault(name, value)
             for name, histogram in source._histograms.items():
                 merged.histogram(name).merge_from(histogram)
             merged._events.extend(source._events)
@@ -301,7 +270,6 @@ class ServeTelemetry:
         """Plain-dict snapshot of every counter and histogram summary."""
         return {
             "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
             "latency": {
                 name: histogram.summary()
                 for name, histogram in self._histograms.items()

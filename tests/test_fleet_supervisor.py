@@ -476,6 +476,30 @@ def test_an_error_reply_rewinds_every_host_to_the_clock(
     assert lines == baseline
 
 
+@needs_fork
+def test_shard_hours_are_each_host_clock(env, tmp_path):
+    """``shard_hours()`` reads each host's clock now, not the one it
+    reported at its last hello: the hours a live host applied, or the
+    hours a degraded host spooled."""
+    fleet = _supervised(tmp_path / "live", env)
+    try:
+        _drive(fleet, 0, 100, [], env)
+        assert fleet.backend.shard_hours() == [100, 100]
+    finally:
+        fleet.close()
+    chaos = _chaos(tmp_path, ProcessFault(1, "mid_apply", KILL_HOUR))
+    fleet = _supervised(
+        tmp_path / "degraded", env, chaos=chaos,
+        supervise=SupervisorConfig(max_restarts=0, poison_threshold=5),
+    )
+    try:
+        _drive(fleet, 0, KILL_HOUR + 1, [], env)
+        assert fleet.backend.degraded_shards == [1]
+        assert fleet.backend.shard_hours() == [KILL_HOUR + 1, KILL_HOUR + 1]
+    finally:
+        fleet.close()
+
+
 # ------------------------------------------------------- poison & budget
 @needs_fork
 def test_poison_block_is_quarantined(env, baseline, tmp_path):

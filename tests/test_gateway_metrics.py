@@ -12,7 +12,6 @@ def _telemetry() -> ServeTelemetry:
     telemetry = ServeTelemetry()
     telemetry.inc("ingest_ticks", 7)
     telemetry.inc("ticks_quarantined")
-    telemetry.set_gauge("dlq_depth", 3)
     telemetry.observe("ingest", 0.002)
     telemetry.observe("ingest", 0.004)
     telemetry.observe("ingest", 1.5)
@@ -30,11 +29,13 @@ class TestRender:
         text = render_prometheus(
             _telemetry(),
             extra_gauges=[
+                ("dlq_depth", None, 3),
                 ("shard_degraded", {"shard": "0"}, 0),
                 ("shard_degraded", {"shard": "1"}, 1),
             ],
         )
         assert "# TYPE repro_dlq_depth gauge" in text
+        assert "\nrepro_dlq_depth 3\n" in text
         assert 'repro_shard_degraded{shard="0"} 0' in text
         assert 'repro_shard_degraded{shard="1"} 1' in text
         # One TYPE header per family, not per sample.

@@ -334,8 +334,6 @@ class TestFleetParity:
         assert fleet_status["backend"] == "supervised"
         assert fleet_status["supervisor"]["worker_restarts"] >= 1
         shards = {row["shard"]: row for row in fleet_status["shards"]}
-        # shard_hours reports the clock at the last (re)hello: the killed
-        # shard recovered through its spool to at least the kill hour.
-        assert shards[1]["hours"] >= KILL_HOUR
+        assert shards[1]["hours"] == status["clock"]
         assert not shards[1]["degraded"]
         assert status["clock"] == END_HOUR

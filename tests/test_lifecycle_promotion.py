@@ -137,7 +137,7 @@ class TestLifecycleState:
             last_retrain_day=40, last_promotion_day=30,
             last_day_processed=41,
             shadow_rows=rows_with_deltas([5.0]),
-            last_day_events=[{"event": "retrain", "t_day": 40}],
+            confirm_rows=rows_with_deltas([-1.0]),
         )
         assert LifecycleState.from_json(state.as_json()) == state
 
@@ -517,8 +517,8 @@ class TestCrashConsistency:
         self, drifted_dataset, uninterrupted, tmp_path, kind
     ):
         """Crash after the lifecycle day committed but before the WAL
-        acknowledged the tick: the re-processed tick re-emits the
-        committed events verbatim instead of re-deciding."""
+        acknowledged the tick: the resumed controller starts from the
+        committed ``before`` state and re-runs the day."""
         crash_hour = self.day_tick(uninterrupted["events_by_hour"], kind)
         guard, service, controller, engine, checkpoint = self.run_until_crash(
             drifted_dataset, tmp_path, crash_hour
@@ -543,3 +543,101 @@ class TestCrashConsistency:
         self.resume_and_compare(
             drifted_dataset, uninterrupted, tmp_path, crash_hour
         )
+
+    def test_promotion_day_is_rerun_from_before(
+        self, drifted_dataset, uninterrupted, tmp_path
+    ):
+        """Crash between the promotion day's lifecycle commit and its WAL
+        append: the resumed controller re-runs the day from ``before``,
+        so the promotion is decided and counted again, not replayed from
+        a stored list."""
+        reference = uninterrupted["events_by_hour"]
+        crash_hour = self.day_tick(reference, "promotion")
+        guard, service, controller, engine, checkpoint = self.run_until_crash(
+            drifted_dataset, tmp_path, crash_hour
+        )
+        apply_tick_direct(service, drifted_dataset, crash_hour)
+        path = tmp_path / "ckpt" / "lifecycle.json"
+        assert set(json.loads(path.read_text(encoding="utf-8"))) == {"before", "after"}
+        before, after = LifecycleState.load_pair(path)
+        assert before.phase == "shadow" and after.phase == "confirm"
+        del guard, service, controller, engine, checkpoint  # crash
+
+        resumed = self.resume_and_compare(
+            drifted_dataset, uninterrupted, tmp_path, crash_hour
+        )
+        promotions = [
+            event
+            for hour in range(crash_hour, TOTAL_HOURS)
+            for event in reference.get(hour, [])
+            if event.get("event") == "promotion"
+        ]
+        assert resumed.telemetry.counter("events_promotion") == len(promotions)
+
+    def test_single_state_file_resumes_only_when_its_day_is_journaled(
+        self, drifted_dataset, uninterrupted, tmp_path
+    ):
+        """A ``lifecycle.json`` in the older single-state format loads as
+        ``after`` when the ring has completed its day, and is refused
+        when that day must be re-run: there is no ``before``."""
+        final = uninterrupted["controller"].state
+        path = tmp_path / "lifecycle.json"
+        path.write_text(json.dumps({
+            **final.as_json(), "last_day_events": [], "last_day_pre_champion": 1,
+        }), encoding="utf-8")
+        registry = ModelRegistry(uninterrupted["registry_dir"])
+
+        def controller_over(ingestor):
+            engine = PredictionEngine(
+                ingestor, registry, target="hot", model=RETRAIN.model,
+                window=RETRAIN.window,
+            )
+            return LifecycleController(
+                engine, drift=DRIFT, retrain=RETRAIN, promotion=PROMO,
+                state_path=path, start_day=TRAIN_DAY,
+            )
+
+        journaled = controller_over(
+            StreamIngestor.from_state(uninterrupted["ingestor_state"])
+        )
+        assert journaled.state == final
+        assert journaled.before is None
+        assert journaled.engine.active_version() == final.champion_version
+
+        with pytest.raises(ValueError, match="lifecycle.json"):
+            controller_over(StreamIngestor.for_dataset(drifted_dataset, w_max=W_MAX))
+
+    def test_journal_cut_back_days_behind_the_commit(
+        self, drifted_dataset, uninterrupted, tmp_path
+    ):
+        """A journal cut back more than one day behind ``lifecycle.json``:
+        the controller resumes from ``before``, skips the days that state
+        already covers and re-runs the committed day to the same end."""
+        reference = uninterrupted["events_by_hour"]
+        crash_hour = self.day_tick(reference, "promotion")
+        guard, service, controller, engine, checkpoint = self.run_until_crash(
+            drifted_dataset, tmp_path, crash_hour
+        )
+        apply_tick_direct(service, drifted_dataset, crash_hour)
+        checkpoint.close()
+        del guard, service, controller, engine, checkpoint  # crash
+        before, after = LifecycleState.load_pair(tmp_path / "ckpt" / "lifecycle.json")
+
+        cut_hour = crash_hour - 2 * HOURS_PER_DAY
+        CheckpointManager.rewind(tmp_path / "ckpt", cut_hour)
+        recovered = CheckpointManager.recover(tmp_path / "ckpt")
+        assert recovered.ingestor.hours_seen == cut_hour
+        assert recovered.ingestor.last_complete_day < before.last_day_processed
+        guard, _, controller, engine, checkpoint = build_stack(
+            drifted_dataset, tmp_path / "registry", ckpt_dir=tmp_path / "ckpt",
+            ingestor=recovered.ingestor,
+        )
+        assert controller.state == before
+        assert engine.active_version() == before.champion_version
+
+        resumed = feed_guard(guard, drifted_dataset, cut_hour, crash_hour + 1)
+        checkpoint.close()
+        skipped = {hour: resumed.get(hour, []) for hour in range(cut_hour, crash_hour)}
+        assert all("event" not in event for events in skipped.values() for event in events)
+        assert resumed[crash_hour] == reference[crash_hour]
+        assert controller.state == after

@@ -152,16 +152,6 @@ class TestServeTelemetry:
         snapshot.clear()
         assert telemetry.histogram("lat").count == 1
 
-    def test_gauges(self):
-        telemetry = ServeTelemetry()
-        assert telemetry.gauge("depth") == 0.0
-        assert telemetry.gauge("depth", default=-1.0) == -1.0
-        telemetry.set_gauge("depth", 7)
-        telemetry.set_gauge("depth", 3)  # gauges go down, too
-        assert telemetry.gauge("depth") == 3.0
-        assert telemetry.gauges() == {"depth": 3.0}
-        assert telemetry.stats()["gauges"] == {"depth": 3.0}
-
 
 class TestMerge:
     @staticmethod
@@ -213,17 +203,6 @@ class TestMerge:
         c = self._loaded({}, [("ingest", 1.5)], [])
         assert a.merge([b, c]).stats() == c.merge([a, b]).stats()
         assert a.merge([b]).stats() == b.merge([a]).stats()
-
-    def test_merge_gauges_first_operand_wins(self):
-        # Gauges are instantaneous readings of one instrument: summing
-        # the same queue depth from two snapshots would double-count.
-        a, b = ServeTelemetry(), ServeTelemetry()
-        a.set_gauge("depth", 5)
-        b.set_gauge("depth", 9)
-        b.set_gauge("dark", 2)
-        merged = a.merge([b])
-        assert merged.gauge("depth") == 5.0  # a's reading, not 14
-        assert merged.gauge("dark") == 2.0  # but b's exclusive gauges carry
 
     def test_merge_leaves_operands_untouched(self):
         a = self._loaded({"ticks": 1}, [("lat", 0.1)], [])
