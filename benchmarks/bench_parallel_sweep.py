@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -37,6 +36,7 @@ from repro import (
 )
 from repro.core.experiment import SweepGrid, SweepRunner
 from repro.imputation import ForwardFillImputer
+from repro.parallel import effective_jobs
 
 DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_parallel_sweep.json"
 
@@ -71,7 +71,7 @@ def _rows_equal(rows_a: list[dict], rows_b: list[dict]) -> bool:
 
 def run_bench(smoke: bool = False, job_counts: tuple[int, ...] | None = None) -> dict:
     """Time serial vs parallel sweeps; return the summary dict."""
-    cores = os.cpu_count() or 1
+    cores = effective_jobs(0)  # the CPUs this process may run on
     if job_counts is None:
         job_counts = tuple(sorted({2, 4, cores} - {1}))
     if smoke:
@@ -90,7 +90,7 @@ def run_bench(smoke: bool = False, job_counts: tuple[int, ...] | None = None) ->
     serial_seconds = time.perf_counter() - start
 
     if cores < 2:
-        # A single-core box cannot demonstrate a speedup — timing the
+        # A single usable core cannot demonstrate a speedup — timing the
         # pool there only measures fork/IPC overhead.  Skip the parallel
         # leg and say so, instead of publishing a bogus <1x number.
         job_counts = ()

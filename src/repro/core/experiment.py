@@ -32,6 +32,13 @@ from repro.core.forecaster import MODEL_REGISTRY, make_model
 from repro.core.labels import become_hot_labels
 from repro.core.scoring import ScoreConfig
 from repro.data.dataset import Dataset
+from repro.parallel.pool import (
+    PoolUnavailable,
+    effective_jobs,
+    flatten,
+    ordered_chunk_map,
+    partition,
+)
 
 __all__ = ["SweepGrid", "ExperimentResult", "SweepRunner", "BASELINE_NAMES", "ALL_MODEL_NAMES"]
 
@@ -164,7 +171,7 @@ class SweepRunner:
         0/None uses every core, negative counts back from the core
         count.  Any value produces identical results (see DESIGN.md's
         determinism contract); the runner degrades to the serial loop
-        when shared memory or process pools are unavailable.
+        when the host cannot fork worker processes.
     """
 
     def __init__(
@@ -201,47 +208,6 @@ class SweepRunner:
                 dtype=np.int64,
             )
 
-    @classmethod
-    def from_worker_state(
-        cls,
-        *,
-        features_values: np.ndarray,
-        channel_names: list[str],
-        n_extra_channels: int,
-        score_daily: np.ndarray,
-        labels_daily: np.ndarray,
-        targets_daily: np.ndarray,
-        target: str,
-        score_config: ScoreConfig,
-        n_estimators: int,
-        n_training_days: int,
-        seed: int,
-    ) -> "SweepRunner":
-        """Rebuild a runner inside a worker process, without a Dataset.
-
-        The parallel executor ships the already-built feature tensor and
-        target matrices (as shared-memory views) instead of the dataset,
-        skipping the per-worker cost of :func:`build_feature_tensor`;
-        everything :meth:`run_cell` touches is restored exactly.
-        """
-        runner = cls.__new__(cls)
-        runner.dataset = None
-        runner.target = target
-        runner.score_config = score_config
-        runner.n_estimators = n_estimators
-        runner.n_training_days = n_training_days
-        runner.seed = seed
-        runner.n_jobs = 1
-        runner.features = FeatureTensor(
-            values=features_values,
-            channel_names=list(channel_names),
-            n_extra_channels=n_extra_channels,
-        )
-        runner.score_daily = score_daily
-        runner.labels_daily = labels_daily
-        runner.targets_daily = targets_daily
-        return runner
-
     # ------------------------------------------------------------------ run
     def run(
         self,
@@ -260,18 +226,24 @@ class SweepRunner:
         returns exactly the rows the serial loop would; progress lines
         go to stderr so stdout stays machine-parseable.
         """
-        jobs = self.n_jobs if n_jobs is None else n_jobs
-        from repro.parallel.pool import effective_jobs
-
-        if effective_jobs(jobs, grid.n_combinations) > 1:
-            from repro.parallel.sweep import (
-                ParallelExecutionUnavailable,
-                run_sweep_parallel,
-            )
-
+        jobs = effective_jobs(
+            self.n_jobs if n_jobs is None else n_jobs, grid.n_combinations
+        )
+        if jobs > 1:
+            # Several chunks per worker smooth over uneven cell costs
+            # (forest cells dwarf baseline cells) without giving up
+            # contiguity, so concatenating chunk results keeps grid order.
             try:
-                return run_sweep_parallel(self, grid, jobs, progress=progress)
-            except ParallelExecutionUnavailable:
+                return flatten(
+                    ordered_chunk_map(
+                        _run_cell_chunk,
+                        partition(list(grid.cells()), jobs * 4),
+                        jobs,
+                        state=self,
+                        on_chunk_done=_report_progress if progress else None,
+                    )
+                )
+            except PoolUnavailable:
                 pass  # degrade to the serial loop below
 
         results: list[ExperimentResult] = []
@@ -279,7 +251,7 @@ class SweepRunner:
         for done, (model_name, t_day, horizon, window) in enumerate(grid.cells(), 1):
             results.append(self.run_cell(model_name, t_day, horizon, window))
             if progress and done % 50 == 0:
-                print(f"  sweep progress: {done}/{total}", file=sys.stderr)
+                _report_progress(done, total)
         return results
 
     def run_cell(
@@ -379,6 +351,17 @@ class SweepRunner:
         if name == "Average":
             return AverageModel()
         return TrendModel()
+
+
+def _report_progress(done: int, total: int) -> None:
+    print(f"  sweep progress: {done}/{total}", file=sys.stderr)
+
+
+def _run_cell_chunk(
+    runner: SweepRunner, cells: list[tuple[str, int, int, int]]
+) -> list[ExperimentResult]:
+    """Evaluate one contiguous chunk of grid cells (a pool work item)."""
+    return [runner.run_cell(*cell) for cell in cells]
 
 
 def mean_lift_by(

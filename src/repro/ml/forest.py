@@ -12,10 +12,12 @@ Members are independent once their randomness is fixed, so fitting
 optionally fans out over worker processes (``n_jobs``): the bootstrap
 resamples and per-tree seeds are pre-drawn in tree order
 (:func:`repro.ml.rng.spawn_seeds`), which makes the parallel fit bitwise
-identical to the serial one for any worker count.  See
-:mod:`repro.parallel.forest` for the execution layer.  Prediction is
-serial in every process: one walk of the packed kernel
-(:mod:`repro.ml.packed`), whatever ``n_jobs`` says.
+identical to the serial one for any worker count.  Forked workers
+(:func:`repro.parallel.pool.ordered_chunk_map`) inherit the fit's inputs
+and fit trees by ordinal; the parent reassembles members, importances
+and OOB votes in tree order, so reductions see the same floating-point
+addition order too.  Prediction is serial in every process: one walk of
+the packed kernel (:mod:`repro.ml.packed`), whatever ``n_jobs`` says.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ import numpy as np
 
 from repro.ml.rng import ensure_rng, spawn_seeds
 from repro.ml.tree import DecisionTreeClassifier
+from repro.parallel.pool import (
+    PoolUnavailable,
+    effective_jobs,
+    flatten,
+    ordered_chunk_map,
+    partition,
+)
 
 __all__ = ["RandomForestClassifier"]
 
@@ -56,7 +65,7 @@ class RandomForestClassifier:
         Worker processes for fitting: 1 (default) stays serial, 0/None
         uses every core, negative counts back from the core count.  The
         fit is identical for every value; it silently falls back to
-        serial when process pools or shared memory are unavailable.
+        serial when the host cannot fork worker processes.
         Prediction ignores it and always walks the packed kernel serially.
 
     Attributes
@@ -166,48 +175,31 @@ class RandomForestClassifier:
         tree_seeds: list[int],
     ) -> list[DecisionTreeClassifier]:
         """Fit the member trees, across processes when n_jobs allows."""
-        from repro.parallel.pool import effective_jobs
-
-        if effective_jobs(self.n_jobs, self.n_estimators) > 1:
-            from repro.parallel.forest import (
-                ForestParallelUnavailable,
-                fit_trees_parallel,
-            )
-
+        fit = (
+            X,
+            y,
+            sample_weight,
+            bootstrap_index,
+            tree_seeds,
+            {
+                "max_features": self.max_features,
+                "min_weight_fraction_split": self.min_weight_fraction_split,
+                "max_depth": self.max_depth,
+                "class_balance": self.class_balance,
+            },
+        )
+        ordinals = list(range(self.n_estimators))
+        jobs = effective_jobs(self.n_jobs, self.n_estimators)
+        if jobs > 1:
             try:
-                return fit_trees_parallel(
-                    X,
-                    y,
-                    sample_weight,
-                    np.ascontiguousarray(bootstrap_index),
-                    tree_seeds,
-                    {
-                        "max_features": self.max_features,
-                        "min_weight_fraction_split": self.min_weight_fraction_split,
-                        "max_depth": self.max_depth,
-                        "class_balance": self.class_balance,
-                    },
-                    self.n_jobs,
+                return flatten(
+                    ordered_chunk_map(
+                        _fit_trees, partition(ordinals, jobs * 2), jobs, state=fit
+                    )
                 )
-            except ForestParallelUnavailable:
+            except PoolUnavailable:
                 pass  # degrade to the serial loop below
-
-        trees: list[DecisionTreeClassifier] = []
-        for k, seed in enumerate(tree_seeds):
-            sample_index = bootstrap_index[k]
-            tree = DecisionTreeClassifier(
-                max_features=self.max_features,
-                min_weight_fraction_split=self.min_weight_fraction_split,
-                max_depth=self.max_depth,
-                class_balance=self.class_balance,
-                random_state=np.random.default_rng(seed),
-            )
-            member_weight = (
-                None if sample_weight is None else sample_weight[sample_index]
-            )
-            tree.fit(X[sample_index], y[sample_index], sample_weight=member_weight)
-            trees.append(tree)
-        return trees
+        return _fit_trees(fit, ordinals)
 
     def _aligned_importances(
         self, tree: DecisionTreeClassifier, n_features: int
@@ -287,3 +279,23 @@ class RandomForestClassifier:
     def _check_fitted(self) -> None:
         if not hasattr(self, "estimators_") or not self.estimators_:
             raise RuntimeError("forest is not fitted; call fit() first")
+
+
+def _fit_trees(fit: tuple, ordinals: list[int]) -> list[DecisionTreeClassifier]:
+    """Fit the member trees with the given ordinals, in ordinal order.
+
+    *fit* is ``(X, y, sample_weight, bootstrap_index, tree_seeds,
+    tree_params)``.  Tree k trains on the k-th pre-drawn resample with
+    the k-th pre-spawned seed, so it is the same tree in any process.
+    """
+    X, y, sample_weight, bootstrap_index, tree_seeds, tree_params = fit
+    trees: list[DecisionTreeClassifier] = []
+    for k in ordinals:
+        sample_index = bootstrap_index[k]
+        tree = DecisionTreeClassifier(
+            **tree_params, random_state=np.random.default_rng(tree_seeds[k])
+        )
+        member_weight = None if sample_weight is None else sample_weight[sample_index]
+        tree.fit(X[sample_index], y[sample_index], sample_weight=member_weight)
+        trees.append(tree)
+    return trees

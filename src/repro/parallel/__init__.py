@@ -1,24 +1,20 @@
-"""repro.parallel — process-parallel execution with shared-memory tensors.
+"""repro.parallel — process-parallel execution over forked workers.
 
 The sweep of paper Table III and the forests it trains are both
 embarrassingly parallel once their randomness is derived instead of
-consumed sequentially; this package supplies the execution layer:
-
-* :mod:`repro.parallel.shm` — numpy arrays in named shared-memory
-  blocks, so worker processes map the feature tensor zero-copy;
-* :mod:`repro.parallel.pool` — worker-count resolution, contiguous
-  chunking, and an ordered chunked map over a process pool;
-* :mod:`repro.parallel.sweep` — the parallel
-  :meth:`~repro.core.experiment.SweepRunner.run` backend;
-* :mod:`repro.parallel.forest` — parallel member-tree fitting for
-  :class:`~repro.ml.forest.RandomForestClassifier`.  Prediction stays
-  serial in every process: the packed walk beats a pool at every
-  serving size.
+consumed sequentially.  :mod:`repro.parallel.pool` is the one execution
+layer both use: worker-count resolution, contiguous chunking, and an
+ordered chunked map over a forked pool whose workers inherit the map's
+inputs (the sweep runner with its feature tensor, or a forest fit's
+arrays) copy-on-write.  :meth:`~repro.core.experiment.SweepRunner.run`
+and :class:`~repro.ml.forest.RandomForestClassifier` call it directly.
+Prediction stays serial in every process: the packed walk beats a pool
+at every serving size.
 
 The determinism contract (see DESIGN.md): CRC32 cell seeds and
 pre-spawned RNG streams make every result bitwise identical to the
-serial path for any worker count; callers degrade to serial when shared
-memory or process pools are unavailable.
+serial path for any worker count; callers degrade to serial when the
+host cannot fork worker processes (:class:`PoolUnavailable`).
 """
 
 from repro.parallel.pool import (
@@ -29,14 +25,6 @@ from repro.parallel.pool import (
     ordered_chunk_map,
     partition,
 )
-from repro.parallel.shm import (
-    SharedArrayBundle,
-    SharedArraySpec,
-    SharedMemoryUnavailable,
-    SharedNDArray,
-    shared_memory_available,
-)
-from repro.parallel.sweep import ParallelExecutionUnavailable, run_sweep_parallel
 
 __all__ = [
     "ChunkFailedError",
@@ -45,11 +33,4 @@ __all__ = [
     "flatten",
     "ordered_chunk_map",
     "partition",
-    "SharedArrayBundle",
-    "SharedArraySpec",
-    "SharedNDArray",
-    "SharedMemoryUnavailable",
-    "shared_memory_available",
-    "ParallelExecutionUnavailable",
-    "run_sweep_parallel",
 ]

@@ -6,11 +6,18 @@ worker count, cutting a work list into contiguous chunks, and running a
 chunked map that *streams completions* (for progress reporting) while
 *returning results in submission order* (for determinism — callers
 reassemble grid order no matter which worker finished first).
+
+Workers are forked, so they inherit the map's read-only *state* (a
+sweep runner with its feature tensor, a forest fit's inputs) from the
+parent's pages copy-on-write: nothing is pickled or copied on the way
+in, and a worker reads the same bytes the serial path reads.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -27,6 +34,12 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# The running map's state.  Set before the pool forks, so every worker
+# inherits it; cleared when the map returns, so the parent does not keep
+# the inputs alive.  The lock lets one map at a time own it.
+_STATE = None
+_STATE_LOCK = threading.Lock()
 
 
 class PoolUnavailable(RuntimeError):
@@ -72,8 +85,13 @@ def effective_jobs(n_jobs: int | None, n_items: int | None = None) -> int:
     the core count (``-1`` = all cores, ``-2`` = all but one, the sklearn
     convention); positive values are taken literally.  The result is
     clamped to ``n_items`` when given — more workers than work is waste.
+    "Cores" are the CPUs this process may run on (its affinity mask), not
+    every CPU of the host.
     """
-    cores = os.cpu_count() or 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
     if n_jobs is None or n_jobs == 0:
         jobs = cores
     elif n_jobs < 0:
@@ -122,23 +140,33 @@ def _terminate_pool(executor: ProcessPoolExecutor) -> None:
         process.join(timeout=5)
 
 
+def _run_with_state(fn: Callable, chunk: list):
+    """Worker entry point: apply *fn* to the inherited state and a chunk."""
+    return fn(_STATE, chunk)
+
+
 def ordered_chunk_map(
-    fn: Callable[[list[T]], R],
+    fn: Callable[[object, list[T]], R],
     chunks: list[list[T]],
     n_jobs: int,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
+    state: object = None,
     on_chunk_done: Callable[[int, int], None] | None = None,
     chunk_timeout: float | None = None,
 ) -> list[R]:
-    """Run ``fn(chunk)`` for every chunk on a worker pool.
+    """Run ``fn(state, chunk)`` for every chunk on a forked worker pool.
+
+    *state* reaches the workers by fork inheritance, never by pickling,
+    so it may be as large as the parent can hold; *fn* (a module-level
+    function) and each chunk and result are pickled.  *fn* must treat
+    *state* as read-only and must not start a map of its own.  One map
+    runs at a time per process; a concurrent call waits for the lock.
 
     Results come back **in chunk order** regardless of completion order.
     *on_chunk_done(done_items, total_items)* fires as chunks complete,
     in completion order, for progress reporting.  Worker exceptions
     propagate wrapped in :class:`ChunkFailedError` (naming the chunk
     index and item range that died, with the original exception as
-    ``__cause__``); failure to even start the pool raises
+    ``__cause__``); a host that cannot fork or start the pool raises
     :class:`PoolUnavailable` so callers can fall back to serial.
 
     *chunk_timeout* (seconds, also settable via the
@@ -153,28 +181,43 @@ def ordered_chunk_map(
     **died** pool (a worker killed mid-chunk) no longer sinks
     the whole map — the surviving workers' results are kept, the pool is
     torn down, and the lost chunks are re-run serially in the calling
-    process (running *initializer* locally first), so the map always
-    returns complete, correctly ordered results instead of hanging or
-    forcing the caller to redo finished work.
+    process, so the map always returns complete, correctly ordered
+    results instead of hanging or forcing the caller to redo finished
+    work.
     """
+    global _STATE
     if chunk_timeout is None:
         env = os.environ.get("REPRO_CHUNK_TIMEOUT")
         chunk_timeout = float(env) if env else None
     if chunk_timeout is not None and chunk_timeout <= 0:
         raise ValueError(f"chunk_timeout must be > 0, got {chunk_timeout}")
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError as error:
+        raise PoolUnavailable(f"fork start method unavailable: {error}") from error
+    with _STATE_LOCK:
+        _STATE = state
+        try:
+            return _map_on_pool(
+                fn, chunks, n_jobs, context, state, on_chunk_done, chunk_timeout
+            )
+        finally:
+            _STATE = None
+
+
+def _map_on_pool(fn, chunks, n_jobs, context, state, on_chunk_done, chunk_timeout):
+    """:func:`ordered_chunk_map` once its state is published."""
     total_items = sum(len(chunk) for chunk in chunks)
     try:
-        executor = ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=initializer, initargs=initargs
-        )
-    except (OSError, ValueError, PermissionError) as error:
+        executor = ProcessPoolExecutor(max_workers=n_jobs, mp_context=context)
+    except (OSError, ValueError) as error:
         raise PoolUnavailable(f"cannot start worker processes: {error}") from error
 
-    results: dict[int, R] = {}
+    results: dict[int, object] = {}
     done_items = 0
     salvage_reason: str | None = None
     try:
-        futures = [executor.submit(fn, chunk) for chunk in chunks]
+        futures = [executor.submit(_run_with_state, fn, chunk) for chunk in chunks]
         index_of = {id(future): i for i, future in enumerate(futures)}
         pending = set(futures)
         while pending and salvage_reason is None:
@@ -217,13 +260,11 @@ def ordered_chunk_map(
             f"{salvage_reason}; re-running {len(lost)}/{len(chunks)} lost "
             "chunk(s) serially in the parent process",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        if initializer is not None:
-            initializer(*initargs)
         for index in lost:
             try:
-                results[index] = fn(chunks[index])
+                results[index] = fn(state, chunks[index])
             except Exception as error:  # noqa: BLE001 - annotate and re-raise
                 raise ChunkFailedError(
                     index, len(chunks), _chunk_ranges(chunks)[index], error

@@ -1,4 +1,4 @@
-"""Parallel-vs-serial determinism: sweep, forest, and shm plumbing.
+"""Parallel-vs-serial determinism: sweep, forest, and pool plumbing.
 
 The contract under test (DESIGN.md): every sweep cell derives its seed
 from CRC32 of (master_seed, model, t, h, w) and every forest member gets
@@ -9,7 +9,9 @@ a pre-spawned child stream, so results are bitwise identical for any
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -17,19 +19,8 @@ import pytest
 
 from repro.core.experiment import SweepGrid, SweepRunner
 from repro.ml.forest import RandomForestClassifier
-from repro.parallel import (
-    SharedArrayBundle,
-    SharedMemoryUnavailable,
-    SharedNDArray,
-    effective_jobs,
-    partition,
-    shared_memory_available,
-)
+from repro.parallel import effective_jobs, partition, pool
 from repro.parallel.pool import ChunkFailedError, ordered_chunk_map
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="no shared memory on this host"
-)
 
 #: Grid for the determinism sweeps: baselines + both stochastic model
 #: families, two t-days, two horizons.  Small enough to run three times
@@ -55,6 +46,10 @@ def rows_identical(rows_a: list[dict], rows_b: list[dict]) -> None:
             assert a[key] == b[key], (key, a, b)  # bitwise, not approx
 
 
+def _no_fork(method=None):
+    raise ValueError(f"cannot find context for {method!r}")
+
+
 class TestParallelSweep:
     @pytest.fixture(scope="class")
     def runner(self, scored_dataset):
@@ -68,6 +63,7 @@ class TestParallelSweep:
     def test_rows_match_serial(self, runner, serial_rows, n_jobs):
         rows = [r.as_row() for r in runner.run(GRID, n_jobs=n_jobs)]
         rows_identical(serial_rows, rows)
+        assert pool._STATE is None  # the runner is not pinned after the map
 
     def test_order_matches_grid_cells(self, runner, serial_rows):
         cells = list(GRID.cells())
@@ -77,17 +73,9 @@ class TestParallelSweep:
                 model, t_day, horizon, window,
             )
 
-    def test_falls_back_to_serial_without_shm(self, runner, serial_rows, monkeypatch):
-        """Shared-memory failure degrades to the serial path, same rows."""
-        monkeypatch.setattr(
-            SharedArrayBundle,
-            "create",
-            classmethod(
-                lambda cls, arrays: (_ for _ in ()).throw(
-                    SharedMemoryUnavailable("forced by test")
-                )
-            ),
-        )
+    def test_falls_back_to_serial_without_fork(self, runner, serial_rows, monkeypatch):
+        """A host without fork degrades to the serial path, same rows."""
+        monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
         rows = [r.as_row() for r in runner.run(GRID, n_jobs=2)]
         rows_identical(serial_rows, rows)
 
@@ -124,6 +112,18 @@ class TestParallelForest:
             assert np.array_equal(tree_s._threshold, tree_p._threshold)
             assert np.array_equal(tree_s._proba, tree_p._proba)
 
+    def test_fit_falls_back_to_serial_without_fork(self, data, monkeypatch):
+        X, y = data
+        serial = RandomForestClassifier(n_estimators=6, random_state=4).fit(X, y)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+        forest = RandomForestClassifier(n_estimators=6, random_state=4, n_jobs=2)
+        forest.fit(X, y)
+        assert np.array_equal(serial.feature_importances_, forest.feature_importances_)
+        for tree_s, tree_p in zip(serial.estimators_, forest.estimators_):
+            assert np.array_equal(tree_s._feature, tree_p._feature)
+            assert np.array_equal(tree_s._threshold, tree_p._threshold)
+            assert np.array_equal(tree_s._proba, tree_p._proba)
+
     def test_n_jobs_does_not_reach_predict(self, data, monkeypatch):
         X, y = data
         serial = RandomForestClassifier(n_estimators=6, random_state=1).fit(X, y)
@@ -133,10 +133,7 @@ class TestParallelForest:
         def no_pool(*args, **kwargs):
             raise AssertionError("predict must not start a pool")
 
-        monkeypatch.setattr("repro.parallel.forest.ordered_chunk_map", no_pool)
-        monkeypatch.setattr(
-            "repro.parallel.forest.SharedArrayBundle.create", no_pool
-        )
+        monkeypatch.setattr("repro.ml.forest.ordered_chunk_map", no_pool)
         proba = forest.predict_proba(X)
         assert np.array_equal(
             proba.view(np.uint64), serial.predict_proba(X).view(np.uint64)
@@ -164,46 +161,12 @@ class TestParallelForest:
         assert len(forest._class_positions_) == 4
 
 
-class TestSharedMemory:
-    def test_roundtrip_exact(self):
-        source = np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7.0
-        shared = SharedNDArray.create(source)
-        try:
-            attached = SharedNDArray.attach(shared.spec)
-            assert np.array_equal(attached.array, source)
-            assert attached.array.dtype == source.dtype
-            assert not attached.array.flags.writeable
-            attached.close()
-        finally:
-            shared.destroy()
-
-    def test_bundle_specs_and_destroy(self):
-        bundle = SharedArrayBundle.create(
-            {"a": np.ones(3), "b": np.zeros((2, 2), dtype=np.int64)}
-        )
-        specs = bundle.specs()
-        assert set(specs) == {"a", "b"}
-        assert specs["b"].shape == (2, 2)
-        other = SharedArrayBundle.attach(specs)
-        assert np.array_equal(other["a"], np.ones(3))
-        other.destroy()
-        bundle.destroy()
-
-
 # Salvage-test work functions must be importable by worker processes, so
-# they live at module level.  The initializer hands workers the parent's
-# PID: hazards only fire in child processes, which keeps the parent-side
+# they live at module level.  The map's state is the parent's PID:
+# hazards only fire in child processes, which keeps the parent-side
 # serial re-run (the salvage path under test) well behaved.
-_PARENT_PID: int | None = None
-
-
-def _set_parent_pid(pid: int) -> None:
-    global _PARENT_PID
-    _PARENT_PID = pid
-
-
-def _chunk_with_hazards(chunk):
-    in_worker = os.getpid() != _PARENT_PID
+def _chunk_with_hazards(parent_pid, chunk):
+    in_worker = os.getpid() != parent_pid
     out = []
     for item in chunk:
         if item == "hang" and in_worker:
@@ -214,18 +177,22 @@ def _chunk_with_hazards(chunk):
     return out
 
 
-def _raise_on_x(chunk):
+def _raise_on_x(state, chunk):
     if chunk == ["x"]:
         raise ValueError("boom")
     return chunk
 
 
-def _die_in_worker_raise_in_parent(chunk):
+def _die_in_worker_raise_in_parent(parent_pid, chunk):
     if chunk == ["x"]:
-        if os.getpid() != _PARENT_PID:
+        if os.getpid() != parent_pid:
             os._exit(1)  # kill the pool; the chunk becomes a salvage re-run
         raise ValueError("boom")
     return [f"ok-{item}" for item in chunk]
+
+
+def _tag_items(state, chunk):
+    return [(state, item) for item in chunk]
 
 
 class TestPoolSalvage:
@@ -234,8 +201,7 @@ class TestPoolSalvage:
         with pytest.warns(RuntimeWarning, match="hung worker"):
             results = ordered_chunk_map(
                 _chunk_with_hazards, chunks, n_jobs=2,
-                initializer=_set_parent_pid, initargs=(os.getpid(),),
-                chunk_timeout=1.5,
+                state=os.getpid(), chunk_timeout=1.5,
             )
         assert results == [["ok-a"], ["ok-hang"], ["ok-b"], ["ok-c"]]
 
@@ -243,20 +209,21 @@ class TestPoolSalvage:
         chunks = [["a"], ["die"], ["b"]]
         with pytest.warns(RuntimeWarning, match="worker pool died"):
             results = ordered_chunk_map(
-                _chunk_with_hazards, chunks, n_jobs=2,
-                initializer=_set_parent_pid, initargs=(os.getpid(),),
+                _chunk_with_hazards, chunks, n_jobs=2, state=os.getpid()
             )
         assert results == [["ok-a"], ["ok-die"], ["ok-b"]]
+        assert pool._STATE is None
 
     def test_worker_exception_names_failed_chunk(self):
         """A chunk failure reports which partition died, cause attached."""
         with pytest.raises(
             ChunkFailedError, match=r"chunk 1/2 \(items \[1:2\]\).*boom"
         ) as excinfo:
-            ordered_chunk_map(_raise_on_x, [["a"], ["x"]], n_jobs=2)
+            ordered_chunk_map(_raise_on_x, [["a"], ["x"]], n_jobs=2, state="inputs")
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert excinfo.value.chunk_index == 1
         assert excinfo.value.item_range == (1, 2)
+        assert pool._STATE is None
 
     def test_serial_salvage_exception_names_failed_chunk(self):
         """Exceptions in the serial salvage re-run carry chunk context."""
@@ -265,9 +232,29 @@ class TestPoolSalvage:
             with pytest.raises(ChunkFailedError, match=r"chunk 1/3") as excinfo:
                 ordered_chunk_map(
                     _die_in_worker_raise_in_parent, chunks, n_jobs=2,
-                    initializer=_set_parent_pid, initargs=(os.getpid(),),
+                    state=os.getpid(),
                 )
         assert excinfo.value.item_range == (1, 2)
+
+    def test_concurrent_maps_keep_their_own_state(self):
+        """Maps started from two threads each see only their own state."""
+        results: dict[str, list] = {}
+
+        def run(tag):
+            results[tag] = [
+                ordered_chunk_map(_tag_items, [[1], [2], [3]], n_jobs=2, state=tag)
+                for _ in range(3)
+            ]
+
+        threads = [threading.Thread(target=run, args=(tag,)) for tag in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for tag in "ab":
+            assert results[tag] == [[[(tag, 1)], [(tag, 2)], [(tag, 3)]]] * 3
+        assert pool._STATE is None
 
     def test_chunk_timeout_validation(self, monkeypatch):
         with pytest.raises(ValueError, match="chunk_timeout"):
@@ -286,6 +273,12 @@ class TestPoolHelpers:
         assert effective_jobs(-1) >= 1
         assert effective_jobs(8, n_items=3) == 3
         assert effective_jobs(2, n_items=0) == 1
+
+    def test_effective_jobs_counts_usable_cpus(self, monkeypatch):
+        """``0`` means the CPUs this process may run on, not the host's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert effective_jobs(0) == 1
+        assert effective_jobs(None) == 1
 
     def test_partition_contiguous_and_complete(self):
         items = list(range(11))
