@@ -123,6 +123,20 @@ class TestSweepRunner:
         rows = [r.as_row() for r in results]
         assert {row["model"] for row in rows} == {"Random", "Average"}
 
+    def test_model_rows_do_not_depend_on_other_models(self, runner):
+        # Each cell seeds from CRC32(seed|model|t|h|w), so adding or
+        # dropping a model leaves every other model's rows unchanged.
+        cells = dict(n_t=2, horizons=(1, 7), windows=(7,))
+        alone = runner.run(SweepGrid.small(models=("RF-F1",), **cells), n_jobs=1)
+        mixed = runner.run(
+            SweepGrid.small(models=("Tree", "RF-F1", "RF-F2"), **cells), n_jobs=1
+        )
+        np.testing.assert_equal(
+            [r.as_row() for r in alone],
+            [r.as_row() for r in mixed if r.model == "RF-F1"],
+        )
+        assert len(alone) == 4
+
     def test_deterministic_cells(self, scored_dataset):
         r1 = SweepRunner(scored_dataset, n_estimators=3, n_training_days=2, seed=7)
         r2 = SweepRunner(scored_dataset, n_estimators=3, n_training_days=2, seed=7)
