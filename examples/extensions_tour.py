@@ -1,17 +1,13 @@
 #!/usr/bin/env python
-"""Extensions tour: gradient boosting, twin features, PR curves.
+"""Extensions tour: twin features and PR curves.
 
-The library ships two extensions beyond the paper's letter, both
-motivated inside the paper:
+The library ships one extension beyond the paper's letter, motivated
+inside the paper: the spatial analysis ends with the observation that
+nearly every sector has a behavioural twin somewhere in the network;
+`find_twins`/`augment_with_twins` turn that into explicit **twin
+features**.
 
-* **GBT** — gradient boosted trees (the related-work comparator) as a
-  fifth classifier model;
-* **twin features** — the spatial analysis ends with the observation
-  that nearly every sector has a behavioural twin somewhere in the
-  network; `find_twins`/`augment_with_twins` turn that into explicit
-  features.
-
-This example compares RF-F1, GBT, and RF-F1 + twin features on the same
+This example compares RF-F1 and RF-F1 + twin features on the same
 forecast days and prints a precision-recall curve (the paper's raw
 evaluation object before averaging into psi) for the best model.
 
@@ -63,7 +59,6 @@ def main() -> None:
 
     variants = {
         "RF-F1": (features, "RF-F1"),
-        "GBT": (features, "GBT"),
         "RF-F1 + twin": (augmented, "RF-F1"),
     }
     print(f"{'variant':14s} {'mean lift':>10s}")

@@ -30,7 +30,6 @@ from repro.core.feature_sets import (
     raw_features,
 )
 from repro.core.features import FeatureTensor
-from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.rng import ensure_rng
 from repro.ml.tree import DecisionTreeClassifier
@@ -67,8 +66,8 @@ class HotSpotForecaster:
     n_jobs:
         Worker processes for forest fitting (forwarded to
         :class:`~repro.ml.forest.RandomForestClassifier`; ignored by the
-        single tree and the sequential boosting stages).  The fitted
-        model is identical for any value, and prediction is serial.
+        single tree).  The fitted model is identical for any value, and
+        prediction is serial.
 
     Attributes
     ----------
@@ -87,10 +86,8 @@ class HotSpotForecaster:
         random_state: int | np.random.Generator | None = None,
         n_jobs: int | None = 1,
     ) -> None:
-        if kind not in ("tree", "forest", "boosting"):
-            raise ValueError(
-                f"kind must be 'tree', 'forest', or 'boosting', got {kind!r}"
-            )
+        if kind not in ("tree", "forest"):
+            raise ValueError(f"kind must be 'tree' or 'forest', got {kind!r}")
         if feature_view not in _FEATURE_VIEWS:
             raise ValueError(
                 f"feature_view must be one of {sorted(_FEATURE_VIEWS)}, got {feature_view!r}"
@@ -160,21 +157,12 @@ class HotSpotForecaster:
             self.feature_importances_ = np.zeros(design.shape[1])
             return self
 
-        model: DecisionTreeClassifier | RandomForestClassifier | GradientBoostingClassifier
+        model: DecisionTreeClassifier | RandomForestClassifier
         if self.kind == "tree":
             model = DecisionTreeClassifier(
                 max_features=0.8,
                 min_weight_fraction_split=0.02,
                 max_depth=self.max_depth,
-                random_state=rng,
-            )
-        elif self.kind == "boosting":
-            model = GradientBoostingClassifier(
-                n_estimators=max(self.n_estimators * 5, 30),
-                learning_rate=0.1,
-                max_depth=3,
-                subsample=0.8,
-                max_features="sqrt",
                 random_state=rng,
             )
         else:
@@ -266,15 +254,12 @@ class HotSpotForecaster:
             raise IndexError(f"t_day {t_day} outside [0, {n_days})")
 
 
-#: Factory registry: the paper's four classifier models plus the GBT
-#: extension (gradient boosted trees on the percentile view — the
-#: modern comparator the paper's related work points at).
+#: Factory registry: the paper's four classifier models (Sec. IV-D).
 MODEL_REGISTRY: dict[str, dict] = {
     "Tree": {"kind": "tree", "feature_view": "raw"},
     "RF-R": {"kind": "forest", "feature_view": "raw"},
     "RF-F1": {"kind": "forest", "feature_view": "percentiles"},
     "RF-F2": {"kind": "forest", "feature_view": "hand_crafted"},
-    "GBT": {"kind": "boosting", "feature_view": "percentiles"},
 }
 
 

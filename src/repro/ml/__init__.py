@@ -17,9 +17,7 @@ model family the paper relies on, in pure numpy:
 """
 
 from repro.ml.autoencoder import DenoisingAutoencoder
-from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.regression_tree import RegressionTree
 from repro.ml.metrics import (
     average_precision,
     lift_over_random,
@@ -27,20 +25,16 @@ from repro.ml.metrics import (
     relative_improvement,
 )
 from repro.ml.optim import RMSProp, SGD
-from repro.ml.rng import spawn_rngs
 from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = [
     "DecisionTreeClassifier",
     "DenoisingAutoencoder",
-    "GradientBoostingClassifier",
     "RMSProp",
     "RandomForestClassifier",
-    "RegressionTree",
     "SGD",
     "average_precision",
     "lift_over_random",
     "precision_recall_curve",
     "relative_improvement",
-    "spawn_rngs",
 ]

@@ -2,14 +2,14 @@
 
 Every stochastic component in the library takes an explicit
 ``numpy.random.Generator``; these helpers make deriving independent
-child generators from a single seed ergonomic and reproducible.
+child seeds from a single seed ergonomic and reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ensure_rng", "spawn_rngs", "spawn_seeds"]
+__all__ = ["ensure_rng", "spawn_seeds"]
 
 
 def ensure_rng(
@@ -26,24 +26,13 @@ def spawn_seeds(
 ) -> list[int]:
     """Derive *count* child seeds from the parent stream.
 
-    This is the picklable half of :func:`spawn_rngs`: a seed can be
-    shipped to a worker process, and ``default_rng(seed)`` there yields
-    the exact stream the serial path would have used.  The k-th seed
-    depends only on the parent state and k, never on how the work is
-    later partitioned across processes.
+    A seed can be shipped to a worker process, and ``default_rng(seed)``
+    there yields the exact stream the serial path would have used.  The
+    k-th seed depends only on the parent state and k, never on how the
+    work is later partitioned across processes.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     parent = ensure_rng(seed_or_rng)
     return [int(seed) for seed in parent.integers(0, 2**63, size=count)]
 
-
-def spawn_rngs(
-    seed_or_rng: int | np.random.Generator | None, count: int
-) -> list[np.random.Generator]:
-    """Derive *count* statistically independent child generators.
-
-    The children are seeded from draws of the parent, so a fixed parent
-    seed fully determines every child stream.
-    """
-    return [np.random.default_rng(seed) for seed in spawn_seeds(seed_or_rng, count)]

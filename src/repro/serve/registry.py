@@ -3,16 +3,15 @@
 Trained forecasters are flat-array machines (the CART trees store their
 nodes in numpy arrays), so persistence follows the same conventions as
 :mod:`repro.data.store`: one compressed ``.npz`` archive per model with
-a small ``meta_json`` payload.  An ensemble (forest, boosting model or a
-single tree) is stored as member tables: one concatenated array per
-node field plus per-member node counts, classes and importances, so an
-archive holds about a dozen members whatever the tree count.  Loading
-slices the tables back into member trees (views, no copies) and packs a
-forest for the predict kernel.  Archives of older builds, with seven
-arrays per tree, still load through the same path.  A reloaded model
-reproduces the in-memory model's predictions *exactly* — prediction
-only touches the flattened node arrays, and float64/int64 round-trip
-bitwise through npz.
+a small ``meta_json`` payload.  A forest or a single tree is stored as
+member tables: one concatenated array per node field plus per-member
+node counts, classes and importances, so an archive holds about a dozen
+members whatever the tree count.  Loading slices the tables back into
+member trees (views, no copies) and packs a forest for the predict
+kernel.  Archives of older builds, with seven arrays per tree, still
+load through the same path.  A reloaded model reproduces the in-memory
+model's predictions *exactly* — prediction only touches the flattened
+node arrays, and float64/int64 round-trip bitwise through npz.
 
 Registry loads sit on the serving path at every cold start: the first
 forecast of a service, a gateway or a fleet shard (also after a
@@ -44,9 +43,7 @@ from repro.core.baselines import (
 )
 from repro.core.forecaster import HotSpotForecaster
 from repro.data.store import ARCHIVE_DECODE_ERRORS, _atomic_replace, write_json_atomic
-from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.regression_tree import RegressionTree
 from repro.ml.tree import _LEAF, DecisionTreeClassifier
 
 __all__ = ["ModelKey", "ModelRegistry", "RegistryCorruptError", "train_and_register"]
@@ -163,31 +160,29 @@ class ModelKey:
 _NODE_FIELDS = ("feature", "threshold", "left", "right")
 
 
-def _member_tables(states: list[dict], leaf: str) -> dict[str, np.ndarray]:
+def _member_tables(states: list[dict]) -> dict[str, np.ndarray]:
     """Concatenate member states into the ``members__*`` tables.
 
-    *leaf* is the per-node payload: ``"proba"`` (classifier trees, one
-    row per node over the member's own classes, stored flattened) or
-    ``"value"`` (boosting stages).
+    Each node's leaf payload is its ``proba`` row over the member's own
+    classes, stored flattened.
     """
     tables = {
         "members__node_count": np.array(
             [state["feature"].size for state in states], dtype=np.int64
         ),
         "members__importances": np.stack([state["importances"] for state in states]),
-        f"members__{leaf}": np.concatenate([np.ravel(state[leaf]) for state in states]),
+        "members__proba": np.concatenate([np.ravel(state["proba"]) for state in states]),
     }
     for field in _NODE_FIELDS:
         tables[f"members__{field}"] = np.concatenate([state[field] for state in states])
-    if leaf == "proba":
-        tables["members__class_count"] = np.array(
-            [state["classes"].size for state in states], dtype=np.int64
-        )
-        tables["members__classes"] = np.concatenate([state["classes"] for state in states])
+    tables["members__class_count"] = np.array(
+        [state["classes"].size for state in states], dtype=np.int64
+    )
+    tables["members__classes"] = np.concatenate([state["classes"] for state in states])
     return tables
 
 
-def _read_tables(archive, meta: dict, leaf: str) -> dict[str, np.ndarray]:
+def _read_tables(archive, meta: dict) -> dict[str, np.ndarray]:
     """The member tables of *archive*.
 
     Archives written before the table layout hold seven arrays per tree
@@ -200,9 +195,9 @@ def _read_tables(archive, meta: dict, leaf: str) -> dict[str, np.ndarray]:
         prefixes = ["tree__"]
     else:
         prefixes = [f"est{i:03d}__" for i in range(int(meta["n_members"]))]
-    keys = [*_NODE_FIELDS, leaf, "importances"] + (["classes"] if leaf == "proba" else [])
+    keys = [*_NODE_FIELDS, "proba", "importances", "classes"]
     states = [{key: archive[f"{prefix}{key}"] for key in keys} for prefix in prefixes]
-    return _member_tables(states, leaf)
+    return _member_tables(states)
 
 
 def _expect_shape(tables: dict, name: str, shape: tuple) -> None:
@@ -254,7 +249,7 @@ def _check_trees(tables: dict, node_count: np.ndarray) -> None:
 
 
 def _split_members(
-    tables: dict, leaf: str, n_members: int, n_features: int
+    tables: dict, n_members: int, n_features: int
 ) -> list[dict[str, np.ndarray]]:
     """Slice the member tables back into per-member states.
 
@@ -268,36 +263,24 @@ def _split_members(
         _expect_shape(tables, f"members__{field}", (n_nodes,))
     _expect_shape(tables, "members__importances", (n_members, n_features))
     _check_trees(tables, node_count)
+    class_count = _member_counts(tables, "members__class_count", n_members)
+    _expect_shape(tables, "members__classes", (int(class_count.sum()),))
+    cells = node_count * class_count
+    _expect_shape(tables, "members__proba", (int(cells.sum()),))
     columns = {field: _cut(tables[f"members__{field}"], node_count) for field in _NODE_FIELDS}
     columns["importances"] = list(tables["members__importances"])
-    if leaf == "proba":
-        class_count = _member_counts(tables, "members__class_count", n_members)
-        _expect_shape(tables, "members__classes", (int(class_count.sum()),))
-        cells = node_count * class_count
-        _expect_shape(tables, "members__proba", (int(cells.sum()),))
-        columns["classes"] = _cut(tables["members__classes"], class_count)
-        columns["proba"] = [
-            block.reshape(rows, width)
-            for block, rows, width in zip(
-                _cut(tables["members__proba"], cells),
-                node_count.tolist(),
-                class_count.tolist(),
-            )
-        ]
-    else:
-        _expect_shape(tables, "members__value", (n_nodes,))
-        columns["value"] = _cut(tables["members__value"], node_count)
+    columns["classes"] = _cut(tables["members__classes"], class_count)
+    columns["proba"] = [
+        block.reshape(rows, width)
+        for block, rows, width in zip(
+            _cut(tables["members__proba"], cells),
+            node_count.tolist(),
+            class_count.tolist(),
+        )
+    ]
     return [
         {key: parts[i] for key, parts in columns.items()} for i in range(n_members)
     ]
-
-
-def _classifier_tree(state: dict, n_features: int) -> DecisionTreeClassifier:
-    return DecisionTreeClassifier.from_state({**state, "n_features": n_features})
-
-
-def _regression_tree(state: dict, n_features: int) -> RegressionTree:
-    return RegressionTree.from_state({**state, "n_features": n_features})
 
 
 # ---------------------------------------------------------- model (de)ser
@@ -339,19 +322,11 @@ def _dump_model(model) -> tuple[dict, dict]:
         members = fitted.estimators_
         arrays["forest__classes"] = fitted.classes_
         arrays["forest__importances"] = np.asarray(fitted.feature_importances_)
-    elif isinstance(fitted, GradientBoostingClassifier):
-        meta["inner"] = "boosting"
-        members = fitted.estimators_
-        meta["initial"] = float(fitted._initial)
-        meta["learning_rate"] = float(fitted.learning_rate)
-        arrays["boost__classes"] = fitted.classes_
-        arrays["boost__importances"] = np.asarray(fitted.feature_importances_)
     else:
         raise TypeError(f"cannot persist inner model {type(fitted).__name__}")
     meta["n_members"] = len(members)
     meta["n_features"] = int(members[0]._n_features)
-    leaf = "value" if meta["inner"] == "boosting" else "proba"
-    arrays.update(_member_tables([member.to_state() for member in members], leaf))
+    arrays.update(_member_tables([member.to_state() for member in members]))
     return meta, arrays
 
 
@@ -375,35 +350,28 @@ def _load_model(meta: dict, archive):
     if inner is None:
         forecaster._model = None
         return forecaster
-    if inner not in ("tree", "forest", "boosting"):
+    if inner not in ("tree", "forest"):
         raise ValueError(f"unknown inner model kind {inner!r} in registry entry")
     n_features = int(meta["n_features"])
     # Archives of older builds carry no n_members for a single tree.
     n_members = int(meta.get("n_members", 1))
-    leaf = "value" if inner == "boosting" else "proba"
-    states = _split_members(_read_tables(archive, meta, leaf), leaf, n_members, n_features)
+    states = _split_members(_read_tables(archive, meta), n_members, n_features)
+    trees = [
+        DecisionTreeClassifier.from_state({**state, "n_features": n_features})
+        for state in states
+    ]
     if inner == "tree":
-        forecaster._model = _classifier_tree(states[0], n_features)
-    elif inner == "forest":
-        forest = RandomForestClassifier(n_estimators=n_members)
-        forest.classes_ = archive["forest__classes"]
-        forest.feature_importances_ = archive["forest__importances"]
-        forest.estimators_ = [_classifier_tree(state, n_features) for state in states]
-        # Pack eagerly: loaded forests go straight into the warm LRU /
-        # serving engines, so every forecast_window hits the packed
-        # kernel without a first-call packing stall.
-        forest.packed()
-        forecaster._model = forest
-    else:
-        boosting = GradientBoostingClassifier(
-            n_estimators=n_members,
-            learning_rate=float(meta["learning_rate"]),
-        )
-        boosting.classes_ = archive["boost__classes"]
-        boosting._initial = float(meta["initial"])
-        boosting.feature_importances_ = archive["boost__importances"]
-        boosting.estimators_ = [_regression_tree(state, n_features) for state in states]
-        forecaster._model = boosting
+        forecaster._model = trees[0]
+        return forecaster
+    forest = RandomForestClassifier(n_estimators=n_members)
+    forest.classes_ = archive["forest__classes"]
+    forest.feature_importances_ = archive["forest__importances"]
+    forest.estimators_ = trees
+    # Pack eagerly: loaded forests go straight into the warm LRU /
+    # serving engines, so every forecast_window hits the packed
+    # kernel without a first-call packing stall.
+    forest.packed()
+    forecaster._model = forest
     return forecaster
 
 

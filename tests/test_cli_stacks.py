@@ -160,8 +160,8 @@ def test_gateway_stacks_start_and_drain(world, args, backend):
 # parser surface: (dest, default, required, choices, nargs, type)
 # --------------------------------------------------------------------------
 MODELS = ("Random", "Persist", "Average", "Trend", "Tree", "RF-R", "RF-F1",
-          "RF-F2", "GBT")
-TRAINABLE = ("GBT", "RF-F1", "RF-F2", "RF-R", "Tree")
+          "RF-F2")
+TRAINABLE = ("RF-F1", "RF-F2", "RF-R", "Tree")
 
 COMMON = {
     "--data": ("data", None, True, None, None, None),
@@ -323,3 +323,15 @@ def test_subcommand_set_is_pinned():
 @pytest.mark.parametrize("command", sorted(SURFACE))
 def test_option_surface_is_pinned(command):
     assert _surface(_subparsers()[command]) == SURFACE[command]
+
+
+@pytest.mark.parametrize("command", ["serve", "lifecycle"])
+def test_retired_gbt_model_is_an_invalid_choice(command, tmp_path, capsys):
+    """The parser refuses ``--model GBT`` before any data is read."""
+    argv = [command, "--data", str(tmp_path / "missing.npz"), "--registry",
+            str(tmp_path / "models"), "--model", "GBT"]
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    assert exited.value.code == 2
+    assert "invalid choice: 'GBT'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -80,7 +80,7 @@ class TestSweepGrid:
         assert len(grid.t_days) == 36
         assert len(grid.horizons) == 15
         assert len(grid.windows) == 8
-        # all registered models (the paper's 8 plus the GBT extension)
+        # all registered models: the paper's 4 baselines and 4 classifiers
         assert grid.n_combinations == len(ALL_MODEL_NAMES) * 36 * 15 * 8
 
     def test_small_grid(self):
